@@ -39,24 +39,40 @@ class UGALFbfly(RoutingFunction):
         super().__init__(topology)
         self.rng = rng
         self.threshold = threshold
+        # (router, target) -> geometry, filled on first use: prepare()
+        # and next_hop() ask for the same few hundred pairs every packet.
+        self._hops_memo = {}
+        self._first_port_memo = {}
 
     # --- path geometry -------------------------------------------------
 
     def _hops(self, src_router, dst_router):
         """Router-to-router hop count (one hop per differing dimension)."""
-        sx, sy = self.topology.coords(src_router)
-        dx, dy = self.topology.coords(dst_router)
-        return int(sx != dx) + int(sy != dy)
+        key = (src_router, dst_router)
+        try:
+            return self._hops_memo[key]
+        except KeyError:
+            sx, sy = self.topology.coords(src_router)
+            dx, dy = self.topology.coords(dst_router)
+            hops = self._hops_memo[key] = int(sx != dx) + int(sy != dy)
+            return hops
 
     def _first_port(self, router, target_router):
         """First-hop output port from router toward target (X then Y)."""
-        x, y = self.topology.coords(router)
-        tx, ty = self.topology.coords(target_router)
-        if x != tx:
-            return self.topology.row_port(router, tx)
-        if y != ty:
-            return self.topology.col_port(router, ty)
-        return None
+        key = (router, target_router)
+        try:
+            return self._first_port_memo[key]
+        except KeyError:
+            x, y = self.topology.coords(router)
+            tx, ty = self.topology.coords(target_router)
+            if x != tx:
+                port = self.topology.row_port(router, tx)
+            elif y != ty:
+                port = self.topology.col_port(router, ty)
+            else:
+                port = None
+            self._first_port_memo[key] = port
+            return port
 
     # --- RoutingFunction API -------------------------------------------
 

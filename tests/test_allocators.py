@@ -1,5 +1,7 @@
 """Unit and property tests for repro.allocators."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -155,10 +157,84 @@ class TestSeparable:
         assert len(g3) >= len(g1)
 
 
+class DenseSweepWavefront(WavefrontAllocator):
+    """Test-only oracle: the dense per-class sweep ``allocate`` used to be.
+
+    It walks every cell of the n x n matrix, wave by wave, once per
+    priority class. The request-driven ``WavefrontAllocator.allocate``
+    must reach the requesting cells in exactly this order: grants, grant
+    insertion order (the router iterates the dict), RNG stream and
+    ``state_dict()`` all have to match it call for call.
+    """
+
+    def allocate(self, requests):
+        self._validate(requests)
+        grants = {}
+        if requests:
+            self._rng.shuffle(self._row_perm)
+            self._rng.shuffle(self._col_perm)
+            matched_outputs = set()
+            classes = sorted({p for p in requests.values()}, reverse=True)
+            for prio in classes:
+                self._sweep(
+                    {pair for pair, p in requests.items() if p == prio},
+                    grants,
+                    matched_outputs,
+                )
+        self._priority_diagonal = (self._priority_diagonal + 1) % self._n
+        return grants
+
+    def _sweep(self, pairs, grants, matched_outputs):
+        n = self._n
+        row, col = self._row_perm, self._col_perm
+        for wave in range(n):
+            diag = (self._priority_diagonal + wave) % n
+            for vi in range(n):
+                i = row[vi]
+                if i >= self.num_inputs:
+                    continue
+                o = col[(diag - vi) % n]
+                if o >= self.num_outputs:
+                    continue
+                if i in grants or o in matched_outputs:
+                    continue
+                if (i, o) in pairs:
+                    grants[i] = o
+                    matched_outputs.add(o)
+
+
+def wavefront_call_sequences():
+    """(num_inputs, num_outputs, allocator seed, [requests, ...]).
+
+    Sizes are rectangular 1-10 x 1-10; every sequence has at least 20
+    calls whose densities run from empty through the single-request
+    short-circuit to fully dense, with up to four priority classes. The
+    matrices come from a drawn seed rather than from hypothesis itself
+    so that 20+ matrices of up to 100 cells stay cheap to generate.
+    """
+    def build(n_in, n_out, alloc_seed, matrix_seed, classes, densities):
+        rng = random.Random(matrix_seed)
+        calls = [
+            {(i, o): rng.randrange(classes)
+             for i in range(n_in) for o in range(n_out)
+             if rng.random() < density}
+            for density in densities
+        ]
+        return n_in, n_out, alloc_seed, calls
+
+    return st.builds(
+        build,
+        st.integers(1, 10), st.integers(1, 10),
+        st.integers(0, 2 ** 32), st.integers(0, 2 ** 32), st.integers(1, 4),
+        st.lists(st.sampled_from([0.0, 0.02, 0.05, 0.15, 0.4, 1.0]),
+                 min_size=20, max_size=28),
+    )
+
+
 class TestWavefront:
     def test_maximal_matching(self):
         """Wavefront guarantees maximality: no request can be added."""
-        alloc = WavefrontAllocator(4, 4)
+        alloc = WavefrontAllocator(4, 4, seed=0)
         requests = {(0, 0): 0, (1, 0): 0, (1, 1): 0, (2, 1): 0, (3, 3): 0}
         grants = alloc.allocate(requests)
         matched_in = set(grants)
@@ -167,15 +243,45 @@ class TestWavefront:
             assert i in matched_in or o in matched_out
 
     @settings(max_examples=60, deadline=None)
-    @given(case=request_matrices())
-    def test_property_maximal(self, case):
+    @given(case=request_matrices(), seed=st.integers(0, 999))
+    def test_property_maximal(self, case, seed):
         n_in, n_out, requests = case
-        alloc = WavefrontAllocator(n_in, n_out)
+        alloc = WavefrontAllocator(n_in, n_out, seed=seed)
         grants = alloc.allocate(requests)
         matched_in = set(grants)
         matched_out = set(grants.values())
         for (i, o) in requests:
             assert i in matched_in or o in matched_out
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=request_matrices(max_ports=10), seed=st.integers(0, 999))
+    def test_property_strict_priority(self, case, seed):
+        """A request only loses to a grant of at least its own priority
+        on its row or its column."""
+        n_in, n_out, requests = case
+        grants = WavefrontAllocator(n_in, n_out, seed=seed).allocate(requests)
+        input_of = {o: i for i, o in grants.items()}
+        for (i, o), prio in requests.items():
+            if grants.get(i) == o:
+                continue
+            blockers = []
+            if i in grants:
+                blockers.append(requests[(i, grants[i])])
+            if o in input_of:
+                blockers.append(requests[(input_of[o], o)])
+            assert blockers and max(blockers) >= prio
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=wavefront_call_sequences())
+    def test_property_matches_dense_sweep_oracle(self, case):
+        """Same grants in the same order, same state, after every call."""
+        n_in, n_out, seed, calls = case
+        alloc = WavefrontAllocator(n_in, n_out, seed=seed)
+        oracle = DenseSweepWavefront(n_in, n_out, seed=seed)
+        for requests in calls:
+            assert (list(alloc.allocate(requests).items())
+                    == list(oracle.allocate(requests).items()))
+            assert alloc.state_dict() == oracle.state_dict()
 
     def test_fairness_under_persistent_contention(self):
         """Conflicting requests win a comparable share over time.
@@ -183,7 +289,7 @@ class TestWavefront:
         The symmetric-fairness permutation (see module docstring) must
         prevent the structural pairwise bias of a naive wavefront.
         """
-        alloc = WavefrontAllocator(5, 5)
+        alloc = WavefrontAllocator(5, 5, seed=0)
         requests = {(0, 2): 0, (1, 2): 0}
         wins = {0: 0, 1: 0}
         rounds = 400
@@ -194,7 +300,7 @@ class TestWavefront:
         assert 0.35 * rounds < wins[0] < 0.65 * rounds
 
     def test_rectangular(self):
-        alloc = WavefrontAllocator(2, 5)
+        alloc = WavefrontAllocator(2, 5, seed=0)
         grants = alloc.allocate({(0, 4): 0, (1, 2): 0})
         assert grants == {0: 4, 1: 2}
 

@@ -138,6 +138,32 @@ class TestUGALFbfly:
             self.routing = routing
             self._walk(packet)  # must always terminate
 
+    def test_memoised_geometry_matches_topology(self):
+        """The per-(router, target) memo returns what the topology
+        computes, on the filling call and on every later one."""
+        topo = self.topo
+        for router in range(topo.num_routers):
+            x, y = topo.coords(router)
+            for target in range(topo.num_routers):
+                tx, ty = topo.coords(target)
+                if x != tx:
+                    port = topo.row_port(router, tx)
+                elif y != ty:
+                    port = topo.col_port(router, ty)
+                else:
+                    port = None
+                for _ in range(2):
+                    assert self.routing._first_port(router, target) == port
+                    assert (self.routing._hops(router, target)
+                            == int(x != tx) + int(y != ty))
+
+    def test_out_of_range_target_still_raises(self):
+        """The memo is filled through row_port/col_port, so their range
+        checks still run; a failed lookup is not remembered as a port."""
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                self.routing._first_port(0, self.topo.num_routers)
+
     def test_same_router_pair(self):
         """src and dest on the same router eject without network hops."""
         packet = Packet(0, 1, 1, 0)  # terminals 0 and 1 share router 0
