@@ -48,12 +48,15 @@ _SUMMARY_METRICS = (
 
 
 @contextlib.contextmanager
-def atomic_write(path, mode="w"):
+def atomic_write(path, mode="w", fsync=True):
     """Write ``path`` via a same-directory temp file plus ``os.replace``.
 
     A crash mid-write leaves either the previous file contents or
     nothing — never a truncated artifact. Used for every artifact and
-    checkpoint file. ``mode`` is ``"w"`` or ``"wb"``.
+    checkpoint file. ``mode`` is ``"w"`` or ``"wb"``. ``fsync=False``
+    keeps the rename atomicity (readers never see a partial file) but
+    not durability across a host crash — only for files nothing reads
+    after one, i.e. liveness leases.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(
@@ -63,7 +66,8 @@ def atomic_write(path, mode="w"):
         with os.fdopen(fd, mode) as fh:
             yield fh
             fh.flush()
-            os.fsync(fh.fileno())
+            if fsync:
+                os.fsync(fh.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -17,6 +17,11 @@ and restarted from its last checkpoint within one ``window_timeout``.
 Workers legitimately blocked on a peer's exchange file report
 ``state="waiting"`` and are exempt from the progress check (the peer's
 restart is what unblocks them).
+
+The coordinator also owns the wake pipes (hints, never data — see
+repro.parallel.exchange): one per reader shard, made before the first
+spawn and held open at both ends until the run ends, so every attempt
+of every shard inherits the same fds through ``fork``.
 """
 
 import json
@@ -49,7 +54,7 @@ from repro.parallel.worker import (
     outcome_path,
     run_shard_worker,
 )
-from repro.proc import confirmed_kill, file_age, read_outcome
+from repro.proc import confirmed_kill, file_age, read_outcome, wait_for_exit
 from repro.traffic.injection import FixedLength
 
 _RUN_MAGIC = "repro-shard-run"
@@ -235,6 +240,8 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
             "window": win,
             "checkpoint_windows": checkpoint_windows,
             "chaos": chaos.get(i) if attempts[i] == 1 else None,
+            "wake_fd": wake[i][0],
+            "peer_wake_fds": [w for j, (_r, w) in enumerate(wake) if j != i],
         }
         proc = ctx.Process(
             target=run_shard_worker,
@@ -278,7 +285,11 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
         previous_sigterm = signal.signal(signal.SIGTERM, _request_drain)
 
     drained_mode = False
+    wake = [os.pipe() for _ in range(shards)]  # (read, write) per reader
+    wake_fds = [fd for pair in wake for fd in pair]
     try:
+        for fd in wake_fds:
+            os.set_blocking(fd, False)
         for i in sorted(pending):
             spawn(i)
         while pending:
@@ -366,8 +377,10 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
                         restart(i, "wedged")
                         continue
             if pending:
-                time.sleep(poll)
+                wait_for_exit([handles[i]["proc"] for i in pending], poll)
     finally:
+        for fd in wake_fds:
+            os.close(fd)
         if on_main_thread and previous_sigterm is not None:
             signal.signal(signal.SIGTERM, previous_sigterm)
 

@@ -10,6 +10,13 @@ Files are written atomically and fsynced (``atomic_write``) and are
 window skips the publish when the file already exists, so no window's
 output is ever published twice.
 
+Wake-ups are hints, files are truth: after publishing, a shard drops
+one byte into every peer's wake pipe (:func:`wake_peers`) and
+:func:`wait_for_exchange` blocks in ``select`` on its own pipe instead
+of sleeping. A token carries no data and is never trusted — the waiter
+re-checks the file — so a lost token costs one poll interval and a
+stale one costs one ``stat``.
+
 Packet identity across imports: flits of one packet may cross a
 boundary in different windows (wormhole packets span windows), and a
 restarted worker rebuilds earlier flits from a checkpoint. Both paths
@@ -22,7 +29,7 @@ restores and exchange imports both materialize packets through an
 
 import json
 import os
-import time
+import select
 
 from repro.checkpoint import RestoreContext, canonical_json
 from repro.obs.artifacts import atomic_write
@@ -90,17 +97,31 @@ def make_exchange(shard, window, cycle_start, cycle_end, channels, packets,
     }
 
 
+def wake_peers(wake_fds):
+    """Hint every peer that a file was just published: one byte into
+    each non-blocking wake pipe. A full pipe (``EAGAIN``) already holds
+    a pending wake-up, so the token is simply dropped."""
+    for fd in wake_fds:
+        try:
+            os.write(fd, b"\0")
+        except BlockingIOError:
+            pass
+
+
 def wait_for_exchange(root, shard, window, heartbeat=None, should_abort=None,
-                      poll=0.01, max_poll=0.2):
+                      poll=0.01, max_poll=0.2, wake_fd=None):
     """Block until another shard's window file appears, then load it.
 
     The wait is unbounded by design — liveness of the peer is the
     coordinator's job (lease expiry / barrier watchdog restart the
     peer; PDEATHSIG reaps us if the coordinator dies). ``heartbeat``
     is called periodically so waiting never looks like a wedge, and
-    ``should_abort`` (drain requested) breaks the wait.
+    ``should_abort`` (drain requested) breaks the wait. A token on
+    ``wake_fd`` (this shard's wake pipe) only cuts the back-off sleep
+    short; with no fd the ``select`` is a plain sleep.
     """
     path = exchange_path(root, shard, window)
+    wake = [] if wake_fd is None else [wake_fd]
     delay = poll
     while True:
         if os.path.exists(path):
@@ -109,7 +130,8 @@ def wait_for_exchange(root, shard, window, heartbeat=None, should_abort=None,
             return None
         if heartbeat is not None:
             heartbeat(os.path.relpath(path, root))
-        time.sleep(delay)
+        if select.select(wake, [], [], delay)[0]:
+            os.read(wake_fd, 65536)
         delay = min(max_poll, delay * 1.5)
 
 

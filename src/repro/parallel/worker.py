@@ -15,7 +15,9 @@ boundary channel latency):
    pid/RNG determinism; only packets sourced at local terminals are
    actually injected.
 4. Serialize boundary exports and publish the window's exchange file
-   (atomic, immutable, skip-if-already-published).
+   (atomic, immutable, skip-if-already-published), then drop a wake-up
+   token into every peer's pipe — a hint only; step 2 of the peer's
+   next window still finds the data by reading the file.
 5. In the drain region, run the quiescence decision from published
    in-flight histograms — a pure function of the exchange files, so
    every shard (including one restarted mid-drain) reaches the same
@@ -27,6 +29,10 @@ boundary channel latency):
 SIGTERM/SIGINT request a graceful drain: the worker checkpoints the
 current window-start state and exits with code 5; a later run resumes
 from that checkpoint bit-identically.
+
+Everything a resume reads (exchange files, checkpoints, finals,
+outcomes) is fsynced before it becomes visible; the heartbeat, a lease
+whose only meaning is its mtime, is not (see :class:`Heartbeat`).
 """
 
 import gzip
@@ -52,6 +58,7 @@ from repro.parallel.exchange import (
     make_exchange,
     publish_exchange,
     wait_for_exchange,
+    wake_peers,
 )
 from repro.parallel.partition import ShardPlan
 from repro.proc import die_with_parent, write_outcome
@@ -174,6 +181,11 @@ class Heartbeat:
     merely *slow* worker. A *stalled* worker is still caught: its
     (window, cycle, state) position stops advancing and the
     coordinator's barrier watchdog fires instead.
+
+    Published by rename without an fsync — nothing reads a lease after
+    a host crash, and the rename alone keeps readers from seeing a
+    partial file — and throttled to ``min_interval``, so a per-window
+    beat costs an in-memory field update, not a disk write.
     """
 
     def __init__(self, path, shard, attempt, min_interval=0.2):
@@ -193,7 +205,7 @@ class Heartbeat:
             self._last = now
             record = dict(self._fields)
         record["t"] = time.time()
-        with atomic_write(self.path) as fh:
+        with atomic_write(self.path, fsync=False) as fh:
             json.dump(record, fh)
 
     def pulse(self, stop, interval=1.0):
@@ -229,6 +241,10 @@ class _ShardWorker:
         self.timers = {"step_seconds": 0.0, "wait_seconds": 0.0,
                        "publish_seconds": 0.0, "checkpoint_seconds": 0.0}
         self.drain_flag = False
+        # Wake pipes inherited from the coordinator through fork; absent
+        # (in-process runs) the exchange wait just polls.
+        self.wake_fd = options.get("wake_fd")
+        self.peer_wake_fds = options.get("peer_wake_fds", ())
 
         # Full network, masked to the shard; reference core always (the
         # sharded protocol exchanges reference channel state).
@@ -378,6 +394,7 @@ class _ShardWorker:
                     self.root, src, window_index - 1,
                     heartbeat=self._beat_waiting,
                     should_abort=self._drain_requested,
+                    wake_fd=self.wake_fd,
                 )
                 if record is None:
                     return None
@@ -454,6 +471,7 @@ class _ShardWorker:
                 fh.write('{"partial": true')
             os.kill(os.getpid(), signal.SIGKILL)
         publish_exchange(self.root, self.shard, window_index, record)
+        wake_peers(self.peer_wake_fds)
         self.timers["publish_seconds"] += time.perf_counter() - t0
 
     def _clear_exports(self):
@@ -486,6 +504,7 @@ class _ShardWorker:
                         self.root, s, j,
                         heartbeat=self._beat_waiting,
                         should_abort=self._drain_requested,
+                        wake_fd=self.wake_fd,
                     )
                     if record is None:
                         return "abort"
@@ -560,7 +579,7 @@ class _ShardWorker:
         while index < len(self.schedule):
             a, b = self.schedule[index]
             in_drain = self.drain > 0 and a >= self.M
-            self.hb.beat(force=True, state="running", window=index, cycle=a,
+            self.hb.beat(state="running", window=index, cycle=a,
                          phase="drain" if in_drain else "main")
             if self._drain_requested():
                 return self._drain_exit(index, self._capture())

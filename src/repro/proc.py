@@ -14,8 +14,12 @@ file-based signalling pattern:
   the child's last act is one ``atomic_write`` of a JSON dict; present
   and ``ok`` means success, present and not ``ok`` carries the
   diagnostic, absent after process exit means the child died hard.
-- **Liveness probes** (:func:`alive_pid`, :func:`file_age`): heartbeat
-  files are fsynced by the child; their mtime age is the lease signal.
+- **Liveness probes** (:func:`alive_pid`, :func:`file_age`): a
+  heartbeat file's mtime age is the lease signal. A lease needs to be
+  fresh, not durable — nothing reads it after a host crash — so shard
+  heartbeats are renamed into place without an fsync.
+- **Event-driven reaping** (:func:`wait_for_exit`): supervisors sleep
+  on their workers' process sentinels, not on a timer.
 """
 
 import errno
@@ -110,3 +114,18 @@ def file_age(path, now=None):
     except OSError:
         return None
     return (time.time() if now is None else now) - mtime
+
+
+def wait_for_exit(processes, timeout):
+    """Sleep up to ``timeout`` seconds, waking early when any of
+    ``processes`` exits: a finished worker is reaped when it exits, not
+    at the next poll, and the supervisor idles between events instead of
+    stealing CPU from the simulations (which matters on small hosts).
+    """
+    sentinels = [process.sentinel for process in processes]
+    if not sentinels:
+        time.sleep(timeout)
+        return
+    from multiprocessing.connection import wait
+
+    wait(sentinels, timeout=timeout)

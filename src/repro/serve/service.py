@@ -45,6 +45,7 @@ import time
 from repro.obs.artifacts import atomic_write
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import heartbeat_age
+from repro.proc import wait_for_exit
 from repro.serve.backoff import DEFAULT_RETRY_POLICY
 from repro.serve.cache import ResultCache
 from repro.serve.spec import JobSpec, new_job_id
@@ -503,33 +504,18 @@ class ExperimentService:
                     break
                 if max_seconds is not None and now - start > max_seconds:
                     break
-                self._wait(poll)
+                # Wakes early when a worker exits, so a finished
+                # worker frees its slot at once and the poll period only
+                # bounds spool-admission and backoff latency
+                # (benchmarks/test_serve_overhead.py gates the tax).
+                wait_for_exit(
+                    [h.process for h in self._handles.values()], poll)
         finally:
             self.write_status()
             if install_signals:
                 for sig, handler in previous.items():
                     signal.signal(sig, handler)
         return self.status()
-
-    def _wait(self, poll):
-        """Sleep up to ``poll`` seconds, waking early when a worker exits.
-
-        Blocking on the worker process sentinels makes reaping
-        event-driven — a finished worker frees its slot in
-        microseconds rather than at the next poll — and idles the
-        scheduler between events so it steals no CPU from the
-        simulations (which matters on small hosts; the poll period
-        then only bounds spool-admission and backoff latency).
-        ``benchmarks/test_serve_overhead.py`` gates the resulting
-        dispatch tax.
-        """
-        sentinels = [h.process.sentinel for h in self._handles.values()]
-        if not sentinels:
-            time.sleep(poll)
-            return
-        from multiprocessing.connection import wait
-
-        wait(sentinels, timeout=poll)
 
     # --- introspection ------------------------------------------------
 

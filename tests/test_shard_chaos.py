@@ -139,6 +139,52 @@ class TestWorkerCrashes:
                    if e["event"] == "restart"]
         assert "wedged" in reasons
 
+    def test_sigkill_while_blocked_in_the_wake_wait(self, tmp_path):
+        """Shard 1 wedges, so shard 0 ends up blocked in select() on its
+        wake pipe; SIGKILL it there. The pipe belongs to the coordinator
+        and outlives the reader: attempt 2 of shard 0 inherits the same
+        fds, blocks on them again, and is released once the watchdog has
+        restarted shard 1 — no re-wiring, same bits."""
+        config = config_for()
+        expected, expected_root = oracle(config, seed=1)
+        out = tmp_path / "s"
+        box = {}
+
+        def target():
+            box["run"] = run_sharded(out, config, seed=1,
+                                     chaos={1: {"wedge_at_window": 6}},
+                                     window_timeout=3.0)
+
+        runner = threading.Thread(target=target)
+        runner.start()
+        victim = None
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and victim is None:
+            try:
+                hb = json.loads((out / "hb" / "s0.a1.hb.json").read_text())
+            except (OSError, ValueError):
+                hb = {}
+            if (hb.get("state") == "waiting"
+                    and not (out / hb["awaiting"]).exists()):
+                victim = hb["pid"]
+            else:
+                time.sleep(0.01)
+        assert victim is not None, "shard 0 never blocked on its peer"
+        os.kill(victim, signal.SIGKILL)
+        runner.join(timeout=90)
+        assert not runner.is_alive()
+        run = box["run"]
+        assert run.status == "done"
+        assert run.result == expected
+        assert run.digest_root == expected_root
+        events = [json.loads(line) for line in
+                  (out / "journal.jsonl").read_text().splitlines()]
+        restarts = [(e["shard"], e["reason"]) for e in events
+                    if e["event"] == "restart"]
+        assert len(restarts) == 2
+        assert restarts[0][0] == 0 and "hard death" in restarts[0][1]
+        assert restarts[1] == (1, "wedged")
+
     def test_unrecoverable_shard_raises_after_max_restarts(self, tmp_path):
         from repro.parallel import ShardRunError
 
