@@ -92,10 +92,10 @@ def _add_network_args(parser):
     parser.add_argument("--age-period", type=int, default=None)
     parser.add_argument("--num-vcs", type=int, default=4)
     parser.add_argument("--vc-buf-depth", type=int, default=8)
-    parser.add_argument("--backend", default="reference",
+    parser.add_argument("--backend", default=NetworkConfig.backend,
                         choices=["reference", "fast"],
-                        help="simulation core: 'fast' is the bit-identical "
-                             "structure-of-arrays core (repro.fastcore)")
+                        help="simulation core: 'fast' (repro.fastcore) or "
+                             "the bit-identical per-object 'reference' oracle")
     parser.add_argument("--seed", type=int, default=1)
 
 
@@ -124,7 +124,7 @@ def _config_from(args):
         age_period=args.age_period,
         num_vcs=args.num_vcs,
         vc_buf_depth=args.vc_buf_depth,
-        backend=getattr(args, "backend", "reference"),
+        backend=args.backend,
         seed=args.seed,
     )
 

@@ -1,19 +1,17 @@
-"""The opt-in fast simulation core (``NetworkConfig.backend="fast"``).
+"""The fast simulation core (``NetworkConfig.backend="fast"``, the default).
 
 A drop-in backend behind the reference ``Network``/runner interface,
 bit-identical to the reference core — same ``SimResult``, metrics
-export, trace-event stream, and checkpoint layout
+export, trace-event stream, and checkpoint layout, with or without
+fault injection and the reliable transport
 (tests/test_fastcore_equivalence.py is the gate) — but substantially
-faster. See DESIGN.md ("The fast core") for the state layout and the
-equivalence contract, and :mod:`repro.fastcore.soa` for where NumPy is
-(and deliberately is not) used; the core itself has no hard NumPy
-dependency.
+faster. See DESIGN.md ("The fast core") for the state layout, the fault
+hook table and the equivalence contract, and :mod:`repro.fastcore.soa`
+for where NumPy is (and deliberately is not) used; the core itself has
+no NumPy dependency and importing this package does not import it.
 
-Unsupported combinations (fault injection, the reliable transport) fall
-back to the reference core with a
-:class:`~repro.network.network.BackendFallbackWarning` — never
-silently. Use :func:`repro.network.network.build_network` to construct
-the backend a config asks for.
+Use :func:`repro.network.network.build_network` to construct the
+backend a config asks for.
 """
 
 from repro.fastcore.allocators import FastSeparableInputFirstAllocator

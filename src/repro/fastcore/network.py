@@ -11,9 +11,10 @@ do this cycle:
 
 Both gates reproduce the reference behavior exactly — the skipped calls
 would have returned without touching any state or emitting any event.
-Fault injection and the reliable transport are refused up front (the
-runner falls back to the reference core for those runs), which is what
-lets FastRouter drop the per-flit fault hooks.
+Fault injection and the reliable transport hook in at the reference's
+positions (``begin_cycle`` before arrivals, ``transport.step`` after the
+router loop); attaching faults drops the DOR route memos, because
+fault-aware DOR reads live link and detour state.
 """
 
 from repro.fastcore.router import FastRouter
@@ -29,22 +30,19 @@ class FastNetwork(Network):
     SINK_CLS = FastSink
 
     def attach_faults(self, controller):
-        raise RuntimeError(
-            "the fast core does not support fault injection; build the "
-            "network with backend='reference' (the runner does this "
-            "automatically, with a BackendFallbackWarning)"
-        )
-
-    def attach_transport(self, transport):
-        raise RuntimeError(
-            "the fast core does not support the reliable transport; "
-            "build the network with backend='reference' (the runner "
-            "does this automatically, with a BackendFallbackWarning)"
-        )
+        # Fault-aware DOR consults live link state and leaves detour
+        # tokens on packets, so next_hop stops being a pure function of
+        # (router, dest): every hop calls through from here on.
+        for node in self.routers + self.sources:
+            node._route_cache = None
+        return super().attach_faults(controller)
 
     def step(self):
         """Advance one cycle (reference order, idle terminals skipped)."""
         now = self.cycle
+        faults = self.faults
+        if faults is not None:
+            faults.begin_cycle(now)
         for router in self.step_routers:
             router.receive(now)
         for sink in self.sinks:
@@ -59,6 +57,8 @@ class FastNetwork(Network):
                 source.step(now)
         for router in self.step_routers:
             router.step(now)
+        if self.transport is not None:
+            self.transport.step(now)
         if self.sampler is not None:
             self.sampler.maybe_sample(now)
         if self.invariants is not None:

@@ -18,13 +18,15 @@ phases find work:
 - per-step constants (``trace.active``, starvation mode, VC class
   ranges) are hoisted out of the per-VC loops.
 
-FastRouter is only ever built by FastNetwork, which refuses fault
-injection and the reliable transport — so the fault hooks the reference
-router checks per flit (``self.faults``) are statically None here, and
-the occupancy masks cannot be desynchronized by fault purges.
-Checkpoint state is inherited unchanged; ``load_state`` rebuilds the
-masks from the restored buffers, so snapshots round-trip with the
-reference core.
+Fault injection hooks in at the reference's positions (DESIGN.md has
+the table): the inherited ``_fault_prepass`` runs before the idle test,
+``receive`` filters arrivals through ``faults.intercept``, the SA scans
+keep the killed / dead-output skip, and ``_purge_killed`` resyncs the
+occupancy mask — a purge is the one queue mutation outside ``receive``
+and ``_send_flit``. With no controller bound each hook is one
+``is not None`` test on a local. Checkpoint state is inherited
+unchanged; ``load_state`` rebuilds the masks from the restored buffers,
+so snapshots round-trip with the reference core.
 """
 
 from repro.core.chaining import (
@@ -60,7 +62,7 @@ class FastRouter(Router):
         super().__init__(router_id, radix, config, routing)
         #: Bitmask of occupied VCs per input port (bit v set <=> the VC
         #: buffer at [p][v] is non-empty). Exact at phase boundaries:
-        #: only receive() pushes and _send_flit() pops in this backend.
+        #: receive() pushes, _send_flit() and _purge_killed() pop.
         self._occ_mask = [0] * radix
         #: Pre-resolved VC index tuples per traffic class (the reference
         #: rebuilds a range object per _free_out_vc call).
@@ -88,11 +90,11 @@ class FastRouter(Router):
         #: Lazily-resolved (queue, delay) pairs for the output flit and
         #: upstream credit channels, mirroring _rx on the send side.
         self._tx = None
-        #: Look-ahead route memo for plain XY DOR: with no faults (this
-        #: backend refuses them) and no detour state, next_hop is a pure
-        #: function of (downstream router, destination terminal). Other
-        #: routing functions (torus datelines, fault detours) call
-        #: through uncached.
+        #: Look-ahead route memo for plain XY DOR: with no faults and
+        #: no detour state, next_hop is a pure function of (downstream
+        #: router, destination terminal). Other routing functions (torus
+        #: datelines) call through uncached, and so does DOR once
+        #: FastNetwork.attach_faults has set this to None.
         self._route_cache = {} if type(routing) is DORMesh else None
         upgrade_allocator(self.switch_alloc)
         upgrade_allocator(self.pc_alloc)
@@ -131,10 +133,13 @@ class FastRouter(Router):
     # ------------------------------------------------------------------
     # the fused cycle: the reference phase sequence without the
     # per-phase dispatch, property lookups, or single-request allocator
-    # calls (faults are statically absent in this backend)
+    # calls
     # ------------------------------------------------------------------
 
     def step(self, cycle):
+        fv = self.faults
+        if fv is not None:
+            self._fault_prepass(cycle, fv)
         held_any = False
         for held in self.conn_out:
             if held is not None:
@@ -254,6 +259,10 @@ class FastRouter(Router):
                             break
                     else:
                         continue
+                if fv is not None and (
+                    flit.packet.killed or o in fv.dead_out
+                ):
+                    continue  # the reference's belt-and-braces skip
                 if age_mode:
                     prio = starv.packet_priority(
                         flit.packet.priority, vcobj.wait_cycles
@@ -682,6 +691,7 @@ class FastRouter(Router):
         tr_active = tr.active
         occ = self._occ_mask
         fill = self._fill
+        fv = self.faults
         for p, fq, vcs in rx[0]:
             if fq:
                 while fq and fq[0][0] <= cycle:
@@ -690,6 +700,8 @@ class FastRouter(Router):
                         raise AssertionError(
                             "channel item missed its delivery cycle"
                         )
+                    if fv is not None and fv.intercept(self, p, flit, cycle):
+                        continue
                     # Inlined VirtualChannel.push() (overflow assertion
                     # and the shared fill cell included).
                     vcobj = vcs[flit.vc]
@@ -947,6 +959,7 @@ class FastRouter(Router):
         class_vcs = self._class_vcs
         split_plain = self.split_va and not self.speculative_va
         speculative = self.speculative_va
+        fv = self.faults
         for p in range(self.radix):
             if conn_in_start[p] is not None:
                 continue  # inputs connected at cycle start sit out of SA
@@ -982,6 +995,10 @@ class FastRouter(Router):
                         continue
                 else:  # pragma: no cover - body flit without state
                     raise AssertionError("body flit at VC front without state")
+                if fv is not None and (
+                    flit.packet.killed or o in fv.dead_out
+                ):
+                    continue  # the reference's belt-and-braces skip
                 if age_mode:
                     prio = starv.packet_priority(
                         flit.packet.priority, vcobj.wait_cycles
@@ -1473,7 +1490,12 @@ class FastRouter(Router):
 
     # ------------------------------------------------------------------
 
+    def _purge_killed(self, cycle, p, v, vcobj, fv):
+        super()._purge_killed(cycle, p, v, vcobj, fv)
+        if not vcobj.queue:
+            self._occ_mask[p] &= ~(1 << v)
+
     def total_buffered_flits(self):
-        # The shared fill cell is exact in this backend (receive and
-        # _send_flit are the only queue mutators).
+        # The shared fill cell is exact in this backend (every queue
+        # mutator, fault purges included, maintains it).
         return self._fill[0]

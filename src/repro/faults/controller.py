@@ -250,6 +250,9 @@ class FaultController:
                     if up is not None:
                         up.send(v, cycle)
                     self.count_drop(router_id, p, flit, cycle, "router_down")
+                # Keep the router's shared fill cell exact: the fast
+                # core's flit accounting reads it, not the queues.
+                router._fill[0] -= len(vcobj.queue)
                 vcobj.queue.clear()
                 vcobj.active_packet = None
                 vcobj.active_out_port = None

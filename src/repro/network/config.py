@@ -64,15 +64,14 @@ class NetworkConfig:
     injection_channel_delay: int = 1
 
     # --- simulation backend ---
-    #: "reference" is the per-object Python core; "fast" selects the
-    #: structure-of-arrays core in :mod:`repro.fastcore`, which is
-    #: bit-identical to the reference (results, metrics, traces,
-    #: checkpoints) but substantially faster. Unsupported feature
-    #: combinations (fault injection, reliable transport) fall back to
-    #: the reference core with a warning. The backend is an execution
+    #: "fast" (the default) is the packed-occupancy core in
+    #: :mod:`repro.fastcore`; "reference" is the per-object Python core
+    #: it is bit-identical to (results, metrics, traces, checkpoints,
+    #: fault injection and reliable transport included), kept as the
+    #: oracle of the equivalence tests. The backend is an execution
     #: detail, not an experiment parameter: it is excluded from
     #: checkpoint config hashes so snapshots stay portable.
-    backend: str = "reference"
+    backend: str = "fast"
 
     # --- misc ---
     seed: int = 1

@@ -22,40 +22,12 @@ from repro.topology import build_topology
 ST_LATENCY = 1
 
 
-class BackendFallbackWarning(UserWarning):
-    """``backend="fast"`` could not be honored; the reference core runs.
-
-    Emitted (never silently swallowed) when the fast core is requested
-    but unavailable (NumPy-less fallback is fine — the fast core does
-    not require it — but e.g. fault injection or a reliable transport
-    force the reference core).
-    """
-
-
-def build_network(config, stats=None, trace=None, allow_fast=True):
-    """Build the Network subclass selected by ``config.backend``.
-
-    ``allow_fast=False`` forces the reference core with a
-    :class:`BackendFallbackWarning` even when ``backend="fast"`` — the
-    runner uses it when a requested feature (fault injection, reliable
-    transport) is outside the fast core's supported envelope. The
-    config object is never mutated, so checkpoint config hashes and
-    saved config files keep the user's backend choice.
-    """
-    import warnings
-
+def build_network(config, stats=None, trace=None):
+    """Build the Network subclass selected by ``config.backend``."""
     if config.backend == "fast":
-        if allow_fast:
-            from repro.fastcore import FastNetwork
+        from repro.fastcore import FastNetwork
 
-            return FastNetwork(config, stats=stats, trace=trace)
-        warnings.warn(
-            "backend='fast' is not supported for this run "
-            "(fault injection / reliable transport require the "
-            "reference core); falling back to backend='reference'",
-            BackendFallbackWarning,
-            stacklevel=2,
-        )
+        return FastNetwork(config, stats=stats, trace=trace)
     return Network(config, stats=stats, trace=trace)
 
 

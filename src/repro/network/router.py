@@ -459,37 +459,44 @@ class Router:
            unroutable packets are killed.
         """
         tr = self.trace
-        for o in range(self.radix):
-            held = self.conn_out[o]
-            if held is not None and fv.is_dead_out(o):
-                p, _v = held
-                self.conn_out[o] = None
-                self.conn_in[p] = None
-                if tr.active:
-                    tr.emit(
-                        "conn_torn_down", cycle, router=self.router_id,
-                        port=o, in_port=p, vc=_v, reason="link_down",
-                    )
+        dead_out = fv.dead_out
+        if dead_out:
+            for o in range(self.radix):
+                held = self.conn_out[o]
+                if held is not None and o in dead_out:
+                    p, _v = held
+                    self.conn_out[o] = None
+                    self.conn_in[p] = None
+                    if tr.active:
+                        tr.emit(
+                            "conn_torn_down", cycle, router=self.router_id,
+                            port=o, in_port=p, vc=_v, reason="link_down",
+                        )
         for p in range(self.radix):
             for v, vcobj in enumerate(self.in_vcs[p]):
                 packet = vcobj.active_packet
+                queue = vcobj.queue
                 if packet is not None:
-                    if not packet.killed and fv.is_dead_out(vcobj.active_out_port):
+                    if not packet.killed and vcobj.active_out_port in dead_out:
                         fv.kill(packet, cycle, "link_down")
                     if packet.killed:
                         self._abort_in_service(cycle, p, v, vcobj)
-                self._purge_killed(cycle, p, v, vcobj, fv)
-                flit = vcobj.front()
+                elif not queue:
+                    continue
+                if queue and queue[0].packet.killed:
+                    self._purge_killed(cycle, p, v, vcobj, fv)
+                if not queue or not dead_out:
+                    continue
+                flit = queue[0]
                 if (
-                    flit is not None
-                    and flit.is_head
+                    flit.is_head
                     and vcobj.active_packet is None
-                    and fv.is_dead_out(flit.out_port)
+                    and flit.out_port in dead_out
                 ):
                     new_port, new_class = self.routing.next_hop(
                         self.router_id, flit.packet
                     )
-                    if fv.is_dead_out(new_port):
+                    if new_port in dead_out:
                         fv.kill(flit.packet, cycle, "unroutable")
                         self._purge_killed(cycle, p, v, vcobj, fv)
                     else:

@@ -265,7 +265,8 @@ def run_simulation(
     for end-to-end delivery, ``invariants`` an
     :class:`~repro.faults.invariants.InvariantChecker`, and
     ``watchdog`` a :class:`~repro.faults.watchdog.HangWatchdog`. Their
-    summaries land in ``SimResult.faults``.
+    summaries land in ``SimResult.faults``. Both backends take all
+    four; ``config.backend`` is honored as given.
 
     Checkpoint/restore (repro.checkpoint): ``checkpoint_path`` writes a
     snapshot every ``checkpoint_every`` cycles (default 1000; ``.gz``
@@ -317,12 +318,7 @@ def run_simulation(
             "measure": measure,
             "drain": drain,
         })
-    # Fault injection and the reliable transport are outside the fast
-    # core's envelope; build_network falls back to the reference core
-    # with a BackendFallbackWarning rather than failing or silently
-    # dropping the features.
-    allow_fast = faults is None and transport is None
-    net = build_network(config, trace=trace, allow_fast=allow_fast)
+    net = build_network(config, trace=trace)
     if profiler is not None:
         net.attach_profiler(profiler)
     if sampler is not None:

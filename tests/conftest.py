@@ -14,6 +14,12 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# Manual / CI soak of the generated differential tests (hundreds of
+# fresh whole-network examples instead of tier-1's derandomised slice):
+# ``pytest --hypothesis-profile soak tests/test_fastcore_equivalence.py``.
+settings.register_profile(
+    "soak", settings.get_profile("repro"), max_examples=300,
+)
 settings.load_profile("repro")
 
 # Per-test wall-clock budget, so one hung simulation cannot wedge the

@@ -1,23 +1,27 @@
-"""Backend selection: config plumbing, CLI, fallback, and bench twins.
+"""Backend selection: config plumbing, CLI, and bench twins.
 
 The ``backend`` field is an execution detail that must survive config
-round-trips, be selectable from the CLI, and *never* silently degrade:
-when the fast core cannot honor a run (fault injection, reliable
-transport), the fallback to the reference core carries a
-:class:`BackendFallbackWarning`.
+round-trips and be selectable from the CLI. The fast core is the
+default and takes every workload — fault injection and the reliable
+transport included — so nothing ever falls back; ``"reference"`` still
+builds the per-object oracle the equivalence tests compare against.
 """
 
 import dataclasses
 import io
 import json
+import subprocess
+import sys
+import warnings
 
 import pytest
 
 from repro.cli import main
+from repro.faults import FaultController, ReliableTransport
 from repro.faults.plan import FaultPlan, LinkFault
 from repro.network import flit as flitmod
 from repro.network.config import NetworkConfig, mesh_config
-from repro.network.network import BackendFallbackWarning, build_network
+from repro.network.network import build_network
 from repro.sim.runner import run_simulation
 
 
@@ -42,8 +46,9 @@ class TestConfigRoundTrip:
         mesh_config(mesh_k=4, backend="fast").save(path)
         assert NetworkConfig.load(path).backend == "fast"
 
-    def test_backend_defaults_to_reference(self):
-        assert mesh_config(mesh_k=4).backend == "reference"
+    def test_backend_defaults_to_fast(self):
+        assert mesh_config(mesh_k=4).backend == "fast"
+        assert NetworkConfig.from_dict({}).backend == "fast"
 
     def test_unknown_backend_is_rejected(self):
         with pytest.raises(ValueError, match="backend"):
@@ -57,44 +62,57 @@ class TestBuildNetwork:
         net = build_network(mesh_config(mesh_k=4, backend="fast"))
         assert type(net) is FastNetwork
 
+    def test_default_backend_builds_fast_network(self):
+        from repro.fastcore import FastNetwork
+
+        assert type(build_network(mesh_config(mesh_k=4))) is FastNetwork
+
     def test_reference_backend_builds_reference_network(self):
         from repro.network.network import Network
+        from repro.network.router import Router
 
-        net = build_network(mesh_config(mesh_k=4))
+        net = build_network(mesh_config(mesh_k=4, backend="reference"))
         assert type(net) is Network
+        assert all(type(r) is Router for r in net.routers)
 
-    def test_disallowed_fast_falls_back_with_warning(self):
-        from repro.network.network import Network
-
-        with pytest.warns(BackendFallbackWarning):
-            net = build_network(
-                mesh_config(mesh_k=4, backend="fast"), allow_fast=False
-            )
-        assert type(net) is Network
-
-    def test_fast_network_refuses_faults_and_transport(self):
+    def test_fast_network_accepts_faults_and_transport(self):
         net = build_network(mesh_config(mesh_k=4, backend="fast"))
-        with pytest.raises(RuntimeError, match="fault"):
-            net.attach_faults(object())
-        with pytest.raises(RuntimeError, match="transport"):
-            net.attach_transport(object())
+        plan = FaultPlan(links=[LinkFault(router=5, port=1, cycle=3)])
+        controller = net.attach_faults(FaultController(plan))
+        transport = net.attach_transport(ReliableTransport())
+        assert net.faults is controller and net.transport is transport
+        assert all(r.faults is not None for r in net.routers)
+        # Fault-aware DOR is not a pure function of (router, dest).
+        assert all(r._route_cache is None for r in net.routers)
+        assert all(s._route_cache is None for s in net.sources)
+        net.run(5)
+        assert controller.failed_links == 1
 
 
 class TestRunnerFallback:
-    def test_faults_force_reference_core_with_warning(self):
+    """There is none any more: the runner honors ``config.backend``."""
+
+    def test_faulted_fast_run_matches_reference_without_warning(self):
         plan = FaultPlan(links=[LinkFault(router=5, port=1, cycle=60,
                                           duration=20)])
-        config = mesh_config(mesh_k=4, backend="fast")
-        with pytest.warns(BackendFallbackWarning):
-            result = run_simulation(config, faults=plan, **RUN)
-        assert result.offered_rate > 0
+        results = {}
+        for backend in ("reference", "fast"):
+            flitmod.set_next_packet_id(0)
+            config = mesh_config(mesh_k=4, backend=backend)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = run_simulation(
+                    config, faults=plan, transport=ReliableTransport(), **RUN
+                )
+            results[backend] = result.to_dict()
+        assert results["fast"] == results["reference"]
+        assert results["fast"]["faults"]["injection"]["failed_links"] == 1
+        assert results["fast"]["faults"]["injection"]["dropped_flits"] > 0
 
     def test_fault_free_fast_run_does_not_warn(self):
-        import warnings
-
         config = mesh_config(mesh_k=4, backend="fast")
         with warnings.catch_warnings():
-            warnings.simplefilter("error", BackendFallbackWarning)
+            warnings.simplefilter("error")
             result = run_simulation(config, **RUN)
         assert result.offered_rate > 0
 
@@ -113,10 +131,16 @@ class TestCLI:
                 "--chaining", "any_input",
                 "--warmup", "100", "--measure", "200", "--drain", "100")
         flitmod.set_next_packet_id(0)
-        _, ref_text = run_cli(*args)
+        _, ref_text = run_cli(*args, "--backend", "reference")
         flitmod.set_next_packet_id(0)
         _, fast_text = run_cli(*args, "--backend", "fast")
         assert json.loads(fast_text) == json.loads(ref_text)
+
+    def test_backend_default_comes_from_the_config_field(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["run"])
+        assert args.backend == NetworkConfig.backend == "fast"
 
     def test_run_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
@@ -149,6 +173,26 @@ class TestBenchTwins:
 
 
 class TestStateArrays:
+    def test_numpy_is_imported_on_first_use_only(self):
+        # A fresh interpreter: this process has long since imported it.
+        code = (
+            "import sys, repro.fastcore\n"
+            "from repro.network.config import mesh_config\n"
+            "from repro.network.network import build_network\n"
+            "net = build_network(mesh_config(mesh_k=4))\n"
+            "net.run(3)\n"
+            "assert 'numpy' not in sys.modules\n"
+            "arrays = net.state_arrays()\n"
+            "try:\n"
+            "    import numpy\n"
+            "except ImportError:\n"
+            "    sys.exit(0)\n"
+            "for name, a in arrays.items():\n"
+            "    assert type(a) is numpy.ndarray, name\n"
+            "    assert a.dtype == numpy.int64, name\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
     def test_state_arrays_shapes_and_values(self):
         config = mesh_config(mesh_k=4, backend="fast")
         net = build_network(config)

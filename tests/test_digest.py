@@ -67,7 +67,7 @@ class TestFingerprintStability:
         assert a.fingerprint != b.fingerprint
 
     def test_backends_agree_on_fingerprint(self):
-        a = _run_with_digest(_config())
+        a = _run_with_digest(_config(backend="reference"))
         b = _run_with_digest(_config(backend="fast"))
         assert a.fingerprint == b.fingerprint
 

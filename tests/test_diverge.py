@@ -29,8 +29,11 @@ from repro.sim.runner import run_simulation
 SPEC = dict(pattern="uniform", rate=0.3, warmup=100, measure=300, drain=200)
 
 
-def _config(seed=1, **kw):
-    return mesh_config(mesh_k=4, chaining="any_input", seed=seed, **kw)
+def _config(seed=1, backend="reference", **kw):
+    # Side A, recorded streams and standalone probes name the reference
+    # core: a comparison of fast against fast would prove nothing.
+    return mesh_config(mesh_k=4, chaining="any_input", seed=seed,
+                       backend=backend, **kw)
 
 
 def _factories(seed=1, **spec):
@@ -233,9 +236,11 @@ class TestDivergeCLI:
             "run", "--mesh-k", "4", "--chaining", "any_input", "--seed", "1",
             "--rate", "0.3", "--warmup", "100", "--measure", "300",
             "--drain", "200", "--digest", digest_path, "--digest-every", "32",
+            "--backend", "reference",
         )
         assert code == 0
-        code, text = run_cli(*CLI_ARGS, "--vs-digests", digest_path)
+        code, text = run_cli(*CLI_ARGS, "--backend", "fast",
+                             "--vs-digests", digest_path)
         assert code == 0
         assert "IDENTICAL" in text
 

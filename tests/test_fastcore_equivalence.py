@@ -10,15 +10,32 @@ different simulator, not a faster one.
 
 import dataclasses
 import json
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.checkpoint import SimulationKilled, load_checkpoint
+from repro.faults import (
+    FaultController,
+    FaultPlan,
+    FlitErrors,
+    InvariantChecker,
+    LinkFault,
+    ReliableTransport,
+    RouterFault,
+)
 from repro.network import flit as flitmod
-from repro.network.config import mesh_config
+from repro.network.config import NetworkConfig, mesh_config
+from repro.network.network import build_network
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MemorySink, TraceBus
 from repro.sim.runner import run_simulation
+from repro.topology import build_topology
+from repro.traffic import BimodalLength, FixedLength
+from repro.traffic.injection import BernoulliInjector
+from repro.traffic.patterns import build_pattern
 
 
 RUN = dict(pattern="uniform", rate=0.3, warmup=100, measure=300, drain=200)
@@ -145,3 +162,159 @@ def test_state_snapshot_round_trips_between_network_classes():
     ref_net.restore(state2, RestoreContext(ctx2.packets))
     assert json.dumps(state, sort_keys=True) == \
         json.dumps(state2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# generated differential: whole-network draws, faults and transport on
+
+
+#: (topology fields, routing) pairs NetworkConfig + build_routing accept.
+TOPOLOGIES = [
+    (dict(topology="mesh", mesh_k=4), "dor"),
+    (dict(topology="torus", mesh_k=4), "dor"),
+    (dict(topology="fbfly", fbfly_rows=2, fbfly_cols=2,
+          fbfly_concentration=2), "ugal"),
+]
+
+#: The multi-flit draws are the point: the 1-flit ledger golden passed a
+#: prototype that lost every packet killed mid-injection.
+LENGTHS = [FixedLength(1), BimodalLength(1, 5), FixedLength(4)]
+
+WARMUP, MEASURE = 40, 160
+
+
+@st.composite
+def fault_plans(draw, config):
+    """A validated FaultPlan for ``config``'s topology (may be empty)."""
+    topo = build_topology(config)
+    wired = [
+        (r, p) for r in range(topo.num_routers) for p in range(topo.radix(r))
+        if topo.link(r, p) is not None
+    ]
+    cycles = st.integers(5, WARMUP + MEASURE - 20)
+    links = [
+        LinkFault(
+            *draw(st.sampled_from(wired)), draw(cycles),
+            duration=draw(st.sampled_from([None, 15, 60])),
+        )
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    routers = [
+        RouterFault(draw(st.integers(0, topo.num_routers - 1)), draw(cycles))
+    ] if draw(st.booleans()) else []
+    rates = st.sampled_from([0.0, 0.002, 0.01])
+    plan = FaultPlan(
+        seed=draw(st.integers(0, 99)), links=links, routers=routers,
+        flit_errors=FlitErrors(drop=draw(rates), corrupt=draw(rates)),
+    )
+    return plan.validate(topo)
+
+
+@st.composite
+def faulted_scenarios(draw):
+    """(config, run kwargs, fault plan) over everything both cores share.
+
+    One-VC / depth-1 routers (the dynamic-VC-allocation paper's regime)
+    are adversarial draws here, not features: they wedge and starve in
+    ways the 4-VC depth-8 default never does.
+    """
+    topo_fields, routing = draw(st.sampled_from(TOPOLOGIES))
+    classes = NetworkConfig(routing=routing, **topo_fields).num_classes
+    config = NetworkConfig(
+        routing=routing,
+        num_vcs=draw(st.sampled_from(
+            [n for n in (1, 2, 4) if n % classes == 0]
+        )),
+        vc_buf_depth=draw(st.sampled_from([1, 2, 8])),
+        allocator=draw(st.sampled_from(
+            ["islip1", "islip2", "wavefront", "pim1", "augmenting"]
+        )),
+        chaining=draw(st.sampled_from(
+            ["disabled", "same_vc", "same_input", "any_input"]
+        )),
+        starvation_threshold=draw(st.sampled_from([None, 4, 16])),
+        seed=draw(st.integers(1, 50)),
+        **topo_fields,
+    )
+    run = dict(
+        pattern="uniform", rate=draw(st.sampled_from([0.05, 0.2, 0.45])),
+        lengths=draw(st.sampled_from(LENGTHS)), warmup=WARMUP,
+        measure=MEASURE, drain=draw(st.sampled_from([0, 600])),
+    )
+    return config, run, draw(fault_plans(config))
+
+
+#: Tier-1 runs a small derandomised slice; ``--hypothesis-profile soak``
+#: (tests/conftest.py) runs hundreds of fresh examples.
+_SOAK = settings.get_profile("soak")
+
+#: Pinned so tier-1 always holds the two cases the small slice can miss
+#: (its draws move with the hypothesis version): DOR detouring around a
+#: dead mesh link, and multi-flit packets killed mid-injection.
+_MESH_DETOUR = (
+    NetworkConfig(topology="mesh", mesh_k=4, chaining="any_input", seed=2),
+    dict(pattern="uniform", rate=0.45, lengths=BimodalLength(1, 5),
+         warmup=WARMUP, measure=MEASURE, drain=600),
+    FaultPlan(
+        seed=4,
+        links=[LinkFault(5, 0, 20), LinkFault(10, 2, 60, duration=60)],
+        routers=[RouterFault(3, 120)],
+        flit_errors=FlitErrors(drop=0.01, corrupt=0.01),
+    ),
+)
+
+
+@(_SOAK if settings.default is _SOAK
+  else settings(max_examples=50, derandomize=True))
+@given(faulted_scenarios())
+@example(_MESH_DETOUR)
+def test_generated_faulted_runs_are_bit_identical(scenario):
+    config, run, plan = scenario
+    outcomes = {}
+    for backend in ("reference", "fast"):
+        # Plan, transport and checker are stateful: fresh per run.
+        outcomes[backend] = _traced_run(
+            dataclasses.replace(config, backend=backend),
+            faults=FaultPlan.from_dict(plan.to_dict()),
+            transport=ReliableTransport(timeout=128),
+            invariants=InvariantChecker(period=16),
+            **run,
+        )
+    ref, fast = outcomes["reference"], outcomes["fast"]
+    assert fast[0] == ref[0]  # SimResult JSON
+    assert fast[1] == ref[1]  # metrics export
+    assert fast[2] == ref[2]  # full trace-event stream
+
+
+@pytest.mark.parametrize("backend", ["reference", "fast"])
+def test_router_fault_keeps_the_fill_counter_exact(backend):
+    """After a router fault, buffered-flit counts equal the queue lengths.
+
+    The fast core answers total_buffered_flits() / in_flight_flits()
+    from the routers' shared fill cells; a router fault that clears the
+    queues without them breaks flit conservation at the fault cycle.
+    """
+    config = mesh_config(mesh_k=4, seed=3, backend=backend)
+    net = build_network(config)
+    controller = net.attach_faults(
+        FaultController(FaultPlan(routers=[RouterFault(router=5, cycle=60)]))
+    )
+    checker = net.attach_invariants(InvariantChecker(period=1))  # strict
+    rng = random.Random(7)
+    injector = BernoulliInjector(
+        net.num_terminals, build_pattern("uniform", net.num_terminals, rng),
+        0.45, FixedLength(4), rng,
+    )
+    for _ in range(80):
+        if net.cycle == 60:
+            assert net.routers[5].total_buffered_flits() > 0
+        for packet in injector.generate(net.cycle):
+            net.inject(packet)
+        net.step()
+    assert controller.failed_routers == 1
+    assert checker.checks_run == 80
+    for router in net.routers:
+        assert router.total_buffered_flits() == sum(
+            len(vc.queue) for vcs in router.in_vcs for vc in vcs
+        )
+    assert net.routers[5].total_buffered_flits() == 0
