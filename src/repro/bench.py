@@ -111,9 +111,12 @@ class ShardBenchCase(BenchCase):
     and ``dispatch_seconds`` (everything the coordinator adds beyond
     per-shard busy time), so a regression names its layer. The 1-shard
     case isolates the supervision + checkpoint tax from boundary
-    synchrony, which only the multi-shard cases pay.
+    synchrony, which only the multi-shard cases pay. Shard workers
+    follow ``backend``; these cases run the core ``repro shard`` users
+    get by default.
     """
 
+    backend: str = NetworkConfig.backend
     shards: int = 2
 
 

@@ -213,10 +213,14 @@ class RestoreContext:
         self._table = packet_table
         self._cache = {}
 
+    def record(self, pid):
+        """The table's serialized fields for ``pid`` (JSON or int keys)."""
+        return self._table[str(pid)] if str(pid) in self._table else self._table[pid]
+
     def packet(self, pid):
         pid = int(pid)
         if pid not in self._cache:
-            data = self._table[str(pid)] if str(pid) in self._table else self._table[pid]
+            data = self.record(pid)
             packet = Packet(
                 data["src"], data["dest"], data["size"], data["time_created"],
                 vc_class=data["vc_class"], priority=data["priority"],

@@ -558,9 +558,9 @@ def _random_plan(args, config):
     import random as _random
 
     from repro.faults.plan import FlitErrors, LinkFault
-    from repro.network.network import Network
+    from repro.topology import build_topology
 
-    topo = Network(config).topology
+    topo = build_topology(config)
     rng = _random.Random(args.seed)
     wired = [
         (r, p)

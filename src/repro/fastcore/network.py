@@ -45,7 +45,7 @@ class FastNetwork(Network):
             faults.begin_cycle(now)
         for router in self.step_routers:
             router.receive(now)
-        for sink in self.sinks:
+        for sink in self.step_sinks:
             q = sink.flit_channel._queue
             if q and q[0][0] <= now:
                 sink.step(now)

@@ -22,13 +22,18 @@ from repro.topology import build_topology
 ST_LATENCY = 1
 
 
-def build_network(config, stats=None, trace=None):
-    """Build the Network subclass selected by ``config.backend``."""
+def network_class(config):
+    """The Network subclass ``config.backend`` selects, imported on demand."""
     if config.backend == "fast":
         from repro.fastcore import FastNetwork
 
-        return FastNetwork(config, stats=stats, trace=trace)
-    return Network(config, stats=stats, trace=trace)
+        return FastNetwork
+    return Network
+
+
+def build_network(config, stats=None, trace=None):
+    """Build the Network subclass selected by ``config.backend``."""
+    return network_class(config)(config, stats=stats, trace=trace)
 
 
 class Network:
@@ -223,9 +228,9 @@ class Network:
 
         The masked-out components stay constructed (their channel
         objects are the landing zones for boundary imports and their
-        state is part of snapshots), they just never execute. Refused on
-        a network that already has faults attached — shard workers run
-        the plain deterministic core only.
+        state is part of snapshots), they just never execute — on either
+        backend. Refused on a network that already has faults attached:
+        shard workers run without fault injection or a transport.
         """
         if self.faults is not None or self.transport is not None:
             raise ValueError(

@@ -44,6 +44,7 @@ from repro.parallel.worker import (
     CKPT_DIR,
     CKPT_SCHEMA,
     CONTROL_DIR,
+    END_STATES,
     FINAL_DIR,
     HB_DIR,
     _FINAL_MAGIC,
@@ -114,14 +115,14 @@ def _load_final(out_dir, shard, expected_hash):
 def single_process_run(config, pattern="uniform", rate=0.2, packet_length=1,
                        lengths=None, warmup=1000, measure=3000, drain=2000,
                        seed=None):
-    """Reference single-process run of the same parameters, returning
-    ``(SimResult, digest_root)`` — the equivalence oracle for
+    """Single-process run of the same parameters on ``config.backend``,
+    returning ``(SimResult, digest_root)`` — the equivalence oracle for
     :func:`shard_run`. Resets the global packet-id counter first, as a
     fresh worker process would."""
     import random as _random
 
     from repro.network.flit import set_next_packet_id
-    from repro.network.network import Network
+    from repro.network.network import build_network
     from repro.obs.digest import digest_network
     from repro.sim.runner import SimulationRun
     from repro.traffic.injection import BernoulliInjector
@@ -133,7 +134,7 @@ def single_process_run(config, pattern="uniform", rate=0.2, packet_length=1,
         config = replace(config, seed=seed)
     dist = lengths if lengths is not None else FixedLength(packet_length)
     set_next_packet_id(0)
-    net = Network(config)
+    net = build_network(config)
     traffic_rng = _random.Random(config.seed + 0x5EED)
     pattern_obj = build_pattern(pattern, net.num_terminals, traffic_rng)
     injector = BernoulliInjector(net.num_terminals, pattern_obj, rate, dist,
@@ -217,6 +218,11 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
 
     import multiprocessing
 
+    from repro.network.network import network_class
+
+    # Import the backend's modules before the first fork: workers of
+    # every attempt inherit them instead of each compiling its own copy.
+    network_class(config)
     ctx = multiprocessing.get_context("fork")
     config_dict = config.to_dict()
     attempts = {i: 0 for i in range(shards)}
@@ -357,6 +363,8 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
                 # cycle, state) within window_timeout. Only waiting on
                 # a peer's exchange file is exempt: that stall is the
                 # *peer's* fault, and restarting the peer unblocks it.
+                # An attempt that published its end state is past
+                # stalling; only the lease bounds how long it may linger.
                 hb = read_outcome(hb_path) or {}
                 blocked_on_peer = (
                     hb.get("state") == "waiting"
@@ -364,7 +372,8 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
                     and not os.path.exists(
                         os.path.join(out_dir, hb["awaiting"]))
                 )
-                if hb.get("state") is None or blocked_on_peer:
+                ended = hb.get("state") in END_STATES.values()
+                if hb.get("state") is None or blocked_on_peer or ended:
                     info["progress_t"] = time.monotonic()
                 else:
                     position = (hb.get("window"), hb.get("cycle"),

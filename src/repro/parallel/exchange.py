@@ -156,13 +156,27 @@ class PacketArena:
 class ArenaContext(RestoreContext):
     """RestoreContext whose pid cache is a shared :class:`PacketArena`.
 
-    A pid already present in the arena resolves to the existing object
-    (fields untouched — the live object is at least as current as any
-    exchange record, which freezes at the packet's head crossing); an
-    unknown pid materializes from this context's record table and joins
-    the arena.
+    An unknown pid materializes from this context's record table and
+    joins the arena. A pid already present resolves to the existing
+    object, which is at least as current as the record (that froze at
+    the packet's head crossing) in every field but one: body flits
+    blocked behind a head that has left keep counting
+    ``blocked_cycles`` on the *writer's* copy. The writer zeroes its
+    count whenever it hands flits over (``_ShardWorker._clear_exports``),
+    so a record's value for a known pid is a delta, added here once.
     """
 
     def __init__(self, packet_table, arena):
         super().__init__(packet_table)
         self._cache = arena.packets
+        self._credited = set()
+
+    def packet(self, pid):
+        pid = int(pid)
+        known = pid in self._cache
+        packet = super().packet(pid)
+        if pid not in self._credited:
+            self._credited.add(pid)
+            if known:
+                packet.blocked_cycles += self.record(pid)["blocked_cycles"]
+        return packet

@@ -18,17 +18,20 @@ payload — routers, sources, and sinks in their owner shard — except:
   *downstream* flit (lowest live flit index — head-most) carries the
   freshest field values, since an exporter's record freezes when the
   head leaves its shard. Ejected-packet records beat never-seen ones.
+  One field is additive instead: a shard zeroes a packet's
+  ``blocked_cycles`` each time it hands flits of it downstream, so the
+  merged count is the sum over every copy.
 
-The merged state restores into a plain reference Network, from which
-the SimResult, the metrics export, and the digest Merkle root are
-computed exactly as a single-process run computes them.
+The merged state restores into a fresh ``build_network(config)``, from
+which the SimResult, the metrics export, and the digest Merkle root
+are computed exactly as a single-process run computes them.
 """
 
 import random
 
 from repro.checkpoint import RestoreContext
 from repro.network.flit import set_next_packet_id
-from repro.network.network import Network
+from repro.network.network import build_network
 from repro.obs.digest import digest_network
 from repro.parallel.partition import ShardPlan
 from repro.stats.summary import summarize
@@ -75,6 +78,7 @@ def merge_packet_tables(payloads):
     shard_mins = [_flit_min_indices(p["network"]) for p in payloads]
     merged = {}
     choice_rank = {}
+    blocked = {}
     for i, payload in enumerate(payloads):
         for pid, record in payload["packets"].items():
             pid = str(pid)
@@ -88,7 +92,11 @@ def merge_packet_tables(payloads):
             if pid not in merged or rank < choice_rank[pid]:
                 merged[pid] = record
                 choice_rank[pid] = rank
-    return merged
+            blocked[pid] = blocked.get(pid, 0) + record.get("blocked_cycles", 0)
+    # Every copy but the chosen one holds only the blocked cycles its
+    # shard counted since it last handed the packet's flits downstream.
+    return {pid: dict(record, blocked_cycles=blocked[pid])
+            for pid, record in merged.items()}
 
 
 def merge_stats_states(states):
@@ -217,7 +225,7 @@ def assemble_result(config, run_spec, plan, payloads, metrics=None):
     state = assemble_network_state(plan, payloads)
     merged_packets = merge_packet_tables(payloads)
 
-    net = Network(config)
+    net = build_network(config)
     net.restore(state, RestoreContext(merged_packets))
     set_next_packet_id(next_pid)
 

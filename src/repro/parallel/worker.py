@@ -49,7 +49,7 @@ from repro.checkpoint import (
     lengths_from_spec,
 )
 from repro.network.flit import peek_next_packet_id, set_next_packet_id
-from repro.network.network import Network
+from repro.network.network import build_network
 from repro.obs.artifacts import atomic_write
 from repro.parallel.exchange import (
     EXCH_DIR,
@@ -78,6 +78,9 @@ _FINAL_MAGIC = "repro-shard-final"
 EXIT_OK = 0
 #: Graceful drain: the worker checkpointed its window-start state.
 EXIT_DRAINED = 5
+EXIT_FAILED = 1
+#: Heartbeat ``state`` an attempt publishes last, by its exit code.
+END_STATES = {EXIT_OK: "done", EXIT_DRAINED: "drained", EXIT_FAILED: "failed"}
 
 #: File checkpoint cadence fallback: roughly every 64 cycles' worth of
 #: windows (lookahead windows are short — per-window files would thrash).
@@ -246,10 +249,10 @@ class _ShardWorker:
         self.wake_fd = options.get("wake_fd")
         self.peer_wake_fds = options.get("peer_wake_fds", ())
 
-        # Full network, masked to the shard; reference core always (the
-        # sharded protocol exchanges reference channel state).
+        # Full network of ``config.backend``, masked to the shard (the
+        # exchange carries channel state, which both cores share).
         self.stats = ShardStatsCollector(self.plan.topology.num_terminals)
-        self.net = Network(config, stats=self.stats)
+        self.net = build_network(config, stats=self.stats)
         self.net.apply_shard_mask(self.plan.routers_of(shard),
                                   self.plan.terminals_of(shard))
         self.local_terminals = frozenset(self.plan.terminals_of(shard))
@@ -476,9 +479,14 @@ class _ShardWorker:
 
     def _clear_exports(self):
         for spec in self.exports:
-            ShardPlan.resolve_channel(self.net, spec).load_state(
-                {"items": []}, None
-            )
+            channel = ShardPlan.resolve_channel(self.net, spec)
+            # The published record took these packets' blocked-cycle
+            # counts across; whatever this shard still counts for them
+            # (body flits stuck behind a departed head) is a fresh delta.
+            if spec["kind"] == "flit":
+                for flit in channel.items():
+                    flit.packet.blocked_cycles = 0
+            channel.load_state({"items": []}, None)
 
     # ------------------------------------------------------------------
 
@@ -662,11 +670,13 @@ def run_shard_worker(root, config_dict, run_spec, shard, attempt, options,
             error=f"{type(exc).__name__}: {exc}",
             traceback=traceback.format_exc(),
         )
-        code = 1
+        code = EXIT_FAILED
     finally:
         stop_pulse.set()
+        pulse.join()  # no stale pulse may land on top of the final beat
+    # The throttle can swallow every beat of a short attempt; the forced
+    # last one says how it ended instead of "constructing" forever.
+    hb.beat(force=True, state=END_STATES[code])
     if hard_exit:
         os._exit(code)
-    else:
-        pulse.join()
     return code

@@ -6,11 +6,32 @@ guarantee — a sharded run is bit-identical to a single-process run
 (same SimResult and same digest Merkle root) across topologies,
 allocators, seeds and shard counts. Crash/restart variants live in
 ``test_shard_chaos.py``.
+
+Shard workers, the merge and the single-process oracle all follow
+``NetworkConfig.backend``, so the last part crosses execution modes *and*
+cores: the shard mask on both backends, which core a worker builds, the
+import-before-fork, and a generated sharded ≡ reference ≡ fast
+differential in which every side names its backend.
 """
 
-import pytest
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from dataclasses import replace
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.checkpoint import canonical_run_spec
+from repro.fastcore import FastNetwork
 from repro.network.config import NetworkConfig
+from repro.network.flit import Packet, set_next_packet_id
+from repro.network.network import Network, build_network
+from repro.obs.digest import digest_network
 from repro.parallel import (
     ShardPlan,
     ShardPlanError,
@@ -22,7 +43,13 @@ from repro.parallel.merge import (
     merge_packet_tables,
     merge_stats_states,
 )
-from repro.parallel.worker import window_schedule
+from repro.parallel.worker import _ShardWorker, window_schedule
+from repro.traffic.injection import (
+    BernoulliInjector,
+    BimodalLength,
+    FixedLength,
+)
+from repro.traffic.patterns import build_pattern
 
 #: Tiny-but-real phases: a 4x4 mesh clears this in a couple of seconds.
 SMALL = dict(warmup=20, measure=60, drain=400)
@@ -164,6 +191,21 @@ class TestMergeRules:
         merged = merge_packet_tables([stale, done])
         assert merged["4"]["origin"] == "sink"
 
+    def test_blocked_cycles_sum_over_every_copy(self):
+        """Each shard zeroes its count when it hands flits downstream,
+        so what the copies hold are disjoint shares of one total."""
+        head = {"network": {"buf": [{"pid": 3, "idx": 0, "vc": 0}]},
+                "packets": {"3": {"time_ejected": None, "origin": "head",
+                                  "blocked_cycles": 4}}}
+        tail = {"network": {"buf": [{"pid": 3, "idx": 4, "vc": 0}]},
+                "packets": {"3": {"time_ejected": None, "origin": "tail",
+                                  "blocked_cycles": 2}}}
+        for payloads in ([head, tail], [tail, head]):
+            merged = merge_packet_tables(payloads)
+            assert merged["3"]["origin"] == "head"
+            assert merged["3"]["blocked_cycles"] == 6
+        assert head["packets"]["3"]["blocked_cycles"] == 4  # not mutated
+
     def _stats_state(self, keys, pl, counts):
         return {
             "window": [0, 100],
@@ -301,3 +343,213 @@ class TestRunBookkeeping:
         with pytest.raises(ShardRunError):
             shard_run(config_for(mesh_k=4), rate=0.25, seed=1, shards=4,
                       out_dir=str(out), **SMALL)
+
+
+# ---------------------------------------------------------------------------
+# shard workers follow NetworkConfig.backend
+
+
+def masked_network(backend):
+    """A 4x4 network of ``backend`` masked to shard 0 of 2, and its plan."""
+    config = replace(config_for(mesh_k=4, chaining="any_input", seed=3),
+                     backend=backend)
+    plan = ShardPlan(config, 2)
+    set_next_packet_id(0)
+    net = build_network(config)
+    net.apply_shard_mask(plan.routers_of(0), plan.terminals_of(0))
+    return net, plan
+
+
+class TestShardMaskOnBothCores:
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_masked_out_sink_is_never_polled(self, backend):
+        """A due flit on a masked-out sink's ejection channel belongs to
+        the shard that owns the sink; this one must leave it alone."""
+        net, plan = masked_network(backend)
+        outside = plan.terminals_of(1)[0]
+        sink = net.sinks[outside]
+        flit = Packet(0, outside, 1, 0).flits()[0]
+        flit.vc = 0
+        sink.flit_channel.send(flit, net.cycle)
+        for _ in range(sink.flit_channel.delay + 1):  # through its due cycle
+            net.step()
+        assert sink.flits_consumed == 0
+        assert list(sink.flit_channel.items()) == [flit]
+        assert net.stats.packets_ejected == 0
+
+    def test_masked_cores_step_in_lockstep(self):
+        """Same mask, same local traffic: one digest root per cycle."""
+        roots = {}
+        for backend in ("reference", "fast"):
+            net, plan = masked_network(backend)
+            local = frozenset(plan.terminals_of(0))
+            rng = random.Random(11)
+            injector = BernoulliInjector(
+                net.num_terminals,
+                build_pattern("uniform", net.num_terminals, rng),
+                0.4, BimodalLength(1, 5), rng,
+            )
+            roots[backend] = []
+            for cycle in range(80):
+                for packet in injector.generate(cycle):
+                    if packet.src in local:
+                        net.inject(packet)
+                net.step()
+                roots[backend].append(digest_network(net, injector)["root"])
+        assert roots["fast"] == roots["reference"]
+        assert len(set(roots["fast"])) == 80  # the network was not idle
+
+
+def worker_here(root, config, attempt=1, rate=0.25, checkpoint_windows=None):
+    """An in-process ``_ShardWorker`` for shard 0 of 2 (built, not run)."""
+    run_spec = canonical_run_spec("uniform", rate, FixedLength(1),
+                                  SMALL["warmup"], SMALL["measure"],
+                                  SMALL["drain"])
+    return _ShardWorker(str(root), config, run_spec, 0, attempt,
+                        {"shards": 2, "window": 2,
+                         "checkpoint_windows": checkpoint_windows})
+
+
+class TestWorkerBackend:
+    def test_worker_builds_the_configured_core(self, tmp_path):
+        config = config_for(mesh_k=4)
+        assert type(worker_here(tmp_path, config).net) is FastNetwork
+        reference = replace(config, backend="reference")
+        assert type(worker_here(tmp_path, reference).net) is Network
+
+    def test_fast_core_is_imported_before_the_fork(self, tmp_path):
+        """Workers of every attempt inherit the compiled fast core from
+        the coordinator (nobody imports it after a fork), and sharding
+        still does not pull NumPy in."""
+        script = """
+import json, os, sys
+from repro.network.config import NetworkConfig
+from repro.parallel import coordinator, shard_run
+
+assert "repro.fastcore.router" not in sys.modules
+real = coordinator.run_shard_worker
+
+def recording(root, config_dict, run_spec, shard, attempt, options):
+    loaded = "repro.fastcore.router" in sys.modules
+    with open(os.path.join(root, f"seen.s{shard}.a{attempt}"), "w") as fh:
+        fh.write(json.dumps(loaded))
+    real(root, config_dict, run_spec, shard, attempt, options)
+
+coordinator.run_shard_worker = recording
+config = NetworkConfig(topology="mesh", mesh_k=4, seed=1)
+run = shard_run(config, rate=0.25, shards=2, out_dir=sys.argv[1],
+                warmup=20, measure=60, drain=400,
+                chaos={0: {"sigkill_at_cycle": 37}})
+print(json.dumps({
+    "status": run.status, "restarts": run.restarts,
+    "fastcore": "repro.fastcore.router" in sys.modules,
+    "numpy": "numpy" in sys.modules,
+}))
+"""
+        out = tmp_path / "state"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script, str(out)],
+                              capture_output=True, text=True, env=env,
+                              timeout=100)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report == {"status": "done", "restarts": 1,
+                          "fastcore": True, "numpy": False}
+        seen = {name: json.loads((out / name).read_text())
+                for name in os.listdir(out) if name.startswith("seen.")}
+        assert seen == {"seen.s0.a1": True, "seen.s0.a2": True,
+                        "seen.s1.a1": True}
+
+    def test_restart_restores_a_fast_core_checkpoint(self, tmp_path):
+        """SIGKILL past a checkpoint: attempt 2 restores it into a
+        FastNetwork and the run still matches both oracles."""
+        config = config_for(mesh_k=4, chaining="any_input")
+        knobs = dict(SMALL, pattern="uniform", rate=0.3, seed=2)
+        out = tmp_path / "state"
+        run = shard_run(config, shards=2, out_dir=str(out),
+                        checkpoint_windows=4,
+                        chaos={0: {"sigkill_at_cycle": 37}}, **knobs)
+        assert run.status == "done" and run.restarts == 1
+        for backend in ("reference", "fast"):
+            assert (run.result, run.digest_root) == single_process_run(
+                replace(config, backend=backend), **knobs)
+        # What the restarted attempt did first, replayed in-process.
+        worker = worker_here(out, replace(config, seed=2), attempt=2,
+                             rate=0.3, checkpoint_windows=4)
+        assert type(worker.net) is FastNetwork
+        resumed = worker._resume_window()
+        assert resumed > 0 and worker.net.cycle == 2 * resumed
+
+
+# ---------------------------------------------------------------------------
+# generated differential: sharded (fast workers) == reference == fast
+
+#: Packets of 5 and 8 flits span several 2-cycle windows (the hybrid-
+#: switching paper's long-held connections, as adversarial draws).
+LENGTHS = [FixedLength(1), BimodalLength(1, 5), FixedLength(8)]
+
+
+@st.composite
+def sharded_scenarios(draw):
+    """(config, run kwargs, shards, chaos) over what ShardPlan accepts."""
+    topology = draw(st.sampled_from(["mesh", "torus"]))
+    classes = 2 if topology == "torus" else 1
+    config = NetworkConfig(
+        topology=topology, mesh_k=draw(st.sampled_from([4, 6])),
+        routing="dor",
+        num_vcs=draw(st.sampled_from(
+            [n for n in (1, 2, 4) if n % classes == 0])),
+        allocator=draw(st.sampled_from(
+            ["islip1", "islip2", "wavefront", "pim1", "augmenting"])),
+        chaining=draw(st.sampled_from(
+            ["disabled", "same_vc", "same_input", "any_input"])),
+        seed=draw(st.integers(1, 50)),
+        backend="fast",
+    )
+    run = dict(
+        pattern="uniform", rate=draw(st.sampled_from([0.05, 0.25, 0.45])),
+        lengths=draw(st.sampled_from(LENGTHS)), warmup=20, measure=60,
+        drain=draw(st.sampled_from([0, 400])),
+    )
+    shards = draw(st.sampled_from([1, 2, 3]))
+    chaos = draw(st.one_of(st.none(), st.fixed_dictionaries({
+        "shard": st.integers(0, shards - 1),
+        "sigkill_at_cycle": st.integers(3, 75),
+    })))
+    return config, run, shards, chaos
+
+
+#: Tier-1 runs a small derandomised slice; ``--hypothesis-profile soak``
+#: (tests/conftest.py) runs hundreds of fresh examples.
+_SOAK = settings.get_profile("soak")
+
+#: The first catch, pinned: a 5-flit packet has body flits blocked in a
+#: shard upstream of its head, and the blocked cycles they counted there
+#: were lost (SimResult.blocking read 2 cycles low). Any multi-flit run
+#: near saturation shows it; the hand-written matrix is all 1-flit.
+_BLOCKED_UPSTREAM = (
+    NetworkConfig(topology="mesh", mesh_k=4, num_vcs=1, seed=1),
+    dict(pattern="uniform", rate=0.45, lengths=BimodalLength(1, 5),
+         warmup=20, measure=60, drain=0),
+    3, None,
+)
+
+
+@(_SOAK if settings.default is _SOAK
+  else settings(max_examples=30, derandomize=True))
+@given(sharded_scenarios())
+@example(_BLOCKED_UPSTREAM)
+def test_generated_sharded_runs_match_both_cores(scenario):
+    config, run, shards, chaos = scenario
+    reference = single_process_run(replace(config, backend="reference"),
+                                   **run)
+    assert single_process_run(config, **run) == reference
+    with tempfile.TemporaryDirectory(prefix="shard-gen-") as out_dir:
+        sharded = shard_run(
+            config, shards=shards, out_dir=out_dir,
+            chaos=chaos and {chaos["shard"]: {
+                "sigkill_at_cycle": chaos["sigkill_at_cycle"]}},
+            **run)
+    assert sharded.status == "done"
+    assert sharded.restarts == (1 if chaos else 0)
+    assert (sharded.result, sharded.digest_root) == reference

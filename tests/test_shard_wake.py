@@ -211,11 +211,14 @@ class TestFsyncBudget:
         checkpoints = len([i for i in range(1, windows) if i % 8 == 0])
         assert len(fsyncs) == windows + checkpoints + 2  # + final + outcome
         # Throttle (0.2 s) + pulse thread (1 s) + the forced
-        # "constructing" beat and a first pulse — nowhere near `windows`.
-        assert len(hb_writes) <= elapsed / 0.2 + elapsed / 1.0 + 3
+        # "constructing" beat, a first pulse and the forced final beat —
+        # nowhere near `windows`.
+        assert len(hb_writes) <= elapsed / 0.2 + elapsed / 1.0 + 4
         assert len(hb_writes) < windows / 4
+        # The final beat is not throttled: however fast the worker ran,
+        # the lease file ends up saying how the attempt ended.
         with open(worker_mod.heartbeat_path(root, 0, 1)) as fh:
-            assert json.load(fh)["state"] == "running"
+            assert json.load(fh)["state"] == "done"
 
     def test_full_peer_pipe_does_not_stop_the_worker(self, tmp_path,
                                                      monkeypatch, wake_pipe):
@@ -257,6 +260,50 @@ class TestFsyncBudget:
         assert not torn
         assert seen and seen == sorted(seen)
         assert not [n for n in os.listdir(str(tmp_path)) if n.endswith(".tmp")]
+
+
+class TestFinalHeartbeat:
+    """The last beat is forced and names how the attempt ended."""
+
+    def final_state(self, root):
+        with open(worker_mod.heartbeat_path(root, 0, 1)) as fh:
+            return json.load(fh)["state"]
+
+    def test_drained_attempt_says_so(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(worker_mod._ShardWorker, "_drain_requested",
+                            lambda _self: True)
+        code, _windows = run_worker_here(str(tmp_path), monkeypatch,
+                                         measure=60)
+        assert code == worker_mod.EXIT_DRAINED
+        assert self.final_state(str(tmp_path)) == "drained"
+
+    def test_failed_attempt_says_so(self, tmp_path, monkeypatch):
+        def boom(_self):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(worker_mod._ShardWorker, "run", boom)
+        code, _windows = run_worker_here(str(tmp_path), monkeypatch,
+                                         measure=60)
+        assert code == worker_mod.EXIT_FAILED
+        assert self.final_state(str(tmp_path)) == "failed"
+
+    def test_a_finished_worker_is_never_a_stall(self, tmp_path, monkeypatch):
+        """A worker that has published its end state but is slow to exit
+        stops advancing (window, cycle); the barrier watchdog must not
+        kill it as wedged — only the lease bounds the linger."""
+        from repro.parallel import coordinator
+
+        real = coordinator.run_shard_worker
+
+        def lingering(*args):
+            code = real(*args, hard_exit=False)
+            time.sleep(1.5)
+            os._exit(code)
+
+        monkeypatch.setattr(coordinator, "run_shard_worker", lingering)
+        run = run_sharded(tmp_path / "s", window_timeout=0.5)
+        assert run.status == "done"
+        assert run.restarts == 0
 
 
 # ---------------------------------------------------------------------------
