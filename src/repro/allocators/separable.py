@@ -34,6 +34,103 @@ class SeparableInputFirstAllocator(Allocator):
         self._output_arbiters = [RoundRobinArbiter(num_inputs) for _ in range(num_outputs)]
 
     def allocate(self, requests: RequestMatrix) -> Dict[int, int]:
+        if self.iterations != 1:
+            return self._allocate_iterative(requests)
+        # iSLIP-1, the paper's allocator and the router's hot path: the
+        # iterative loop below specialised to one pass. Round-robin
+        # selection is the closed form "smallest (idx - pointer) % size
+        # among the best", which is the arbiter's scan-from-pointer;
+        # grants are inserted in the same order (the router iterates
+        # the dict when committing, so order is behaviour).
+        num_inputs = self.num_inputs
+        num_outputs = self.num_outputs
+        input_arbiters = self._input_arbiters
+        output_arbiters = self._output_arbiters
+        # Ports are range-checked (_validate raises) in the loops that
+        # read every request anyway, before any arbiter state changes.
+        if len(requests) == 1:
+            ((i, o),) = requests
+            if not (0 <= i < num_inputs and 0 <= o < num_outputs):
+                self._validate(requests)
+            # A lone request wins both arbiters regardless of pointers.
+            output_arbiters[o].pointer = (i + 1) % num_inputs
+            input_arbiters[i].pointer = (o + 1) % num_outputs
+            return {i: o}
+        seen_in = set()
+        seen_out = set()
+        for i, o in requests:
+            if i in seen_in or o in seen_out:
+                break
+            if not (0 <= i < num_inputs and 0 <= o < num_outputs):
+                self._validate(requests)
+            seen_in.add(i)
+            seen_out.add(o)
+        else:
+            # Conflict-free matrix: every input has one choice and every
+            # output one survivor, so every request is granted, in
+            # matrix order.
+            grants = {}
+            for i, o in requests:
+                grants[i] = o
+                output_arbiters[o].pointer = (i + 1) % num_inputs
+                input_arbiters[i].pointer = (o + 1) % num_outputs
+            return grants
+        by_input = {}
+        for (i, o), prio in requests.items():
+            if not (0 <= i < num_inputs and 0 <= o < num_outputs):
+                self._validate(requests)
+            outputs = by_input.get(i)
+            if outputs is None:
+                by_input[i] = {o: prio}
+            else:
+                existing = outputs.get(o)
+                if existing is None or prio > existing:
+                    outputs[o] = prio
+        # Input stage: each input picks one output among its best.
+        survivors = {}
+        for i, outputs in by_input.items():
+            if len(outputs) == 1:
+                for choice, best in outputs.items():
+                    break
+            else:
+                best = max(outputs.values())
+                pointer = input_arbiters[i].pointer
+                best_dist = num_outputs
+                for o, p in outputs.items():
+                    if p == best:
+                        dist = (o - pointer) % num_outputs
+                        if dist < best_dist:
+                            best_dist = dist
+                            choice = o
+            entry = survivors.get(choice)
+            if entry is None:
+                survivors[choice] = {i: best}
+            else:
+                entry[i] = best
+        # Output stage, with the first-iteration pointer updates.
+        grants = {}
+        for o, inputs in survivors.items():
+            if len(inputs) == 1:
+                for winner in inputs:
+                    break
+            else:
+                best = max(inputs.values())
+                pointer = output_arbiters[o].pointer
+                best_dist = num_inputs
+                for i, p in inputs.items():
+                    if p == best:
+                        dist = (i - pointer) % num_inputs
+                        if dist < best_dist:
+                            best_dist = dist
+                            winner = i
+            grants[winner] = o
+            output_arbiters[o].pointer = (winner + 1) % num_inputs
+            input_arbiters[winner].pointer = (o + 1) % num_outputs
+        return grants
+
+    def _allocate_iterative(self, requests: RequestMatrix) -> Dict[int, int]:
+        """The generic ``iterations``-pass loop (iSLIP-2+, and the
+        reference the single-pass path is tested against)."""
         self._validate(requests)
         grants: Dict[int, int] = {}
         matched_outputs = set()

@@ -5,8 +5,7 @@ size) grid with fixed seeds — measures host cycles/sec per case with
 one discarded warmup repeat plus N timed repeats (median taken, so one
 scheduler hiccup cannot fake a regression). Every invocation appends
 one entry to a per-host history file (``BENCH_<host>.json``), building
-the cycles/sec trajectory across commits that the ROADMAP's fast-core
-work is measured against.
+the cycles/sec trajectory across commits.
 
 Cross-machine comparability comes from a *calibration score*: a fixed
 pure-Python spin workload is timed alongside the suite, and each
@@ -56,8 +55,6 @@ class BenchCase:
     warmup: int
     measure: int
     seed: int = 1
-    #: Simulation core this case runs on ("reference" or "fast").
-    backend: str = "reference"
     #: Digest stride (``--digest-every``); None runs digest-free. A
     #: digesting case measures the observability tax of the lockstep
     #: microscope's state hashing, gated like any other case.
@@ -68,18 +65,8 @@ class BenchCase:
         return NetworkConfig(
             topology=self.topology, mesh_k=self.mesh_k, routing=routing,
             allocator=self.allocator, pc_allocator="islip1",
-            chaining=self.chaining, seed=self.seed, backend=self.backend,
+            chaining=self.chaining, seed=self.seed,
         )
-
-    def fast_twin(self):
-        """The same grid point on the fast core (name suffixed ``-fast``).
-
-        Twin names join per-backend in the trend history; run_suite
-        additionally records the twin/reference cycles/sec ratio under
-        ``speedups`` so the fast core's advantage is tracked explicitly.
-        """
-        return dataclasses.replace(self, name=self.name + "-fast",
-                                   backend="fast")
 
 
 @dataclass
@@ -111,12 +98,9 @@ class ShardBenchCase(BenchCase):
     and ``dispatch_seconds`` (everything the coordinator adds beyond
     per-shard busy time), so a regression names its layer. The 1-shard
     case isolates the supervision + checkpoint tax from boundary
-    synchrony, which only the multi-shard cases pay. Shard workers
-    follow ``backend``; these cases run the core ``repro shard`` users
-    get by default.
+    synchrony, which only the multi-shard cases pay.
     """
 
-    backend: str = NetworkConfig.backend
     shards: int = 2
 
 
@@ -169,13 +153,6 @@ def default_suite(quick=False, scale=1.0):
         ShardBenchCase("shard-scaling-4", "mesh", 4, "islip1", "disabled",
                        0.3, *cycles(100, 400), shards=4),
     ]
-    # Fast-core twins of the reference cases whose reference-vs-fast
-    # ratio the roadmap tracks (recorded under "speedups"). Each twin
-    # runs immediately after its reference case so slow host drift over
-    # the suite (shared runners) cancels out of the ratio instead of
-    # accumulating between the pair's measurements.
-    quick_cases.insert(1, quick_cases[0].fast_twin())
-    quick_cases.insert(3, quick_cases[2].fast_twin())
     if quick:
         return quick_cases
     full_cases = [
@@ -190,8 +167,6 @@ def default_suite(quick=False, scale=1.0):
         case("cmesh8-islip1-chain", "cmesh", 8, "islip1", "any_input",
              0.3, 300, 1200),
     ]
-    full_cases.insert(1, full_cases[0].fast_twin())
-    full_cases.insert(3, full_cases[2].fast_twin())
     return quick_cases + full_cases
 
 
@@ -376,68 +351,13 @@ def host_fingerprint():
     }
 
 
-def run_paired_case(case, twin, repeats=3):
-    """Measure a reference case and its fast twin interleaved.
-
-    Repeats alternate reference/fast so slow host drift (shared
-    runners, background load) hits both sides of each repeat pair
-    about equally and cancels out of the ratio. Returns
-    ``(ref_measured, twin_measured, speedup)`` where ``speedup`` is the
-    median of per-repeat cycles/sec ratios — far tighter than a ratio
-    of two medians measured minutes apart.
-    """
-    ref_samples = []
-    twin_samples = []
-    ratios = []
-    ref_cycles = twin_cycles = 0
-    for i in range(repeats + 1):
-        start = time.perf_counter()
-        result = run_simulation(
-            case.config(), rate=case.rate, warmup=case.warmup,
-            measure=case.measure, drain=0, seed=case.seed,
-        )
-        ref_elapsed = time.perf_counter() - start
-        ref_cycles = result.cycles_run
-        start = time.perf_counter()
-        result = run_simulation(
-            twin.config(), rate=twin.rate, warmup=twin.warmup,
-            measure=twin.measure, drain=0, seed=twin.seed,
-        )
-        twin_elapsed = time.perf_counter() - start
-        twin_cycles = result.cycles_run
-        if i == 0:
-            continue  # warmup repeat for both backends
-        ref_samples.append(ref_elapsed)
-        twin_samples.append(twin_elapsed)
-        if ref_elapsed > 0 and twin_elapsed > 0:
-            ratios.append(
-                (twin_cycles / twin_elapsed) / (ref_cycles / ref_elapsed)
-            )
-
-    def measured(cycles, samples):
-        wall = statistics.median(samples)
-        return {
-            "cycles_per_sec": cycles / wall if wall > 0 else 0.0,
-            "cycles": cycles,
-            "wall_seconds": wall,
-            "repeats": repeats,
-        }
-
-    speedup = statistics.median(ratios) if ratios else 0.0
-    return measured(ref_cycles, ref_samples), \
-        measured(twin_cycles, twin_samples), speedup
-
-
 def run_suite(suite=None, quick=False, scale=1.0, repeats=3,
               calibration_repeats=3, progress=None):
     """Run the suite; returns one history entry dict."""
     if suite is None:
         suite = default_suite(quick=quick, scale=scale)
     calibration = calibration_score(calibration_repeats)
-    by_name = {case.name: case for case in suite}
     cases = {}
-    paired_speedups = {}
-    skip = set()
 
     def record(case, measured):
         # Simulated cycles/sec per million calibration ops/sec: a
@@ -446,12 +366,9 @@ def run_suite(suite=None, quick=False, scale=1.0, repeats=3,
             measured["cycles_per_sec"] / (calibration / 1e6)
             if calibration > 0 else 0.0
         )
-        measured["backend"] = case.backend
         cases[case.name] = measured
 
     for case in suite:
-        if case.name in skip:
-            continue
         if isinstance(case, ShardBenchCase):
             if progress is not None:
                 progress(case.name)
@@ -462,26 +379,9 @@ def run_suite(suite=None, quick=False, scale=1.0, repeats=3,
                 progress(case.name)
             record(case, run_serve_case(case, repeats=repeats))
             continue
-        twin = by_name.get(case.name + "-fast")
-        if twin is not None and case.backend == "reference":
-            if progress is not None:
-                progress(f"{case.name} (+fast twin, interleaved)")
-            ref_measured, twin_measured, speedup = run_paired_case(
-                case, twin, repeats=repeats
-            )
-            record(case, ref_measured)
-            record(twin, twin_measured)
-            paired_speedups[case.name] = speedup
-            skip.add(twin.name)
-            continue
         if progress is not None:
             progress(case.name)
         record(case, run_case(case, repeats=repeats))
-    # Twinned cases measured separately (custom suites) fall back to
-    # the ratio of medians; interleaved pairs override it with the
-    # per-repeat median ratio.
-    speedups = backend_speedups(cases)
-    speedups.update(paired_speedups)
     return {
         "schema": SCHEMA,
         "time": time.time(),
@@ -489,26 +389,7 @@ def run_suite(suite=None, quick=False, scale=1.0, repeats=3,
         "calibration": calibration,
         "host_info": host_fingerprint(),
         "cases": cases,
-        "speedups": speedups,
     }
-
-
-def backend_speedups(cases):
-    """Fast-vs-reference cycles/sec ratio per twinned case.
-
-    Keyed by the reference case name; a ``<name>-fast`` twin must be
-    present in the same entry. Same-host, same-entry ratios need no
-    calibration normalization.
-    """
-    speedups = {}
-    for name, case in cases.items():
-        twin = cases.get(name + "-fast")
-        if twin is None or case.get("backend", "reference") != "reference":
-            continue
-        ref_cps = case.get("cycles_per_sec", 0.0)
-        if ref_cps > 0:
-            speedups[name] = twin.get("cycles_per_sec", 0.0) / ref_cps
-    return speedups
 
 
 # ---------------------------------------------------------------------------
@@ -656,13 +537,6 @@ def format_entry(entry):
             f" {case.get('normalized', 0.0):>11.4f}"
             f" {case['wall_seconds']:>7.2f}s"
         )
-    speedups = entry.get("speedups") or {}
-    if speedups:
-        lines.append("")
-        for name, ratio in sorted(speedups.items()):
-            lines.append(
-                f"  speedup {name:<20} {ratio:>5.2f}x (fast vs reference)"
-            )
     return "\n".join(lines) + "\n"
 
 

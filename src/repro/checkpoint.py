@@ -300,16 +300,8 @@ def canonical_run_spec(pattern, rate, lengths, warmup, measure, drain):
 
 
 def config_hash(config, run_spec):
-    """sha256 over the canonical JSON of (NetworkConfig, run spec).
-
-    The simulation ``backend`` is excluded: the fast core is
-    bit-identical to the reference core, so a checkpoint taken under
-    one backend must restore under the other (the equivalence gate in
-    tests/test_fastcore_equivalence.py proves the round-trip).
-    """
-    config_dict = config.to_dict()
-    config_dict.pop("backend", None)
-    return canonical_sha256({"config": config_dict, "run": run_spec})
+    """sha256 over the canonical JSON of (NetworkConfig, run spec)."""
+    return canonical_sha256({"config": config.to_dict(), "run": run_spec})
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,6 @@ def _add_network_args(parser):
     parser.add_argument("--age-period", type=int, default=None)
     parser.add_argument("--num-vcs", type=int, default=4)
     parser.add_argument("--vc-buf-depth", type=int, default=8)
-    parser.add_argument("--backend", default=NetworkConfig.backend,
-                        choices=["reference", "fast"],
-                        help="simulation core: 'fast' (repro.fastcore) or "
-                             "the bit-identical per-object 'reference' oracle")
     parser.add_argument("--seed", type=int, default=1)
 
 
@@ -124,7 +120,6 @@ def _config_from(args):
         age_period=args.age_period,
         num_vcs=args.num_vcs,
         vc_buf_depth=args.vc_buf_depth,
-        backend=args.backend,
         seed=args.seed,
     )
 
@@ -740,25 +735,16 @@ def _print_divergence(report, out):
                 f"  {path}: digest {str(pair['a'])[:12]}"
                 f" != {str(pair['b'])[:12]}\n"
             )
-    soa = report.get("soa_consistent") or {}
-    for side in ("a", "b"):
-        if soa.get(side) is False:
-            out.write(
-                f"soa parity        : side {side} SoA export drifted from"
-                f" its state_dict (fastcore bookkeeping bug)\n"
-            )
 
 
 def cmd_diverge(args, out):
     """Lockstep differential run; bisect the first divergent cycle."""
-    import dataclasses
-
     from repro.obs import lockstep
     from repro.obs.digest import read_digest_stream
 
-    if args.vs_config and args.vs_backend:
-        out.write("repro diverge: --vs-config and --vs-backend are "
-                  "mutually exclusive\n")
+    if not (args.vs_config or args.vs_digests):
+        out.write("repro diverge: nothing to compare against; give"
+                  " --vs-config FILE or --vs-digests FILE\n")
         return 2
     config_a = _config_from(args)
     spec = dict(
@@ -771,34 +757,21 @@ def cmd_diverge(args, out):
             stream = read_digest_stream(args.vs_digests)
             recorded = (stream.header or {}).get("config")
             if recorded is not None:
-                mine = config_a.to_dict()
-                mine.pop("backend", None)
-                if mine != recorded:
+                if config_a.to_dict() != recorded:
                     out.write(
                         "repro diverge: network config does not match the"
                         " recorded stream's (refusing to compare different"
                         " experiments)\n"
                     )
                     return 2
-            side = lockstep.LockstepSide(
-                f"backend:{config_a.backend}", config_a, **spec
-            )
+            side = lockstep.LockstepSide("live", config_a, **spec)
             report = lockstep.run_vs_stream(side, stream)
         else:
-            if args.vs_config:
-                config_b = NetworkConfig.load(args.vs_config)
-                label_b = f"config:{args.vs_config}"
-            else:
-                vs_backend = args.vs_backend or (
-                    "reference" if config_a.backend == "fast" else "fast"
-                )
-                config_b = dataclasses.replace(config_a, backend=vs_backend)
-                label_b = f"backend:{vs_backend}"
+            config_b = NetworkConfig.load(args.vs_config)
             report = lockstep.find_divergence(
-                lockstep.side_factory(
-                    f"backend:{config_a.backend}", config_a, **spec
-                ),
-                lockstep.side_factory(label_b, config_b, **spec),
+                lockstep.side_factory("a", config_a, **spec),
+                lockstep.side_factory(f"config:{args.vs_config}", config_b,
+                                      **spec),
                 every=args.digest_every,
             )
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -1354,10 +1327,6 @@ def build_parser():
     _add_network_args(p)
     _add_traffic_args(p)
     p.add_argument("--rate", type=float, default=0.4)
-    p.add_argument("--vs-backend", default=None,
-                   choices=["reference", "fast"],
-                   help="side B runs the same config under this backend "
-                        "(default: whichever backend side A is not using)")
     p.add_argument("--vs-config", default=None, metavar="FILE",
                    help="side B runs a different NetworkConfig JSON under "
                         "the same traffic")

@@ -250,13 +250,14 @@ class FaultController:
                     if up is not None:
                         up.send(v, cycle)
                     self.count_drop(router_id, p, flit, cycle, "router_down")
-                # Keep the router's shared fill cell exact: the fast
-                # core's flit accounting reads it, not the queues.
+                # Keep the router's shared fill cell exact: its flit
+                # accounting reads the cell, not the queues.
                 router._fill[0] -= len(vcobj.queue)
                 vcobj.queue.clear()
                 vcobj.active_packet = None
                 vcobj.active_out_port = None
                 vcobj.active_out_vc = None
+            router._occ_mask[p] = 0
         router.conn_in = [None] * router.radix
         router.conn_out = [None] * router.radix
         # Stop simulating the router and silence its terminals.

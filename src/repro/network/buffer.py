@@ -22,9 +22,10 @@ class VirtualChannel:
         "active_out_vc",
         "wait_cycles",
         "fill",
+        "occupancy",
     )
 
-    def __init__(self, capacity, fill=None):
+    def __init__(self, capacity, fill=None, occupancy=None):
         if capacity < 1:
             raise ValueError(f"VC capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -39,6 +40,9 @@ class VirtualChannel:
         # router: every push/pop updates it, so the router knows its
         # total buffered-flit count in O(1) for the idle fast path.
         self.fill = fill
+        # The owning router's (per-port occupancy bitmasks, port, bit):
+        # this VC's bit is set exactly while its queue is non-empty.
+        self.occupancy = occupancy
 
     def __len__(self):
         return len(self.queue)
@@ -61,6 +65,7 @@ class VirtualChannel:
         self.queue = deque(ctx.flit(f) for f in state["queue"])
         if self.fill is not None:
             self.fill[0] += len(self.queue) - old_len
+        self._sync_occupancy()
         self.active_packet = (
             ctx.packet(state["active_packet"])
             if state["active_packet"] is not None
@@ -84,6 +89,9 @@ class VirtualChannel:
         self.queue.append(flit)
         if self.fill is not None:
             self.fill[0] += 1
+        if self.occupancy is not None:
+            masks, port, bit = self.occupancy
+            masks[port] |= bit
 
     def pop(self):
         """Dequeue the front flit.
@@ -99,7 +107,17 @@ class VirtualChannel:
         self.wait_cycles = 0
         if self.fill is not None:
             self.fill[0] -= 1
+        if not self.queue:
+            self._sync_occupancy()
         return flit
+
+    def _sync_occupancy(self):
+        if self.occupancy is not None:
+            masks, port, bit = self.occupancy
+            if self.queue:
+                masks[port] |= bit
+            else:
+                masks[port] &= ~bit
 
     def start_packet(self, packet, out_port, out_vc):
         """Record the front packet's switch/VC allocation state."""

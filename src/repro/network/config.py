@@ -63,23 +63,11 @@ class NetworkConfig:
     credit_delay: int = 2  # "two cycles to generate and transmit credits"
     injection_channel_delay: int = 1
 
-    # --- simulation backend ---
-    #: "fast" (the default) is the packed-occupancy core in
-    #: :mod:`repro.fastcore`; "reference" is the per-object Python core
-    #: it is bit-identical to (results, metrics, traces, checkpoints,
-    #: fault injection and reliable transport included), kept as the
-    #: oracle of the equivalence tests. The backend is an execution
-    #: detail, not an experiment parameter: it is excluded from
-    #: checkpoint config hashes so snapshots stay portable.
-    backend: str = "fast"
-
     # --- misc ---
     seed: int = 1
 
     def __post_init__(self):
         self.chaining = ChainingScheme.parse(self.chaining)
-        if self.backend not in ("reference", "fast"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if self.topology not in ("mesh", "fbfly", "torus", "cmesh"):
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.routing not in ("dor", "ugal"):
@@ -108,6 +96,11 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, data):
+        # Configs saved before the simulator had one core carry the
+        # retired "backend" field (an execution detail that was never
+        # part of config_hash); checkpoints, job specs and shard
+        # out-dirs written then must still load.
+        data = {k: v for k, v in data.items() if k != "backend"}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

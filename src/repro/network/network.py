@@ -9,6 +9,7 @@ consumes flits immediately.
 """
 
 import random
+import weakref
 
 from repro.network.channel import PipelinedChannel
 from repro.network.router import Router
@@ -22,25 +23,15 @@ from repro.topology import build_topology
 ST_LATENCY = 1
 
 
-def network_class(config):
-    """The Network subclass ``config.backend`` selects, imported on demand."""
-    if config.backend == "fast":
-        from repro.fastcore import FastNetwork
-
-        return FastNetwork
-    return Network
-
-
 def build_network(config, stats=None, trace=None):
-    """Build the Network subclass selected by ``config.backend``."""
-    return network_class(config)(config, stats=stats, trace=trace)
+    """Build the :class:`Network` for ``config``."""
+    return Network(config, stats=stats, trace=trace)
 
 
 class Network:
     """A complete simulated network for one NetworkConfig."""
 
-    #: Router/terminal classes this network builds; the fast core's
-    #: subclass swaps in its implementations while reusing the wiring.
+    #: Router/terminal classes this network builds.
     ROUTER_CLS = Router
     SOURCE_CLS = Source
     SINK_CLS = Sink
@@ -50,7 +41,14 @@ class Network:
         self.topology = build_topology(config)
         self.rng = random.Random(config.seed)
         self.routing = build_routing(config, self.topology, self.rng)
-        self.routing.attach_congestion(self._congestion)
+        # UGAL's congestion probe reads this network's routers. Routers
+        # hold the routing function, so a strong reference back would
+        # make every network a reference cycle that outlives its run
+        # until the cyclic garbage collector gets to it.
+        net = weakref.ref(self)
+        self.routing.attach_congestion(
+            lambda router, port: net().routers[router].occupancy(port)
+        )
         self.stats = stats or StatsCollector(self.topology.num_terminals)
         #: Event trace bus shared by routers, sources, and sinks. The
         #: default NULL_TRACE never activates, so untraced runs pay one
@@ -144,9 +142,6 @@ class Network:
             self.sources.append(source)
             self.sinks.append(sink)
 
-    def _congestion(self, router, port):
-        return self.routers[router].occupancy(port)
-
     # ------------------------------------------------------------------
 
     @property
@@ -186,7 +181,15 @@ class Network:
         return sampler.bind(self)
 
     def attach_faults(self, controller):
-        """Arm a FaultController against this network."""
+        """Arm a FaultController against this network.
+
+        Fault-aware DOR consults live link state and leaves detour
+        tokens on packets, so next_hop stops being a pure function of
+        (router, destination): the route memos are dropped and every
+        hop calls through from here on.
+        """
+        for node in self.routers + self.sources:
+            node._route_cache = None
         self.faults = controller
         return controller.bind(self)
 
@@ -228,9 +231,9 @@ class Network:
 
         The masked-out components stay constructed (their channel
         objects are the landing zones for boundary imports and their
-        state is part of snapshots), they just never execute — on either
-        backend. Refused on a network that already has faults attached:
-        shard workers run without fault injection or a transport.
+        state is part of snapshots), they just never execute. Refused
+        on a network that already has faults attached: shard workers
+        run without fault injection or a transport.
         """
         if self.faults is not None or self.transport is not None:
             raise ValueError(
@@ -254,17 +257,30 @@ class Network:
         ]
 
     def step(self):
-        """Advance the network by one cycle."""
+        """Advance the network by one cycle.
+
+        Terminals with provably nothing to do are skipped: a sink acts
+        only when its ejection channel has a flit due now, a source
+        pulls credits only when one is due and steps only with a packet
+        queued or in flight (the skipped calls would change no state
+        and emit no event).
+        """
         now = self.cycle
-        if self.faults is not None:
-            self.faults.begin_cycle(now)
+        faults = self.faults
+        if faults is not None:
+            faults.begin_cycle(now)
         for router in self.step_routers:
             router.receive(now)
         for sink in self.step_sinks:
-            sink.step(now)
+            q = sink.flit_channel._queue
+            if q and q[0][0] <= now:
+                sink.step(now)
         for source in self.step_sources:
-            source.receive_credits(now)
-            source.step(now)
+            q = source.credit_channel._queue
+            if q and q[0][0] <= now:
+                source.receive_credits(now)
+            if source._flits or source.queue:
+                source.step(now)
         for router in self.step_routers:
             router.step(now)
         if self.transport is not None:
@@ -343,11 +359,12 @@ class Network:
 
     def in_flight_flits(self):
         """Flits buffered in routers or on channels (not source queues)."""
-        total = sum(r.total_buffered_flits() for r in self.routers)
+        total = 0
         for router in self.routers:
+            total += router._fill[0]
             for chan in router.out_flit_channels:
                 if chan is not None:
-                    total += chan.in_flight
+                    total += len(chan._queue)
         return total
 
     def backlog(self):

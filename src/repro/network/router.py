@@ -11,7 +11,7 @@ win switch allocation (the combined switch/VC allocator of Kumar et
 al.), lowest-numbered free VC first (Section 4.6).
 
 Packet chaining adds a PC allocator in parallel with the switch
-allocator. Each cycle:
+allocator. Each cycle (:meth:`Router.step`, one method per phase):
 
 1.  Force-release connections that hit the starvation threshold
     (Section 2.5) and, in age mode, connections preempted by
@@ -36,6 +36,18 @@ allocator. Each cycle:
     connection releasing) did not occur. Valid chains take over the
     connection registers; the chained packet streams starting next
     cycle and never enters switch allocation.
+
+How the phases find their work (DESIGN.md §8 has the reasons):
+
+- ``_occ_mask[p]`` is a per-input-port bitmask of occupied VCs, kept
+  exact by every queue mutation. Loops walk its set bits in ascending
+  VC order (the ``mask & -mask`` idiom), which is the order request
+  dicts, PC candidates and trace events depend on.
+- the SA scan visits every occupied VC front once and hands the PC
+  collector and the end-of-cycle counters what it saw.
+- channel queues are resolved once (``_rx``/``_tx``) and driven
+  directly; for plain XY DOR the look-ahead route is memoised per
+  (downstream router, destination) until fault injection attaches.
 """
 
 from time import perf_counter
@@ -43,6 +55,9 @@ from time import perf_counter
 from repro.allocators import make_allocator
 from repro.arbiters import RoundRobinArbiter
 from repro.core.chaining import (
+    PC_PRIORITY_DEFINITE,
+    PC_PRIORITY_SPECULATIVE,
+    ChainingScheme,
     ChainStats,
     PCCandidate,
     PCRequestBuilder,
@@ -50,11 +65,28 @@ from repro.core.chaining import (
 )
 from repro.core.starvation import StarvationControl, StarvationMode
 from repro.obs.trace import NULL_TRACE
+from repro.routing.dor import DORMesh
 
 #: Priority boost that makes non-speculative switch requests always beat
 #: speculative ones in "speculative" VC-allocation mode. Larger than any
 #: age-escalated packet priority that occurs in practice.
 _NONSPECULATIVE_BOOST = 1_000_000
+
+#: Shared read-only stand-in for the per-cycle released/inhibited sets
+#: when nothing can be released or inhibited (nothing ever writes it).
+_NO_INHIBITS = frozenset()
+
+
+def _pc_candidate_order(c):
+    """Definite class first, then higher packet priority (stable sort)."""
+    return (c.speculative, -c.priority)
+
+
+def _lap(prof, phase, t0):
+    """Charge the time since ``t0`` to ``phase``; returns the new mark."""
+    t1 = perf_counter()
+    prof.add(phase, t1 - t0)
+    return t1
 
 
 class Router:
@@ -74,9 +106,16 @@ class Router:
         #: exact by every queue mutation, including direct pushes in
         #: tests, so the idle fast path in step() can trust it.
         self._fill = [0]
+        #: Bitmask of occupied VCs per input port (bit v set <=> the VC
+        #: buffer at [p][v] is non-empty), kept exact the same way.
+        self._occ_mask = [0] * P
         self.in_vcs = [
-            [VirtualChannel(depth, fill=self._fill) for _ in range(V)]
-            for _ in range(P)
+            [
+                VirtualChannel(depth, fill=self._fill,
+                               occupancy=(self._occ_mask, p, 1 << v))
+                for v in range(V)
+            ]
+            for p in range(P)
         ]
 
         # Connection registers (incremental allocation state).
@@ -115,8 +154,7 @@ class Router:
         #: SA grants wasted on failed speculation (no output VC free).
         self.wasted_speculations = 0
         #: Per-allocator request/grant totals (grant efficiency =
-        #: grants / requests); incremented identically by the reference
-        #: and fast step paths, published via Network.publish_metrics.
+        #: grants / requests), published via Network.publish_metrics.
         self.alloc_counters = {
             "sa_requests": 0, "sa_grants": 0,
             "pc_requests": 0, "pc_grants": 0,
@@ -156,6 +194,38 @@ class Router:
         self.downstream_router = [None] * P  # Router id beyond output o, or None
         self.is_terminal_port = [False] * P
 
+        # Per-step constants hoisted out of the per-VC loops.
+        #: VC index tuples per traffic class (``vc_class_range``).
+        self._class_vcs = [
+            tuple(config.vc_class_range(c)) for c in range(config.num_classes)
+        ]
+        self._age_mode = self.starvation.mode is StarvationMode.AGE
+        self._threshold_mode = self.starvation.mode is StarvationMode.THRESHOLD
+        self._starv_disabled = self.starvation.mode is StarvationMode.DISABLED
+        self._chain_enabled = self.scheme.enabled
+        self._num_vcs = V
+        self._pc_priorities = config.pc_priorities
+        #: Immutable all-None connection row: the start-of-cycle
+        #: snapshot whenever no connection is held (the common case).
+        self._none_row = (None,) * P
+        #: Reused for request_matrix() (its candidate list is replaced
+        #: wholesale each cycle; nothing retains it across cycles).
+        self._pc_builder = PCRequestBuilder(self.scheme)
+        #: (input flit queue, credit-return queue, VC list) per wired
+        #: port, resolved on the first receive(): the channels are wired
+        #: by Network after construction and never replaced afterwards
+        #: (checkpoint restore loads into them).
+        self._rx = None
+        #: (queue, delay) pairs of the output flit and upstream credit
+        #: channels, resolved on the first send.
+        self._tx = None
+        #: Look-ahead route memo for plain XY DOR: with no faults and no
+        #: detour state, next_hop is a pure function of (downstream
+        #: router, destination terminal). Other routing functions call
+        #: through uncached, and so does DOR once Network.attach_faults
+        #: has set this to None.
+        self._route_cache = {} if type(routing) is DORMesh else None
+
     def _alloc_seed(self, role):
         # Distinct per (config seed, router, allocator role); the exact
         # mixing only has to be stable, not cryptographic.
@@ -171,7 +241,8 @@ class Router:
         Channels are owned by their writer, so the write-side channels
         here (``out_flit_channels``, ``credit_up_channels``) cover every
         inter-router channel exactly once; terminal injection/ejection
-        channels are owned by sources and sinks.
+        channels are owned by sources and sinks. The occupancy masks
+        and channel caches are derived state and are not serialized.
         """
         return {
             "in_vcs": [
@@ -241,204 +312,173 @@ class Router:
         for chan, s in zip(self.credit_up_channels, state["credit_up_channels"]):
             if chan is not None:
                 chan.load_state(s, ctx)
+        # The restore replaced the per-port credit lists the receive
+        # cache captured; re-resolve both channel caches lazily.
+        self._rx = None
+        self._tx = None
 
     # ------------------------------------------------------------------
     # Phase A: arrivals (called by Network before any router allocates)
     # ------------------------------------------------------------------
 
     def receive(self, cycle):
+        rx = self._rx
+        if rx is None:
+            # Wired ports only (unwired ports never deliver anything);
+            # flit and credit sides split so each loop touches exactly
+            # the state it needs.
+            rx = self._rx = (
+                [
+                    (p, ch._queue, self.in_vcs[p])
+                    for p, ch in enumerate(self.in_flit_channels)
+                    if ch is not None
+                ],
+                [
+                    (ch._queue, self.credits[p])
+                    for p, ch in enumerate(self.credit_return_channels)
+                    if ch is not None
+                ],
+            )
         tr = self.trace
+        tr_active = tr.active
+        occ = self._occ_mask
+        fill = self._fill
         fv = self.faults
-        for p in range(self.radix):
-            chan = self.in_flit_channels[p]
-            if chan is not None:
-                for flit in chan.receive(cycle):
-                    if fv is not None and fv.intercept(self, p, flit, cycle):
-                        continue
-                    self.in_vcs[p][flit.vc].push(flit)
-                    if tr.active and flit.is_head:
-                        # Head arrival anchors the per-hop span: the
-                        # wait until sa_grant/pc_chain is allocation
-                        # latency (obs.spans).
-                        tr.emit(
-                            "head_arrived", cycle, router=self.router_id,
-                            in_port=p, vc=flit.vc, pid=flit.packet.pid,
-                        )
-            chan = self.credit_return_channels[p]
-            if chan is not None:
-                for vc in chan.receive(cycle):
-                    self.credits[p][vc] += 1
+        for p, fq, vcs in rx[0]:
+            while fq and fq[0][0] <= cycle:
+                due, flit = fq.popleft()
+                if due < cycle:
+                    raise AssertionError(
+                        "channel item missed its delivery cycle"
+                    )
+                if fv is not None and fv.intercept(self, p, flit, cycle):
+                    continue
+                # VirtualChannel.push(), inlined.
+                vcobj = vcs[flit.vc]
+                if len(vcobj.queue) >= vcobj.capacity:
+                    raise OverflowError(
+                        "VC buffer overflow (credit protocol violated)"
+                    )
+                vcobj.queue.append(flit)
+                fill[0] += 1
+                occ[p] |= 1 << flit.vc
+                if tr_active and flit.is_head:
+                    # Head arrival anchors the per-hop span: the wait
+                    # until sa_grant/pc_chain is allocation latency
+                    # (obs.spans).
+                    tr.emit(
+                        "head_arrived", cycle, router=self.router_id,
+                        in_port=p, vc=flit.vc, pid=flit.packet.pid,
+                    )
+        for cq, port_credits in rx[1]:
+            while cq and cq[0][0] <= cycle:
+                due, vc = cq.popleft()
+                if due < cycle:
+                    raise AssertionError(
+                        "channel item missed its delivery cycle"
+                    )
+                port_credits[vc] += 1
 
     # ------------------------------------------------------------------
     # Phase B: allocation and traversal
     # ------------------------------------------------------------------
 
     def step(self, cycle):
+        """One cycle: the module docstring's phases in order, each timed
+        under its :data:`repro.obs.profiler.PHASES` name when profiled."""
         fv = self.faults
         if fv is not None:
             self._fault_prepass(cycle, fv)
-        if self._fill[0] == 0 and self._no_held_connections():
-            # Fully idle: no buffered flits, no held connections. None
-            # of the pipeline phases can do anything (no releases, no
-            # streaming, no SA/PC requests, no VC waits, no ages), so
-            # skip the connection-table copies and set/dict churn
-            # entirely. The only per-cycle state an idle router evolves
-            # is the chaining cycle counter.
-            if self.scheme.enabled:
+        held_any = self.conn_out.count(None) != self.radix
+        if not held_any and self._fill[0] == 0:
+            # Fully idle: no phase can do anything; only the chaining
+            # cycle counter evolves.
+            if self._chain_enabled:
                 self.chain_stats.cycles += 1
             return
-        if self.profiler is not None:
-            self._step_profiled(cycle)
-        else:
-            self._step_unprofiled(cycle)
-
-    def _no_held_connections(self):
-        for held in self.conn_out:
-            if held is not None:
-                return False
-        return True
-
-    def _step_unprofiled(self, cycle):
-        """The pipeline phases with zero profiling overhead.
-
-        Kept free of ``perf_counter`` lookups and ``prof is not None``
-        branches; :meth:`_step_profiled` is the timed twin. Both must
-        execute the same phase sequence.
-        """
-        conn_in_start = list(self.conn_in)
-        conn_out_start = list(self.conn_out)
-
-        released_inputs = set()  # inputs freed this cycle (any reason)
-        inhibited = set()  # inputs/outputs barred from chaining this cycle
-        releasing = {}  # output -> (input, vc): tail departed, chainable
-
-        self._forced_releases(cycle, released_inputs, inhibited)
-        departed_vcs = self._stream_connections(
-            cycle, releasing, released_inputs, inhibited
-        )
-        sa_requests, sa_contrib, forming_tails = self._collect_sa_requests(
-            conn_in_start, conn_out_start
-        )
-        builder = None
-        pc_grants = {}
-        if self.scheme.enabled and (releasing or forming_tails):
-            builder = self._collect_pc_candidates(
-                conn_in_start, releasing, forming_tails, released_inputs,
-                inhibited, sa_requests,
-            )
-            matrix = self._pc_request_matrix(builder)
-            if matrix:
-                pc_grants = self.pc_alloc.allocate(matrix)
-                counters = self.alloc_counters
-                counters["pc_requests"] += len(matrix)
-                counters["pc_grants"] += len(pc_grants)
-        if sa_requests:
-            sa_grants = self.switch_alloc.allocate(sa_requests)
-            counters = self.alloc_counters
-            counters["sa_requests"] += len(sa_requests)
-            counters["sa_grants"] += len(sa_grants)
-        else:
-            sa_grants = {}
-        sa_winner_vc, sa_tail_outputs = self._commit_sa(
-            cycle, sa_grants, sa_contrib, departed_vcs
-        )
-        if pc_grants:
-            self._commit_pc(
-                cycle, pc_grants, builder, sa_grants, sa_winner_vc,
-                sa_tail_outputs, releasing, conn_out_start,
-            )
-        if self.split_va:
-            # VC allocation commits at the end of the cycle: newly
-            # allocated packets bid for the switch starting next cycle
-            # (the extra pipeline stage of a split VA router).
-            self._split_vc_allocation(cycle)
-        self._end_of_cycle(departed_vcs)
-        if self.scheme.enabled:
-            self.chain_stats.cycles += 1
-
-    def _pc_request_matrix(self, builder):
-        matrix = builder.request_matrix()
-        if matrix and not self.config.pc_priorities:
-            # Section 4.7 ablation: collapse the two PC classes
-            # (packet-level priorities remain).
-            matrix = {
-                pair: prio % PCRequestBuilder.CLASS_STRIDE
-                for pair, prio in matrix.items()
-            }
-        return matrix
-
-    def _step_profiled(self, cycle):
-        """Same phases as :meth:`_step_unprofiled`, with the profiler's
-        per-phase and per-allocator timers pre-bound once per cycle."""
         prof = self.profiler
-        now = perf_counter  # pre-bound: one global lookup per cycle
-        add = prof.add
-        t0 = now()
-        conn_in_start = list(self.conn_in)
-        conn_out_start = list(self.conn_out)
-
-        released_inputs = set()
-        inhibited = set()
-        releasing = {}
-
-        self._forced_releases(cycle, released_inputs, inhibited)
-        t1 = now(); add("release", t1 - t0); t0 = t1
-        departed_vcs = self._stream_connections(
-            cycle, releasing, released_inputs, inhibited
-        )
-        t1 = now(); add("stream", t1 - t0); t0 = t1
-
-        sa_requests, sa_contrib, forming_tails = self._collect_sa_requests(
-            conn_in_start, conn_out_start
-        )
-        t1 = now(); add("sa_collect", t1 - t0); t0 = t1
-
-        builder = None
-        pc_grants = {}
-        if self.scheme.enabled and (releasing or forming_tails):
-            builder = self._collect_pc_candidates(
-                conn_in_start, releasing, forming_tails, released_inputs,
-                inhibited, sa_requests,
+        t0 = perf_counter() if prof is not None else None
+        releasing = {}  # output -> (input, vc): tail departed, chainable
+        if held_any:
+            conn_in_start = self.conn_in.copy()
+            conn_out_start = self.conn_out.copy()
+            released_inputs = set()  # inputs freed this cycle (any reason)
+            inhibited = _NO_INHIBITS  # inputs/outputs barred from chaining
+            if not self._starv_disabled:
+                inhibited = set()
+                self._forced_releases(cycle, released_inputs, inhibited)
+            if prof is not None:
+                t0 = _lap(prof, "release", t0)
+            departed_vcs = self._stream_connections(
+                cycle, releasing, released_inputs, inhibited
             )
-            matrix = self._pc_request_matrix(builder)
-            if matrix:
-                ta = now()
-                pc_grants = self.pc_alloc.allocate(matrix)
-                prof.add_component("pc", self._prof_pc, now() - ta)
-                counters = self.alloc_counters
-                counters["pc_requests"] += len(matrix)
-                counters["pc_grants"] += len(pc_grants)
-        t1 = now(); add("pc", t1 - t0); t0 = t1
-
-        if sa_requests:
-            ta = now()
-            sa_grants = self.switch_alloc.allocate(sa_requests)
-            prof.add_component("sa", self._prof_sa, now() - ta)
-            counters = self.alloc_counters
-            counters["sa_requests"] += len(sa_requests)
-            counters["sa_grants"] += len(sa_grants)
+            if prof is not None:
+                t0 = _lap(prof, "stream", t0)
         else:
-            sa_grants = {}
+            # Nothing held: the start-of-cycle snapshot is the shared
+            # all-None row, and nothing releases or streams.
+            conn_in_start = conn_out_start = self._none_row
+            released_inputs = inhibited = _NO_INHIBITS
+            departed_vcs = set()
+        sa_requests, sa_contrib, forming_tails, scan, waiters = \
+            self._scan_fronts(conn_in_start, conn_out_start)
+        if prof is not None:
+            t0 = _lap(prof, "sa_collect", t0)
+        pc_grants = {}
+        if self._chain_enabled and (releasing or forming_tails):
+            candidates, matrix = self._collect_pc(
+                scan, conn_in_start, releasing, forming_tails,
+                released_inputs, inhibited, sa_requests,
+            )
+            if matrix:
+                pc_grants = self._allocate(self.pc_alloc, matrix, "pc")
+        if prof is not None:
+            t0 = _lap(prof, "pc", t0)
+        sa_grants = self._allocate(
+            self.switch_alloc, sa_requests, "sa"
+        ) if sa_requests else {}
         sa_winner_vc, sa_tail_outputs = self._commit_sa(
             cycle, sa_grants, sa_contrib, departed_vcs
         )
-        t1 = now(); add("sa", t1 - t0); t0 = t1
-
+        if prof is not None:
+            t0 = _lap(prof, "sa", t0)
         if pc_grants:
             self._commit_pc(
-                cycle, pc_grants, builder, sa_grants, sa_winner_vc,
-                sa_tail_outputs, releasing, conn_out_start,
+                cycle, pc_grants, candidates, sa_grants, sa_winner_vc,
+                sa_tail_outputs, releasing,
             )
-        t1 = now(); add("pc", t1 - t0); t0 = t1
-
+        if prof is not None:
+            t0 = _lap(prof, "pc", t0)
         if self.split_va:
             self._split_vc_allocation(cycle)
-        t1 = now(); add("vc_alloc", t1 - t0); t0 = t1
+        if prof is not None:
+            t0 = _lap(prof, "vc_alloc", t0)
+        self._end_of_cycle(waiters, departed_vcs)
+        if prof is not None:
+            _lap(prof, "end", t0)
 
-        self._end_of_cycle(departed_vcs)
-        if self.scheme.enabled:
-            self.chain_stats.cycles += 1
-        add("end", now() - t0)
+    def _allocate(self, alloc, requests, role):
+        """Run one allocator on a request matrix and count the call.
+
+        ``role`` ("sa", "pc" or "vc") names the ``alloc_counters`` pair;
+        with a profiler the call's wall time is attributed to the
+        allocator kind within the role's phase.
+        """
+        prof = self.profiler
+        if prof is None:
+            grants = alloc.allocate(requests)
+        else:
+            t0 = perf_counter()
+            grants = alloc.allocate(requests)
+            prof.add_component(
+                "vc_alloc" if role == "vc" else role,
+                self._prof_pc if role == "pc" else self._prof_sa,
+                perf_counter() - t0,
+            )
+        counters = self.alloc_counters
+        counters[role + "_requests"] += len(requests)
+        counters[role + "_grants"] += len(grants)
+        return grants
 
     # --- 0. fault pre-pass (only when fault injection is attached) -------
 
@@ -530,6 +570,8 @@ class Router:
             if up is not None:
                 up.send(v, cycle)
             fv.flit_purged(self, p, flit, cycle)
+        if not vcobj.queue:
+            self._occ_mask[p] &= ~(1 << v)
 
     # --- 1. starvation-control releases --------------------------------
 
@@ -621,29 +663,42 @@ class Router:
     # --- 2. stream held connections ------------------------------------
 
     def _stream_connections(self, cycle, releasing, released_inputs, inhibited):
+        """Send one flit on every usable held connection.
+
+        Returns the set of VCs that sent a flit, encoded ``p * V + v``
+        (the encoding :meth:`_commit_sa` and :meth:`_end_of_cycle` use).
+        """
         departed_vcs = set()
+        num_vcs = self._num_vcs
+        conn_out = self.conn_out
+        in_vcs = self.in_vcs
+        credits = self.credits
         for o in range(self.radix):
-            held = self.conn_out[o]
+            held = conn_out[o]
             if held is None:
                 continue
             p, v = held
-            vcobj = self.in_vcs[p][v]
-            flit = vcobj.front()
+            vcobj = in_vcs[p][v]
+            q = vcobj.queue
             packet = vcobj.active_packet
-            if flit is None or packet is None or flit.packet is not packet:
+            if not q or packet is None or q[0].packet is not packet:
                 # Input VC empty (or desynchronized): unusable, release.
                 self._release(cycle, o, released_inputs, "empty")
                 continue
             w = vcobj.active_out_vc
-            if self.credits[o][w] == 0:
+            if credits[o][w] == 0:
                 # Output VC out of credits: unusable, release (Kumar et al.).
                 self._release(cycle, o, released_inputs, "no_credit")
                 continue
-            self._send_flit(cycle, flit, p, v, o, w)
-            departed_vcs.add((p, v))
+            flit = self._send_flit(cycle, vcobj, p, v, o, w)
+            departed_vcs.add(p * num_vcs + v)
             if flit.is_tail:
-                if self.scheme.enabled and self.starvation.chainable(self.conn_age[o]) \
-                        and ("out", o) not in inhibited:
+                if (
+                    self._chain_enabled
+                    and (not self._threshold_mode
+                         or self.starvation.chainable(self.conn_age[o]))
+                    and ("out", o) not in inhibited
+                ):
                     # Pseudo-circuit semantics (Ahn & Kim): reuse the
                     # connection only if no other VC wants the output;
                     # packet chaining holds it regardless (Section 5).
@@ -655,27 +710,63 @@ class Router:
                 self._release(cycle, o, released_inputs, "tail")
         return departed_vcs
 
-    def _send_flit(self, cycle, flit, p, v, o, w):
-        """Dequeue and launch a flit: credits, VC bookkeeping, look-ahead."""
-        vcobj = self.in_vcs[p][v]
-        vcobj.pop()
+    def _send_flit(self, cycle, vcobj, p, v, o, w):
+        """Dequeue and launch the front flit of input VC (p, v) on output
+        VC (o, w): credits, VC bookkeeping, look-ahead route, channel
+        sends. Returns the flit."""
+        tx = self._tx
+        if tx is None:
+            tx = self._tx = (
+                [
+                    (c._queue, c.delay) if c is not None else None
+                    for c in self.out_flit_channels
+                ],
+                [
+                    (c._queue, c.delay) if c is not None else None
+                    for c in self.credit_up_channels
+                ],
+            )
+        # VirtualChannel.pop(), inlined (fill cell and occupancy bit).
+        q = vcobj.queue
+        flit = q.popleft()
+        vcobj.wait_cycles = 0
+        self._fill[0] -= 1
+        if not q:
+            self._occ_mask[p] &= ~(1 << v)
         self.credits[o][w] -= 1
         flit.vc = w
-        if flit.is_tail:
+        is_tail = flit.is_tail
+        if is_tail:
             # The output VC frees as soon as the tail has been sent on
             # it; the next packet's flits follow in order behind it.
+            vcobj.active_packet = None
+            vcobj.active_out_port = None
+            vcobj.active_out_vc = None
             self.out_vc_busy[o][w] = False
         if flit.is_head:
             downstream = self.downstream_router[o]
             if downstream is not None:
-                flit.out_port, flit.vc_class = self.routing.next_hop(
-                    downstream, flit.packet
-                )
-        self.out_flit_channels[o].send(flit, cycle)
+                cache = self._route_cache
+                if cache is not None:
+                    key = (downstream, flit.packet.dest)
+                    hop = cache.get(key)
+                    if hop is None:
+                        hop = cache[key] = self.routing.next_hop(
+                            downstream, flit.packet
+                        )
+                    flit.out_port, flit.vc_class = hop
+                else:
+                    flit.out_port, flit.vc_class = self.routing.next_hop(
+                        downstream, flit.packet
+                    )
+        # PipelinedChannel.send(), inlined, for the flit and its credit.
+        oq, odelay = tx[0][o]
+        oq.append((cycle + odelay, flit))
         self.port_flits[o] += 1
-        up = self.credit_up_channels[p]
+        up = tx[1][p]
         if up is not None:
-            up.send(v, cycle)
+            uq, udelay = up
+            uq.append((cycle + udelay, v))
         tr = self.trace
         if tr.active:
             tr.emit(
@@ -683,257 +774,554 @@ class Router:
                 pid=flit.packet.pid, idx=flit.index, in_port=p, in_vc=v,
                 out_vc=w,
             )
-            if flit.is_tail:
+            if is_tail:
                 tr.emit(
                     "vc_free", cycle, router=self.router_id, port=o, vc=w,
                     pid=flit.packet.pid,
                 )
+        return flit
 
-    # --- 3. switch-allocator requests -----------------------------------
+    # --- 3. switch-allocator requests (and the VC-front scan) ------------
 
-    def _collect_sa_requests(self, conn_in_start, conn_out_start):
+    def _scan_fronts(self, conn_in_start, conn_out_start):
+        """Visit every occupied VC front once, in (port, VC) order.
+
+        Returns ``(sa_requests, sa_contrib, forming_tails, scan,
+        waiters)``: the OR-reduced SA request matrix, the per-(input,
+        output) contributing ``(vc, priority)`` lists, the SA-bidding
+        tails per output, the ``(p, v, vcobj, flit, active, o, connected)``
+        fronts the PC collector reuses (chaining only; VCs of connected
+        inputs included, since the PC pass considers them once
+        released), and the ``(p * V + v, vcobj, flit)`` fronts whose wait
+        counters the end of the cycle bumps unless they departed.
+        """
         sa_requests = {}
         sa_contrib = {}
         forming_tails = {}
+        scan = []
+        append_scan = scan.append
+        waiters = []
+        append_wait = waiters.append
+        num_vcs = self._num_vcs
         starv = self.starvation
+        age_mode = self._age_mode
+        in_vcs = self.in_vcs
+        credits = self.credits
+        occ = self._occ_mask
+        out_vc_busy = self.out_vc_busy
+        class_vcs = self._class_vcs
+        split_plain = self.split_va and not self.speculative_va
+        speculative = self.speculative_va
+        chain_enabled = self._chain_enabled
         fv = self.faults
         for p in range(self.radix):
-            if conn_in_start[p] is not None:
-                continue  # inputs connected at cycle start sit out of SA
-            for v, vcobj in enumerate(self.in_vcs[p]):
-                flit = vcobj.front()
-                if flit is None:
-                    continue
-                if vcobj.active_packet is not None:
-                    # Parked mid-packet: connection was released earlier;
-                    # re-bid using the already-assigned output VC.
+            mask = occ[p]
+            if not mask:
+                continue
+            connected = conn_in_start[p] is not None
+            vcs = in_vcs[p]
+            pbase = p * num_vcs
+            while mask:
+                v = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                vcobj = vcs[v]
+                flit = vcobj.queue[0]
+                active = vcobj.active_packet
+                if active is not None:
+                    # Parked mid-packet (its connection was released
+                    # earlier): re-bids with the assigned output VC.
                     o = vcobj.active_out_port
+                elif flit.is_head:
+                    o = flit.out_port
+                elif connected:
+                    # Body flit behind a connected stream: neither SA
+                    # nor PC nor the wait counters consider it.
+                    continue
+                else:  # pragma: no cover - body flit without state
+                    raise AssertionError(
+                        "body flit at VC front without state"
+                    )
+                if chain_enabled:
+                    append_scan((p, v, vcobj, flit, active, o, connected))
+                # Every front reaching here is a head or has an active
+                # packet (the end-of-cycle wait condition), and commits
+                # only mutate VCs they record in departed_vcs.
+                append_wait((pbase + v, vcobj, flit))
+                if connected:
+                    continue  # inputs connected at cycle start sit out of SA
+                if active is not None:
                     if conn_out_start[o] is not None:
                         continue
-                    if self.credits[o][vcobj.active_out_vc] == 0:
+                    if credits[o][vcobj.active_out_vc] == 0:
                         continue
-                elif flit.is_head:
-                    if self.split_va and not self.speculative_va:
+                else:
+                    if split_plain:
                         # Heads need a VC-allocator grant (a previous
                         # cycle) before they may bid for the switch.
                         continue
-                    o = flit.out_port
                     if conn_out_start[o] is not None:
                         continue
-                    if self._free_out_vc(o, flit.vc_class) is None:
+                    # A free output VC of the class (_free_out_vc).
+                    busy = out_vc_busy[o]
+                    creds = credits[o]
+                    for w in class_vcs[flit.vc_class]:
+                        if not busy[w] and creds[w] > 0:
+                            break
+                    else:
                         continue
-                else:  # pragma: no cover - body flit without state
-                    raise AssertionError("body flit at VC front without state")
-                if fv is not None and (flit.packet.killed or fv.is_dead_out(o)):
+                if fv is not None and (
+                    flit.packet.killed or o in fv.dead_out
+                ):
                     # Belt-and-braces: the fault pre-pass already purged
                     # or re-routed these, but a fault applied mid-cycle
                     # must never win allocation toward a dead port.
                     continue
-                prio = starv.packet_priority(flit.packet.priority, vcobj.wait_cycles)
-                if self.speculative_va:
-                    # Non-speculative requests (packets that already hold
-                    # an output VC) beat speculative head requests.
-                    if vcobj.active_packet is not None:
-                        prio += _NONSPECULATIVE_BOOST
+                if age_mode:
+                    prio = starv.packet_priority(
+                        flit.packet.priority, vcobj.wait_cycles
+                    )
+                else:
+                    prio = flit.packet.priority
+                if speculative and active is not None:
+                    # Non-speculative requests (packets that already
+                    # hold an output VC) beat speculative head requests.
+                    prio += _NONSPECULATIVE_BOOST
                 pair = (p, o)
-                if pair not in sa_requests or prio > sa_requests[pair]:
+                contrib = sa_contrib.get(pair)
+                if contrib is None:
                     sa_requests[pair] = prio
-                sa_contrib.setdefault(pair, []).append((v, prio))
+                    sa_contrib[pair] = [(v, prio)]
+                else:
+                    if prio > sa_requests[pair]:
+                        sa_requests[pair] = prio
+                    contrib.append((v, prio))
                 if flit.is_tail:
-                    forming_tails.setdefault(o, []).append((p, v))
-        return sa_requests, sa_contrib, forming_tails
+                    tails = forming_tails.get(o)
+                    if tails is None:
+                        forming_tails[o] = [(p, v)]
+                    else:
+                        tails.append((p, v))
+        return sa_requests, sa_contrib, forming_tails, scan, waiters
 
     def _free_out_vc(self, output, vc_class):
         """Lowest-numbered free output VC of the class with a credit."""
         credits = self.credits[output]
         busy = self.out_vc_busy[output]
-        for w in self.config.vc_class_range(vc_class):
+        for w in self._class_vcs[vc_class]:
             if not busy[w] and credits[w] > 0:
                 return w
         return None
 
     # --- 4. packet-chaining candidates ----------------------------------
 
-    def _collect_pc_candidates(
-        self, conn_in_start, releasing, forming_tails, released_inputs,
-        inhibited, sa_requests,
+    def _collect_pc(
+        self, scan, conn_in_start, releasing, forming_tails,
+        released_inputs, inhibited, sa_requests,
     ):
-        from repro.core.chaining import ChainingScheme
+        """PC candidates and their OR-reduced request matrix.
 
-        builder = PCRequestBuilder(self.scheme)
-        chainable_outputs = set(releasing) | set(forming_tails)
-        if not chainable_outputs:
-            return builder
-        if self.scheme is ChainingScheme.ANY_INPUT:
-            inputs = range(self.radix)
-        else:
-            # Same-input schemes only ever chain packets from the input
-            # that holds (or is forming) the connection.
-            inputs = {holder[0] for holder in releasing.values()}
-            inputs.update(
-                hp for holders in forming_tails.values() for hp, _ in holders
+        Candidate order — VCs ascending, a front flit's target before
+        the behind-the-tail target — decides priority ties in
+        :meth:`_commit_pc`, so both collectors keep it. ANY_INPUT, the
+        paper's full PC allocator, walks the SA scan's fronts and builds
+        the matrix (``PCRequestBuilder.request_matrix``) in the same
+        pass; every holder admits every candidate there, so the only
+        scheme test left is that a forming connection does not chain
+        onto its own (p, v). The same-input schemes visit only the
+        inputs holding or forming a connection.
+        """
+        builder = self._pc_builder
+        candidates = builder.candidates = []
+        add = candidates.append
+        chainable = set(releasing) | set(forming_tails)
+        if self.scheme is not ChainingScheme.ANY_INPUT:
+            self._collect_pc_same_input(
+                add, chainable, conn_in_start, releasing, forming_tails,
+                released_inputs, inhibited, sa_requests,
             )
-        for p in inputs:
-            input_connected = conn_in_start[p] is not None
-            input_released = p in released_inputs and ("in", p) not in inhibited
-            if input_connected and not input_released:
-                # Holding a connection beyond this cycle: no VC of this
-                # input can chain.
-                continue
-            for v, vcobj in enumerate(self.in_vcs[p]):
-                self._candidates_from_vc(
-                    builder, p, v, vcobj, input_connected,
-                    conn_in_start[p], releasing, forming_tails, sa_requests,
-                    chainable_outputs,
-                )
-        return builder
-
-    def _candidates_from_vc(
-        self, builder, p, v, vcobj, input_connected, input_start_output,
-        releasing, forming_tails, sa_requests, chainable_outputs,
-    ):
-        flit = vcobj.front()
-        if flit is None:
-            return
-
-        front_bids_sa = False
-        if vcobj.active_packet is not None:
-            targets = [(flit, vcobj.active_out_port, ())]
-            front_bids_sa = (p, vcobj.active_out_port) in sa_requests
-        elif flit.is_head:
-            targets = [(flit, flit.out_port, ())]
-            front_bids_sa = (p, flit.out_port) in sa_requests
-        else:  # pragma: no cover - body flit at front without VC state
-            return
-
-        # Flits behind an SA-bidding front flit (Section 2.4): only the
-        # next packet's head directly behind a departing tail can chain.
-        if front_bids_sa and flit.is_tail and len(vcobj.queue) > 1:
-            behind = vcobj.queue[1]
-            if behind.is_head:
-                targets.append((behind, behind.out_port, (("front_departs",),)))
-
-        if all(o not in chainable_outputs for _, o, _ in targets):
-            return
-
-        for cand_flit, o, extra_requires in targets:
-            requires = extra_requires
-            if input_connected and input_start_output != o:
-                # The candidate's input was part of another connection
-                # to a different output; the chain depends on that
-                # release, so it bids in the speculative class
-                # (Section 2.4). Same-output candidates are chaining
-                # onto their own input's releasing connection — the
-                # canonical (definite) case.
-                requires = (("own_release",),) + requires
-
-            if cand_flit is flit and front_bids_sa and not extra_requires:
-                # The front flit itself bids SA for this output; its
-                # only PC use is chaining onto a connection formed by a
-                # *different* tail for the same output this cycle.
-                if o not in forming_tails:
+            matrix = builder.request_matrix() if candidates else {}
+        else:
+            matrix = {}
+            stride = PCRequestBuilder.CLASS_STRIDE
+            definite_base = PC_PRIORITY_DEFINITE * stride
+            speculative_base = PC_PRIORITY_SPECULATIVE * stride
+            prio_cap = stride - 1
+            starv = self.starvation
+            threshold_mode = self._threshold_mode
+            conn_age = self.conn_age
+            credits = self.credits
+            out_vc_busy = self.out_vc_busy
+            class_vcs = self._class_vcs
+            for entry in scan:
+                o_front = entry[5]
+                if o_front is None:
                     continue
-
-            holder = None
-            if o in releasing:
-                holder = releasing[o]
-                conn_age = self.conn_age[o]
-            elif o in forming_tails:
-                requires = requires + (("sa_tail", o),)
-                conn_age = 0  # the connection forms this cycle
-            else:
-                continue
-
-            # Length-aware threshold check: don't chain a packet the
-            # starvation control would cut mid-transfer (Section 4.7).
-            remaining_flits = cand_flit.packet.size - cand_flit.index
-            if not self.starvation.chainable(conn_age, remaining_flits):
-                continue
-
-            if not self._pc_output_vc_ok(cand_flit, vcobj):
-                continue
-
-            if holder is not None:
-                admitted = scheme_admits(self.scheme, p, v, holder[0], holder[1])
-            else:
-                admitted = any(
-                    scheme_admits(self.scheme, p, v, hp, hv)
-                    for hp, hv in forming_tails[o]
-                    if not (cand_flit is flit and (hp, hv) == (p, v))
-                )
-            if not admitted:
-                continue
-            builder.add(
-                PCCandidate(
+                if o_front in chainable:
+                    p, v, vcobj, flit, active, _, connected = entry
+                    if connected and not (
+                        p in released_inputs and ("in", p) not in inhibited
+                    ):
+                        # Holding a connection beyond this cycle: no VC of
+                        # this input can chain.
+                        continue
+                    q = vcobj.queue
+                    front_bids_sa = (p, o_front) in sa_requests
+                    # Flits behind an SA-bidding front flit (Section 2.4):
+                    # only the next packet's head directly behind a
+                    # departing tail can chain.
+                    behind = None
+                    if front_bids_sa and flit.is_tail and len(q) > 1:
+                        nxt = q[1]
+                        if nxt.is_head:
+                            behind = nxt
+                    # --- front-flit candidate (o_front) -------------------
+                    while True:  # single-pass block, break = skip
+                        o = o_front
+                        if front_bids_sa and o not in forming_tails:
+                            # The front bids SA for this output; its only PC
+                            # use is chaining onto a connection formed by a
+                            # *different* tail this cycle.
+                            break
+                        requires = ()
+                        if connected and conn_in_start[p] != o:
+                            # Chaining depends on the release of the input's
+                            # old connection: the speculative class.
+                            requires = (("own_release",),)
+                        holder = releasing.get(o)
+                        if holder is not None:
+                            age = conn_age[o]
+                        elif o in forming_tails:
+                            requires = requires + (("sa_tail", o),)
+                            age = 0  # the connection forms this cycle
+                        else:
+                            break
+                        # Length-aware threshold check: don't chain a packet
+                        # starvation control would cut (Section 4.7).
+                        if threshold_mode and not starv.chainable(
+                            age, flit.packet.size - flit.index
+                        ):
+                            break
+                        # Output-VC availability (Section 2.2 (b)+(c)).
+                        if active is not None:
+                            if credits[o][vcobj.active_out_vc] == 0:
+                                break
+                        else:
+                            busy = out_vc_busy[o]
+                            creds = credits[o]
+                            for w in class_vcs[flit.vc_class]:
+                                if not busy[w] and creds[w] > 0:
+                                    break
+                            else:
+                                break
+                        if holder is None:
+                            tails = forming_tails[o]
+                            if len(tails) == 1 and tails[0][0] == p \
+                                    and tails[0][1] == v:
+                                break
+                        prio = flit.packet.priority
+                        add(PCCandidate(
+                            input_port=p,
+                            vc=v,
+                            output_port=o,
+                            priority=prio,
+                            flit=flit,
+                            speculative=bool(requires),
+                            requires=requires,
+                        ))
+                        base = speculative_base if requires else definite_base
+                        if prio > prio_cap:
+                            prio = prio_cap
+                        elif prio < 0:
+                            prio = 0
+                        prio += base
+                        pair = (p, o)
+                        existing = matrix.get(pair)
+                        if existing is None or prio > existing:
+                            matrix[pair] = prio
+                        break
+                else:
+                    flit = entry[3]
+                    if not flit.is_tail:
+                        continue
+                    vcobj = entry[2]
+                    q = vcobj.queue
+                    if len(q) < 2:
+                        continue
+                    nxt = q[1]
+                    if not nxt.is_head:
+                        continue
+                    if nxt.out_port not in chainable:
+                        continue
+                    p = entry[0]
+                    connected = entry[6]
+                    if connected and not (
+                        p in released_inputs and ("in", p) not in inhibited
+                    ):
+                        continue
+                    if (p, o_front) not in sa_requests:
+                        continue
+                    v = entry[1]
+                    behind = nxt
+                # --- behind-the-tail candidate ----------------------------
+                if behind is None:
+                    continue
+                o = behind.out_port
+                requires = (("front_departs",),)
+                if connected and conn_in_start[p] != o:
+                    requires = (("own_release",), ("front_departs",))
+                holder = releasing.get(o)
+                if holder is not None:
+                    age = conn_age[o]
+                elif o in forming_tails:
+                    requires = requires + (("sa_tail", o),)
+                    age = 0
+                else:
+                    continue
+                if threshold_mode and not starv.chainable(
+                    age, behind.packet.size - behind.index
+                ):
+                    continue
+                busy = out_vc_busy[o]
+                creds = credits[o]
+                for w in class_vcs[behind.vc_class]:
+                    if not busy[w] and creds[w] > 0:
+                        break
+                else:
+                    continue
+                prio = behind.packet.priority
+                add(PCCandidate(
                     input_port=p,
                     vc=v,
                     output_port=o,
-                    priority=cand_flit.packet.priority,
-                    flit=cand_flit,
-                    speculative=bool(requires),
+                    priority=prio,
+                    flit=behind,
+                    speculative=True,
                     requires=requires,
-                )
-            )
+                ))
+                if prio > prio_cap:
+                    prio = prio_cap
+                elif prio < 0:
+                    prio = 0
+                prio += speculative_base
+                pair = (p, o)
+                existing = matrix.get(pair)
+                if existing is None or prio > existing:
+                    matrix[pair] = prio
+        if matrix and not self._pc_priorities:
+            # Section 4.7 ablation: collapse the two PC classes
+            # (packet-level priorities remain).
+            matrix = {
+                pair: prio % PCRequestBuilder.CLASS_STRIDE
+                for pair, prio in matrix.items()
+            }
+        return candidates, matrix
 
-    def _pc_output_vc_ok(self, flit, vcobj):
-        """Check (b)+(c) of Section 2.2: a usable output VC with credit."""
-        if vcobj.active_packet is not None and flit is vcobj.front():
-            # Partially transmitted packet: only its assigned VC is eligible.
-            return self.credits[vcobj.active_out_port][vcobj.active_out_vc] > 0
-        return self._free_out_vc(flit.out_port, flit.vc_class) is not None
+    def _collect_pc_same_input(
+        self, add, chainable, conn_in_start, releasing, forming_tails,
+        released_inputs, inhibited, sa_requests,
+    ):
+        """SAME_VC / SAME_INPUT candidates from the holding inputs only.
+
+        Most occupied VCs target a non-chainable output and exit after a
+        couple of dict probes, before any tuple is built.
+        """
+        scheme = self.scheme
+        # Same-input schemes only ever chain packets from the input that
+        # holds (or is forming) the connection. The set's construction
+        # fixes its iteration order, which the candidate order follows.
+        inputs = {holder[0] for holder in releasing.values()}
+        inputs.update(
+            hp for holders in forming_tails.values() for hp, _ in holders
+        )
+        occ = self._occ_mask
+        in_vcs = self.in_vcs
+        starv = self.starvation
+        threshold_mode = self._threshold_mode
+        conn_age = self.conn_age
+        credits = self.credits
+        out_vc_busy = self.out_vc_busy
+        class_vcs = self._class_vcs
+        for p in inputs:
+            input_start_output = conn_in_start[p]
+            input_connected = input_start_output is not None
+            if input_connected and not (
+                p in released_inputs and ("in", p) not in inhibited
+            ):
+                continue
+            mask = occ[p]
+            vcs = in_vcs[p]
+            while mask:
+                v = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                vcobj = vcs[v]
+                q = vcobj.queue
+                flit = q[0]
+                active = vcobj.active_packet
+                if active is not None:
+                    o_front = vcobj.active_out_port
+                elif flit.is_head:
+                    o_front = flit.out_port
+                else:  # body flit at front without VC state
+                    continue
+                front_bids_sa = (p, o_front) in sa_requests
+                behind = None
+                if front_bids_sa and flit.is_tail and len(q) > 1:
+                    nxt = q[1]
+                    if nxt.is_head:
+                        behind = nxt
+                front_chainable = o_front in chainable
+                if not front_chainable and (
+                    behind is None or behind.out_port not in chainable
+                ):
+                    continue
+                if front_chainable:
+                    targets = ((flit, o_front, False),)
+                    if behind is not None:
+                        targets = ((flit, o_front, False),
+                                   (behind, behind.out_port, True))
+                else:
+                    targets = ((behind, behind.out_port, True),)
+                for cand_flit, o, is_behind in targets:
+                    requires = (("front_departs",),) if is_behind else ()
+                    if input_connected and input_start_output != o:
+                        requires = (("own_release",),) + requires
+                    if not is_behind and front_bids_sa:
+                        if o not in forming_tails:
+                            continue
+                    holder = releasing.get(o)
+                    if holder is not None:
+                        age = conn_age[o]
+                    elif o in forming_tails:
+                        requires = requires + (("sa_tail", o),)
+                        age = 0
+                    else:
+                        continue
+                    if threshold_mode and not starv.chainable(
+                        age, cand_flit.packet.size - cand_flit.index
+                    ):
+                        continue
+                    if active is not None and cand_flit is flit:
+                        if credits[o_front][vcobj.active_out_vc] == 0:
+                            continue
+                    else:
+                        busy = out_vc_busy[o]
+                        creds = credits[o]
+                        for w in class_vcs[cand_flit.vc_class]:
+                            if not busy[w] and creds[w] > 0:
+                                break
+                        else:
+                            continue
+                    if holder is not None:
+                        admitted = scheme_admits(
+                            scheme, p, v, holder[0], holder[1]
+                        )
+                    elif cand_flit is flit:
+                        admitted = any(
+                            scheme_admits(scheme, p, v, hp, hv)
+                            and (hp, hv) != (p, v)
+                            for hp, hv in forming_tails[o]
+                        )
+                    else:
+                        admitted = any(
+                            scheme_admits(scheme, p, v, hp, hv)
+                            for hp, hv in forming_tails[o]
+                        )
+                    if not admitted:
+                        continue
+                    add(PCCandidate(
+                        input_port=p,
+                        vc=v,
+                        output_port=o,
+                        priority=cand_flit.packet.priority,
+                        flit=cand_flit,
+                        speculative=bool(requires),
+                        requires=requires,
+                    ))
 
     # --- 5. switch-allocation commit ------------------------------------
 
     def _commit_sa(self, cycle, sa_grants, sa_contrib, departed_vcs):
         sa_winner_vc = {}
         sa_tail_outputs = {}
+        if not sa_grants:
+            return sa_winner_vc, sa_tail_outputs
+        tr = self.trace
+        tr_active = tr.active
+        router_id = self.router_id
+        in_vcs = self.in_vcs
+        arbiters = self._sa_vc_arbiters
+        num_vcs = self._num_vcs
+        conn_in = self.conn_in
+        conn_out = self.conn_out
+        conn_age = self.conn_age
+        credits = self.credits
+        out_vc_busy = self.out_vc_busy
+        class_vcs = self._class_vcs
         for p, o in sa_grants.items():
+            # Map the port-level grant back to a VC: highest priority,
+            # ties to the round-robin arbiter (closest at/after pointer).
             entries = sa_contrib[(p, o)]
-            best = max(prio for _, prio in entries)
-            vcs = [v for v, prio in entries if prio == best]
-            v = self._sa_vc_arbiters[p].select(vcs)
-            self._sa_vc_arbiters[p].update(v)
-            vcobj = self.in_vcs[p][v]
-            flit = vcobj.front()
+            if len(entries) == 1:
+                v = entries[0][0]
+            else:
+                best = entries[0][1]
+                for _, prio in entries:
+                    if prio > best:
+                        best = prio
+                pointer = arbiters[p].pointer
+                best_dist = num_vcs
+                for vv, prio in entries:
+                    if prio == best:
+                        dist = (vv - pointer) % num_vcs
+                        if dist < best_dist:
+                            best_dist = dist
+                            v = vv
+            arbiters[p].pointer = (v + 1) % num_vcs
+            vcobj = in_vcs[p][v]
+            flit = vcobj.queue[0]
 
-            tr = self.trace
             if vcobj.active_packet is None:
-                w = self._free_out_vc(o, flit.vc_class)
-                if w is None:
+                # Lowest free output VC of the class (_free_out_vc).
+                ocredits = credits[o]
+                busy = out_vc_busy[o]
+                for w in class_vcs[flit.vc_class]:
+                    if not busy[w] and ocredits[w] > 0:
+                        break
+                else:
                     # Only reachable for speculative-VA head grants: the
                     # output VC pool changed since eligibility; the SA
                     # grant is wasted (the output idles this cycle).
                     self.wasted_speculations += 1
                     continue
                 vcobj.start_packet(flit.packet, o, w)
-                self.out_vc_busy[o][w] = True
-                if tr.active:
+                busy[w] = True
+                if tr_active:
                     tr.emit(
-                        "vc_alloc", cycle, router=self.router_id, port=o,
+                        "vc_alloc", cycle, router=router_id, port=o,
                         vc=w, pid=flit.packet.pid,
                     )
             else:
                 w = vcobj.active_out_vc
 
-            if tr.active:
+            if tr_active:
                 tr.emit(
-                    "sa_grant", cycle, router=self.router_id, port=o,
+                    "sa_grant", cycle, router=router_id, port=o,
                     pid=flit.packet.pid, in_port=p, vc=v, out_vc=w,
                 )
-            self._send_flit(cycle, flit, p, v, o, w)
-            departed_vcs.add((p, v))
+            self._send_flit(cycle, vcobj, p, v, o, w)
+            departed_vcs.add(p * num_vcs + v)
             sa_winner_vc[p] = v
             if flit.is_tail:
                 # Connection forms and releases in the same cycle; a
                 # chained packet may take it over (validated in PC commit).
                 sa_tail_outputs[o] = (p, v)
             else:
-                self.conn_in[p] = o
-                self.conn_out[o] = (p, v)
-                self.conn_age[o] = 0
-                if tr.active:
+                conn_in[p] = o
+                conn_out[o] = (p, v)
+                conn_age[o] = 0
+                if tr_active:
                     tr.emit(
-                        "conn_held", cycle, router=self.router_id, port=o,
+                        "conn_held", cycle, router=router_id, port=o,
                         in_port=p, vc=v, pid=flit.packet.pid,
                     )
         return sa_winner_vc, sa_tail_outputs
@@ -941,109 +1329,136 @@ class Router:
     # --- 6. packet-chaining commit / conflict detection ------------------
 
     def _commit_pc(
-        self, cycle, pc_grants, builder, sa_grants, sa_winner_vc,
-        sa_tail_outputs, releasing, conn_out_start,
+        self, cycle, pc_grants, candidates, sa_grants, sa_winner_vc,
+        sa_tail_outputs, releasing,
     ):
+        in_vcs = self.in_vcs
+        credits = self.credits
+        out_vc_busy = self.out_vc_busy
+        class_vcs = self._class_vcs
+        conn_in = self.conn_in
+        conn_out = self.conn_out
+        conn_age = self.conn_age
+        chain_stats = self.chain_stats
+        scheme = self.scheme
+        tr = self.trace
+        tr_active = tr.active
+        router_id = self.router_id
         for p, o in pc_grants.items():
-            candidates = builder.candidates_for(p, o)
+            # The candidates behind the port-level grant, definite class
+            # first (stable sort: insertion order breaks ties).
+            matches = [
+                c for c in candidates
+                if c.input_port == p and c.output_port == o
+            ]
+            if len(matches) > 1:
+                matches.sort(key=_pc_candidate_order)
             chosen = None
-            for cand in candidates:
-                if self._pc_candidate_valid(
-                    cand, p, o, sa_grants, sa_winner_vc, sa_tail_outputs
+            w = None
+            for cand in matches:
+                v = cand.vc
+                vcobj = in_vcs[p][v]
+                q = vcobj.queue
+                if not q or q[0] is not cand.flit:
+                    continue  # buffer moved unexpectedly
+                # Conflict detection: SA granted the same input. The
+                # only compatible case is the candidate directly behind
+                # the departing tail that won SA in the same VC (Section
+                # 2.4's lower-priority behind-the-head requests exist
+                # exactly to enable it).
+                if p in sa_grants and not (
+                    sa_winner_vc.get(p) == v
+                    and any(
+                        pv == (p, v) for pv in sa_tail_outputs.values()
+                    )
                 ):
-                    chosen = cand
-                    break
+                    continue
+                ok = True
+                for req in cand.requires:
+                    kind = req[0]
+                    if kind == "own_release":
+                        continue  # release happened during streaming
+                    if kind == "front_departs":
+                        if sa_winner_vc.get(p) != v:
+                            ok = False
+                            break
+                        continue
+                    if kind == "sa_tail":
+                        # Scheme filter against the actual connection
+                        # former.
+                        winner = sa_tail_outputs.get(req[1])
+                        if winner is None or not scheme_admits(
+                            scheme, p, v, winner[0], winner[1]
+                        ):
+                            ok = False
+                            break
+                        continue
+                    raise AssertionError(f"unknown PC requirement {req!r}")
+                if not ok:
+                    continue
+                # Re-check an output VC is available *now* (tails freed
+                # VCs and SA winners claimed VCs during this cycle).
+                if vcobj.active_packet is not None:
+                    if credits[vcobj.active_out_port][
+                        vcobj.active_out_vc
+                    ] == 0:
+                        continue
+                    w = None  # keeps its already-assigned VC
+                else:
+                    busy = out_vc_busy[o]
+                    creds = credits[o]
+                    for w in class_vcs[cand.flit.vc_class]:
+                        if not busy[w] and creds[w] > 0:
+                            break
+                    else:
+                        continue
+                chosen = cand
+                break
             if chosen is None:
                 if p in sa_grants:
-                    self.chain_stats.conflicts += 1
+                    chain_stats.conflicts += 1
                 else:
-                    self.chain_stats.speculation_failures += 1
+                    chain_stats.speculation_failures += 1
                 continue
-            self._establish_chain(cycle, chosen, o, releasing, sa_tail_outputs)
-
-    def _behind_winning_tail(self, cand, p, sa_winner_vc, sa_tail_outputs):
-        """True if cand sits directly behind this input's SA-granted tail."""
-        return (
-            sa_winner_vc.get(p) == cand.vc
-            and any(pv == (p, cand.vc) for pv in sa_tail_outputs.values())
-        )
-
-    def _pc_candidate_valid(
-        self, cand, p, o, sa_grants, sa_winner_vc, sa_tail_outputs
-    ):
-        vcobj = self.in_vcs[p][cand.vc]
-        if vcobj.front() is not cand.flit:
-            return False  # buffer moved unexpectedly
-        # Conflict detection: SA granted the same input. The only
-        # compatible case is the candidate directly behind the departing
-        # tail that won SA in the same VC (Section 2.4's lower-priority
-        # behind-the-head requests exist exactly to enable it).
-        if p in sa_grants and not self._behind_winning_tail(
-            cand, p, sa_winner_vc, sa_tail_outputs
-        ):
-            return False
-        for req in cand.requires:
-            kind = req[0]
-            if kind == "own_release":
-                # The release already happened during streaming (we only
-                # admitted released inputs), so nothing further to check.
-                continue
-            if kind == "front_departs":
-                if sa_winner_vc.get(p) != cand.vc:
-                    return False
-                continue
-            if kind == "sa_tail":
-                target = req[1]
-                winner = sa_tail_outputs.get(target)
-                if winner is None:
-                    return False
-                # Scheme filter against the actual connection former.
-                if not scheme_admits(self.scheme, p, cand.vc, winner[0], winner[1]):
-                    return False
-                continue
-            raise AssertionError(f"unknown PC requirement {req!r}")
-        # Re-check an output VC is available *now* (tails freed VCs and
-        # SA winners claimed VCs during this cycle).
-        if vcobj.active_packet is not None:
-            return self.credits[vcobj.active_out_port][vcobj.active_out_vc] > 0
-        return self._free_out_vc(o, cand.flit.vc_class) is not None
-
-    def _establish_chain(self, cycle, cand, o, releasing, sa_tail_outputs):
-        p, v = cand.input_port, cand.vc
-        vcobj = self.in_vcs[p][v]
-        tr = self.trace
-        if vcobj.active_packet is None:
-            w = self._free_out_vc(o, cand.flit.vc_class)
-            vcobj.start_packet(cand.flit.packet, o, w)
-            self.out_vc_busy[o][w] = True
-            if tr.active:
+            # Establish the chain.
+            v = chosen.vc
+            vcobj = in_vcs[p][v]
+            if vcobj.active_packet is None:
+                vcobj.start_packet(chosen.flit.packet, o, w)
+                out_vc_busy[o][w] = True
+                if tr_active:
+                    tr.emit(
+                        "vc_alloc", cycle, router=router_id, port=o,
+                        vc=w, pid=chosen.flit.packet.pid,
+                    )
+            conn_in[p] = o
+            conn_out[o] = (p, v)
+            holder = releasing.get(o)
+            if holder is None:
+                # Chained onto a connection formed (and released) by an
+                # SA tail grant this cycle: a fresh connection.
+                holder = sa_tail_outputs[o]
+                conn_age[o] = 0
+            # else: the connection persists across the chain; its age
+            # keeps accumulating so starvation control still triggers
+            # (Section 2.5).
+            same_input = holder[0] == p
+            same_vc = holder == (p, v)
+            chain_stats.record_chain(same_input=same_input, same_vc=same_vc)
+            if tr_active:
                 tr.emit(
-                    "vc_alloc", cycle, router=self.router_id, port=o, vc=w,
-                    pid=cand.flit.packet.pid,
+                    "pc_chain", cycle, router=router_id, port=o,
+                    pid=chosen.flit.packet.pid, in_port=p, vc=v,
+                    same_input=same_input, same_vc=same_vc,
+                    speculative=chosen.speculative,
                 )
-        self.conn_in[p] = o
-        self.conn_out[o] = (p, v)
-        holder = releasing.get(o)
-        if holder is None:
-            # Chained onto a connection formed (and released) by an SA
-            # tail grant this cycle: a fresh connection.
-            holder = sa_tail_outputs[o]
-            self.conn_age[o] = 0
-        # else: the connection persists across the chain; its age keeps
-        # accumulating so starvation control still triggers (Section 2.5).
-        self.chain_stats.record_chain(
-            same_input=holder[0] == p, same_vc=holder == (p, v)
-        )
-        if tr.active:
-            tr.emit(
-                "pc_chain", cycle, router=self.router_id, port=o,
-                pid=cand.flit.packet.pid, in_port=p, vc=v,
-                same_input=holder[0] == p, same_vc=holder == (p, v),
-                speculative=cand.speculative,
-            )
 
     def _split_vc_allocation(self, cycle):
         """Assign output VCs to waiting head flits (split-VA mode).
+
+        Runs at the end of the cycle: newly allocated packets bid for
+        the switch from the next cycle on (the extra pipeline stage of a
+        split VA router).
 
         Each unallocated head flit requests its lowest-numbered free
         output VC; the VC allocator resolves conflicts. Winners hold
@@ -1070,17 +1485,7 @@ class Router:
         if not requests:
             return
         tr = self.trace
-        prof = self.profiler
-        if prof is not None:
-            ta = perf_counter()
-            grants = self.vc_alloc.allocate(requests)
-            prof.add_component("vc_alloc", self._prof_sa,
-                               perf_counter() - ta)
-        else:
-            grants = self.vc_alloc.allocate(requests)
-        counters = self.alloc_counters
-        counters["vc_requests"] += len(requests)
-        counters["vc_grants"] += len(grants)
+        grants = self._allocate(self.vc_alloc, requests, "vc")
         for in_idx, out_idx in grants.items():
             p, v, flit, w = requesters[(in_idx, out_idx)]
             self.in_vcs[p][v].start_packet(flit.packet, flit.out_port, w)
@@ -1093,20 +1498,26 @@ class Router:
 
     # --- 7. end of cycle --------------------------------------------------
 
-    def _end_of_cycle(self, departed_vcs):
+    def _end_of_cycle(self, waiters, departed_vcs):
+        """Age held connections; bump the wait and blocked counters of
+        every front the SA scan saw that did not send a flit."""
+        conn_out = self.conn_out
+        conn_age = self.conn_age
         for o in range(self.radix):
-            if self.conn_out[o] is not None:
-                self.conn_age[o] += 1
-        for p in range(self.radix):
-            for v, vcobj in enumerate(self.in_vcs[p]):
-                if (p, v) in departed_vcs:
+            if conn_out[o] is not None:
+                conn_age[o] += 1
+        if departed_vcs:
+            for enc, vcobj, flit in waiters:
+                if enc in departed_vcs:
                     continue
-                flit = vcobj.front()
-                if flit is None:
-                    continue
-                if flit.is_head or vcobj.active_packet is not None:
-                    vcobj.wait_cycles += 1
-                    flit.packet.blocked_cycles += 1
+                vcobj.wait_cycles += 1
+                flit.packet.blocked_cycles += 1
+        else:
+            for _, vcobj, flit in waiters:
+                vcobj.wait_cycles += 1
+                flit.packet.blocked_cycles += 1
+        if self._chain_enabled:
+            self.chain_stats.cycles += 1
 
     # --- introspection ----------------------------------------------------
 
@@ -1116,6 +1527,6 @@ class Router:
         return sum(depth - c for c in self.credits[port])
 
     def total_buffered_flits(self):
-        return sum(
-            len(vc) for vcs in self.in_vcs for vc in vcs
-        )
+        # The shared fill cell is exact: every queue mutation (fault
+        # purges and router faults included) maintains it.
+        return self._fill[0]

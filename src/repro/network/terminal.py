@@ -6,11 +6,18 @@ into its router's terminal input port, and the credit state for that
 port's VCs. A sink consumes flits immediately and returns credits after
 the configured credit delay, and reports completed packets to the
 statistics collector.
+
+Both drive their channels' timestamped deques directly (one tuple per
+flit instead of a method call plus a list), and for plain XY DOR the
+source memoises the first-hop routing decision per (source,
+destination) until fault injection attaches (``prepare``/``next_hop``
+are pure there; see :class:`repro.network.router.Router`).
 """
 
 from collections import deque
 
 from repro.obs.trace import NULL_TRACE
+from repro.routing.dor import DORMesh
 
 
 class Source:
@@ -34,6 +41,16 @@ class Source:
         self.flits_sent = 0
         #: Cleared when the attached router dies (fault injection).
         self.alive = True
+        # Channel deques keep their identity across load_state (the
+        # channels load in place), so they are resolved once.
+        self._fq = flit_channel._queue
+        self._fdelay = flit_channel.delay
+        self._cq = credit_channel._queue
+        self._class_vcs = [
+            tuple(config.vc_class_range(c)) for c in range(config.num_classes)
+        ]
+        #: First-hop memo for plain XY DOR; Network.attach_faults drops it.
+        self._route_cache = {} if type(routing) is DORMesh else None
 
     def enqueue(self, packet):
         self.queue.append(packet)
@@ -72,68 +89,92 @@ class Source:
         return len(self.queue) + (1 if self._flits else 0)
 
     def receive_credits(self, cycle):
-        for vc in self.credit_channel.receive(cycle):
-            self.credits[vc] += 1
+        cq = self._cq
+        credits = self.credits
+        while cq and cq[0][0] <= cycle:
+            due, vc = cq.popleft()
+            if due < cycle:
+                raise AssertionError("channel item missed its delivery cycle")
+            credits[vc] += 1
 
     def step(self, cycle):
         """Send at most one flit into the injection channel."""
-        if not self._flits:
+        flits = self._flits
+        if not flits:
             self._start_next_packet(cycle)
-        if not self._flits:
-            return
-        if self._flits[0].packet.killed:
+            flits = self._flits
+            if not flits:
+                return
+        if flits[0].packet.killed:
             # Fault injection killed the packet mid-injection: its
             # remaining flits never enter the network (nothing was
             # charged for them, so nothing needs returning).
             self._flits = None
             self._vc = None
             return
-        if self.credits[self._vc] == 0:
+        vc = self._vc
+        if self.credits[vc] == 0:
             return
-        flit = self._flits.popleft()
-        flit.vc = self._vc
-        self.credits[self._vc] -= 1
-        self.flit_channel.send(flit, cycle)
+        flit = flits.popleft()
+        flit.vc = vc
+        self.credits[vc] -= 1
+        self._fq.append((cycle + self._fdelay, flit))
         self.flits_sent += 1
         tr = self.trace
         if tr.active:
             tr.emit(
                 "flit_injected", cycle, terminal=self.terminal,
-                pid=flit.packet.pid, idx=flit.index, vc=self._vc,
+                pid=flit.packet.pid, idx=flit.index, vc=vc,
             )
 
     def _start_next_packet(self, cycle):
-        if not self.queue:
+        queue = self.queue
+        if not queue:
             return
-        packet = self.queue[0]
+        packet = queue[0]
         # The routing decision (UGAL's adaptive choice) is made when the
         # head flit is about to enter the network, using then-current
         # local congestion.
-        self.routing.prepare(packet)
-        vc = self._pick_vc(packet.vc_class)
-        if vc is None:
+        routing = self.routing
+        cache = self._route_cache
+        if cache is not None:
+            packet.route_state = None  # DORMesh.prepare(), inlined
+            key = (packet.src, packet.dest)
+            hop = cache.get(key)
+            if hop is None:
+                first_router, _ = routing.topology.terminal_attachment(
+                    packet.src
+                )
+                hop = cache[key] = routing.next_hop(first_router, packet)
+        else:
+            # Unmemoised routing calls next_hop only after the VC-credit
+            # gate passes: an adaptive function may consult state or
+            # mark the packet.
+            routing.prepare(packet)
+            hop = None
+        # Lowest-numbered VC of the class with a credit (Section 4.6).
+        credits = self.credits
+        for vc in self._class_vcs[packet.vc_class]:
+            if credits[vc] > 0:
+                break
+        else:
             return  # no credit on any VC of the class; retry next cycle
-        self.queue.popleft()
+        queue.popleft()
         flits = packet.flits()
-        first_router, _ = self.routing.topology.terminal_attachment(packet.src)
         head = flits[0]
+        if hop is None:
+            first_router, _ = routing.topology.terminal_attachment(packet.src)
+            hop = routing.next_hop(first_router, packet)
         # Look-ahead routing for the first hop: the output port at the
         # first router, and the VC class for the hop leaving it. The VC
-        # *index* at the first router (head.vc) is chosen below from the
-        # packet's initial class.
-        head.out_port, head.vc_class = self.routing.next_hop(first_router, packet)
+        # *index* at the first router (head.vc) is the one picked above
+        # from the packet's initial class.
+        head.out_port, head.vc_class = hop
         packet.time_injected = cycle
         if self.stats is not None:
             self.stats.record_injected(packet, cycle)
         self._flits = deque(flits)
         self._vc = vc
-
-    def _pick_vc(self, vc_class):
-        """Lowest-numbered VC of the class with a credit (Section 4.6)."""
-        for vc in self.config.vc_class_range(vc_class):
-            if self.credits[vc] > 0:
-                return vc
-        return None
 
 
 class Sink:
@@ -149,6 +190,9 @@ class Sink:
         #: Lifetime flits taken off the ejection channel (including
         #: discarded corrupted/killed ones — they left the network).
         self.flits_consumed = 0
+        self._fq = flit_channel._queue
+        self._cq = credit_channel._queue
+        self._cdelay = credit_channel.delay
 
     def state_dict(self, ctx):
         """Serialize sink state plus its write-side credit channel."""
@@ -162,10 +206,18 @@ class Sink:
         self.credit_channel.load_state(state["credit_channel"], ctx)
 
     def step(self, cycle):
+        fq = self._fq
+        cq = self._cq
+        cdelay = self._cdelay
+        stats = self.stats
         tr = self.trace
-        for flit in self.flit_channel.receive(cycle):
-            self.credit_channel.send(flit.vc, cycle)
-            self.flits_consumed += 1
+        consumed = 0
+        while fq and fq[0][0] <= cycle:
+            due, flit = fq.popleft()
+            if due < cycle:
+                raise AssertionError("channel item missed its delivery cycle")
+            cq.append((cycle + cdelay, flit.vc))
+            consumed += 1
             packet = flit.packet
             if packet.corrupted or packet.killed:
                 # End-to-end check failed (fault injection): the flit
@@ -180,10 +232,9 @@ class Sink:
                 continue
             if flit.is_tail:
                 packet.time_ejected = cycle
-                self.stats.record_ejected(packet, cycle)
-            self.stats.record_flit_ejected(flit, cycle)
+                stats.record_ejected(packet, cycle)
+            stats.record_flit_ejected(flit, cycle)
             if tr.active:
-                packet = flit.packet
                 fields = {
                     "terminal": self.terminal,
                     "pid": packet.pid,
@@ -194,3 +245,4 @@ class Sink:
                     fields["latency"] = cycle - packet.time_created
                     fields["blocked"] = packet.blocked_cycles
                 tr.emit("flit_ejected", cycle, **fields)
+        self.flits_consumed += consumed

@@ -6,8 +6,8 @@ terminal sources/sinks, the StatsCollector, the traffic injector, and
 the network RNG) gains a cheap rolling digest: a SHA-256 over the
 *canonical JSON* of its ``state_dict()`` output, using exactly the
 encoding checkpoints use (:func:`repro.checkpoint.canonical_json`), so
-the digest of a component is stable across processes, dict insertion
-orders, and backends.
+the digest of a component is stable across processes and dict
+insertion orders.
 
 The hierarchy is Merkle-style:
 
@@ -194,9 +194,7 @@ class DigestRecorder:
         header = {"kind": "header", "schema": DIGEST_SCHEMA,
                   "every": self.every, "observers": "final-only"}
         if config is not None:
-            config_dict = config.to_dict()
-            config_dict.pop("backend", None)  # digests are backend-blind
-            header["config"] = config_dict
+            header["config"] = config.to_dict()
         if run_spec is not None:
             header["run_spec"] = run_spec
         self._write(header)

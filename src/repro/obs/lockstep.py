@@ -1,9 +1,9 @@
 """Lockstep differential co-simulation and divergence bisection.
 
-Two deterministic runs of "the same" experiment — reference vs.
-``backend="fast"``, or two configs, or a live run vs. a recorded digest
-stream — are stepped cycle by cycle and compared through the
-hierarchical digests of :mod:`repro.obs.digest`. The first mismatching
+Two deterministic runs — of two configs, of one config with a test-time
+change on one side, or a live run vs. a recorded digest stream — are
+stepped cycle by cycle and compared through the hierarchical digests of
+:mod:`repro.obs.digest`. The first mismatching
 cycle is then drilled network → router/component → field, producing a
 machine-readable divergence report:
 
@@ -227,10 +227,6 @@ def build_report(a, b, window, max_diffs=MAX_DIFFS_PER_COMPONENT):
         "diffs": diffs,
         "trace_a": a.trace_tail(),
         "trace_b": b.trace_tail(),
-        "soa_consistent": {
-            "a": _soa_consistent(a.network),
-            "b": _soa_consistent(b.network),
-        },
     }
     return report
 
@@ -238,29 +234,9 @@ def build_report(a, b, window, max_diffs=MAX_DIFFS_PER_COMPONENT):
 def _side_info(side):
     return {
         "label": side.label,
-        "backend": getattr(side.config, "backend", None),
         "config": side.config.to_dict(),
         "cycle": side.network.cycle,
     }
-
-
-def _soa_consistent(network):
-    """SoA-vs-state_dict parity at the divergence point (fast side only).
-
-    None when the network has no SoA export; otherwise True/False —
-    False means the fast core's array state drifted from its own
-    canonical ``state_dict()``, which localizes the bug to the SoA
-    maintenance rather than the allocation logic.
-    """
-    if not hasattr(network, "state_arrays"):
-        return None
-    from repro.fastcore.soa import verify_state_arrays
-
-    try:
-        verify_state_arrays(network)
-    except AssertionError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,8 @@ def _load_final(out_dir, shard, expected_hash):
 def single_process_run(config, pattern="uniform", rate=0.2, packet_length=1,
                        lengths=None, warmup=1000, measure=3000, drain=2000,
                        seed=None):
-    """Single-process run of the same parameters on ``config.backend``,
-    returning ``(SimResult, digest_root)`` — the equivalence oracle for
+    """Single-process run of the same parameters, returning
+    ``(SimResult, digest_root)`` — the equivalence oracle for
     :func:`shard_run`. Resets the global packet-id counter first, as a
     fresh worker process would."""
     import random as _random
@@ -218,11 +218,9 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
 
     import multiprocessing
 
-    from repro.network.network import network_class
-
-    # Import the backend's modules before the first fork: workers of
-    # every attempt inherit them instead of each compiling its own copy.
-    network_class(config)
+    # The simulation core is imported (through repro.parallel.worker)
+    # before the first fork: workers of every attempt inherit it
+    # instead of each compiling its own copy.
     ctx = multiprocessing.get_context("fork")
     config_dict = config.to_dict()
     attempts = {i: 0 for i in range(shards)}

@@ -249,8 +249,8 @@ class _ShardWorker:
         self.wake_fd = options.get("wake_fd")
         self.peer_wake_fds = options.get("peer_wake_fds", ())
 
-        # Full network of ``config.backend``, masked to the shard (the
-        # exchange carries channel state, which both cores share).
+        # The full network, masked to the shard (the exchange carries
+        # channel state).
         self.stats = ShardStatsCollector(self.plan.topology.num_terminals)
         self.net = build_network(config, stats=self.stats)
         self.net.apply_shard_mask(self.plan.routers_of(shard),

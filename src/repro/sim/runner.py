@@ -265,8 +265,7 @@ def run_simulation(
     for end-to-end delivery, ``invariants`` an
     :class:`~repro.faults.invariants.InvariantChecker`, and
     ``watchdog`` a :class:`~repro.faults.watchdog.HangWatchdog`. Their
-    summaries land in ``SimResult.faults``. Both backends take all
-    four; ``config.backend`` is honored as given.
+    summaries land in ``SimResult.faults``.
 
     Checkpoint/restore (repro.checkpoint): ``checkpoint_path`` writes a
     snapshot every ``checkpoint_every`` cycles (default 1000; ``.gz``

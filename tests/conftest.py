@@ -16,7 +16,8 @@ settings.register_profile(
 )
 # Manual / CI soak of the generated differential tests (hundreds of
 # fresh whole-network examples instead of tier-1's derandomised slice):
-# ``pytest --hypothesis-profile soak tests/test_fastcore_equivalence.py``.
+# ``pytest --hypothesis-profile soak tests/test_fastcore_equivalence.py``
+# (and ``tests/test_shard.py -k generated``).
 settings.register_profile(
     "soak", settings.get_profile("repro"), max_examples=300,
 )

@@ -86,6 +86,12 @@ class TestAllocatorContract:
             alloc.allocate({(4, 0): 0})
         with pytest.raises(ValueError):
             alloc.allocate({(0, 4): 0})
+        state = alloc.state_dict()
+        for requests in ({(0, 1): 0, (4, 0): 0}, {(0, 1): 0, (1, 1): 0,
+                                                  (2, -1): 0}):
+            with pytest.raises(ValueError):
+                alloc.allocate(requests)
+        assert alloc.state_dict() == state  # refused before any update
 
     @settings(max_examples=60, deadline=None)
     @given(case=request_matrices())
@@ -97,6 +103,34 @@ class TestAllocatorContract:
             assert is_conflict_free(grants)
             for i, o in grants.items():
                 assert (i, o) in requests
+
+
+def allocation_call_sequences():
+    """(num_inputs, num_outputs, allocator seed, [requests, ...]).
+
+    Sizes are rectangular 1-10 x 1-10; every sequence has at least 20
+    calls whose densities run from empty through the single-request
+    short-circuit to fully dense, with up to four priority classes. The
+    matrices come from a drawn seed rather than from hypothesis itself
+    so that 20+ matrices of up to 100 cells stay cheap to generate.
+    """
+    def build(n_in, n_out, alloc_seed, matrix_seed, classes, densities):
+        rng = random.Random(matrix_seed)
+        calls = [
+            {(i, o): rng.randrange(classes)
+             for i in range(n_in) for o in range(n_out)
+             if rng.random() < density}
+            for density in densities
+        ]
+        return n_in, n_out, alloc_seed, calls
+
+    return st.builds(
+        build,
+        st.integers(1, 10), st.integers(1, 10),
+        st.integers(0, 2 ** 32), st.integers(0, 2 ** 32), st.integers(1, 4),
+        st.lists(st.sampled_from([0.0, 0.02, 0.05, 0.15, 0.4, 1.0]),
+                 min_size=20, max_size=28),
+    )
 
 
 class TestSeparable:
@@ -156,6 +190,20 @@ class TestSeparable:
         g3 = islip(3, 3, iterations=3).allocate(requests)
         assert len(g3) >= len(g1)
 
+    @settings(max_examples=80, deadline=None)
+    @given(case=allocation_call_sequences())
+    def test_property_single_pass_matches_iterative_loop(self, case):
+        """iSLIP-1's single-pass ``allocate`` against the generic loop it
+        specialises: same grants in the same order, same state, after
+        every call."""
+        n_in, n_out, _, calls = case
+        alloc = SeparableInputFirstAllocator(n_in, n_out)
+        oracle = SeparableInputFirstAllocator(n_in, n_out)
+        for requests in calls:
+            assert (list(alloc.allocate(requests).items())
+                    == list(oracle._allocate_iterative(requests).items()))
+            assert alloc.state_dict() == oracle.state_dict()
+
 
 class DenseSweepWavefront(WavefrontAllocator):
     """Test-only oracle: the dense per-class sweep ``allocate`` used to be.
@@ -203,34 +251,6 @@ class DenseSweepWavefront(WavefrontAllocator):
                     matched_outputs.add(o)
 
 
-def wavefront_call_sequences():
-    """(num_inputs, num_outputs, allocator seed, [requests, ...]).
-
-    Sizes are rectangular 1-10 x 1-10; every sequence has at least 20
-    calls whose densities run from empty through the single-request
-    short-circuit to fully dense, with up to four priority classes. The
-    matrices come from a drawn seed rather than from hypothesis itself
-    so that 20+ matrices of up to 100 cells stay cheap to generate.
-    """
-    def build(n_in, n_out, alloc_seed, matrix_seed, classes, densities):
-        rng = random.Random(matrix_seed)
-        calls = [
-            {(i, o): rng.randrange(classes)
-             for i in range(n_in) for o in range(n_out)
-             if rng.random() < density}
-            for density in densities
-        ]
-        return n_in, n_out, alloc_seed, calls
-
-    return st.builds(
-        build,
-        st.integers(1, 10), st.integers(1, 10),
-        st.integers(0, 2 ** 32), st.integers(0, 2 ** 32), st.integers(1, 4),
-        st.lists(st.sampled_from([0.0, 0.02, 0.05, 0.15, 0.4, 1.0]),
-                 min_size=20, max_size=28),
-    )
-
-
 class TestWavefront:
     def test_maximal_matching(self):
         """Wavefront guarantees maximality: no request can be added."""
@@ -272,7 +292,7 @@ class TestWavefront:
             assert blockers and max(blockers) >= prio
 
     @settings(max_examples=80, deadline=None)
-    @given(case=wavefront_call_sequences())
+    @given(case=allocation_call_sequences())
     def test_property_matches_dense_sweep_oracle(self, case):
         """Same grants in the same order, same state, after every call."""
         n_in, n_out, seed, calls = case

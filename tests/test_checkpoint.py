@@ -318,6 +318,23 @@ class TestCheckpointFiles:
         assert ck.saves == 2  # cycles 50 and 100
         assert ck.last_cycle == 100
 
+    def test_checkpoint_with_legacy_backend_key_resumes(self):
+        """A checkpoint written while the config still had a ``backend``
+        field (cycle 50 of a 4x4 run, ``"backend": "reference"``)
+        resumes to the uninterrupted run's result."""
+        from repro.sim.runner import resume_simulation
+
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "legacy_backend_checkpoint.json.gz")
+        assert load_checkpoint(path)["config"]["backend"] == "reference"
+        _fresh_pids()
+        expected = run_simulation(
+            mesh_config(mesh_k=4, seed=5, chaining="any_input"),
+            pattern="uniform", rate=0.3, warmup=40, measure=80, drain=60,
+        )
+        resumed = resume_simulation(path)
+        assert resumed.to_dict() == expected.to_dict()
+
 
 # ---------------------------------------------------------------------------
 # atomic writes (satellite)

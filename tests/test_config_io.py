@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from repro.checkpoint import canonical_run_spec, config_hash
 from repro.cli import main
 from repro.core.chaining import ChainingScheme
 from repro.network.config import NetworkConfig, fbfly_config, mesh_config
+from repro.traffic import FixedLength
 
 
 class TestConfigIO:
@@ -51,3 +53,27 @@ class TestConfigIO:
         )
         assert code == 0
         assert "chains" in out.getvalue()  # chaining came from the file
+
+
+class TestLegacyBackendKey:
+    """Configs written while the simulator had two cores carry a
+    ``"backend"`` key; they must load, and hash as they did then."""
+
+    LEGACY = dict(mesh_config(mesh_k=4, seed=5, chaining="any_input")
+                  .to_dict(), backend="reference")
+
+    def test_legacy_backend_key_is_dropped(self):
+        assert NetworkConfig.from_dict(self.LEGACY) == \
+            mesh_config(mesh_k=4, seed=5, chaining="any_input")
+
+    def test_other_unknown_keys_are_still_rejected(self):
+        with pytest.raises(ValueError, match="warp_factor"):
+            NetworkConfig.from_dict(dict(self.LEGACY, warp_factor=9))
+
+    def test_config_hash_is_unchanged(self):
+        # The value a checkpoint of this experiment recorded before the
+        # field was retired (the hash never covered it).
+        spec = canonical_run_spec("uniform", 0.3, FixedLength(1), 40, 80, 60)
+        assert config_hash(NetworkConfig.from_dict(self.LEGACY), spec) == (
+            "f51c8ff075a950e3ada3dad17f48efa586eb51e48d16e8b55b169af944e8c47a"
+        )

@@ -14,12 +14,6 @@ import sys
 import pytest
 
 from repro.checkpoint import SimulationKilled, load_checkpoint
-from repro.fastcore.soa import (
-    state_arrays,
-    state_arrays_from_state,
-    verify_state_arrays,
-)
-from repro.checkpoint import SnapshotContext
 from repro.network import flit as flitmod
 from repro.network.config import mesh_config
 from repro.obs.digest import (
@@ -35,6 +29,8 @@ from repro.obs.digest import (
     state_diff,
 )
 from repro.sim.runner import resume_simulation, run_simulation
+
+from tests.reference_core import reference_core
 
 RUN = dict(pattern="uniform", rate=0.3, warmup=100, measure=300, drain=200)
 
@@ -67,8 +63,10 @@ class TestFingerprintStability:
         assert a.fingerprint != b.fingerprint
 
     def test_backends_agree_on_fingerprint(self):
-        a = _run_with_digest(_config(backend="reference"))
-        b = _run_with_digest(_config(backend="fast"))
+        """The production core and the test oracle hash alike."""
+        with reference_core():
+            a = _run_with_digest(_config())
+        b = _run_with_digest(_config())
         assert a.fingerprint == b.fingerprint
 
     def test_fingerprint_stable_across_process_restarts(self, tmp_path):
@@ -180,7 +178,6 @@ class TestDigestStream:
         assert stream.header["schema"] == 1
         assert stream.every == 32
         assert stream.header["config"]["seed"] == 7
-        assert "backend" not in stream.header["config"]
         assert stream.fingerprint == recorder.fingerprint
         assert stream.cycles()  # periodic records present
         # The on-disk records cover the recorder's (the final record
@@ -230,61 +227,3 @@ class TestStateDiff:
     def test_equal_states_empty_diff(self):
         state = {"a": {"b": [1, {"c": None}]}}
         assert state_diff(state, json.loads(json.dumps(state))) == []
-
-
-# ---------------------------------------------------------------------------
-# SoA export is derivable from the same canonical state (satellite)
-
-
-class TestSoADerivability:
-    def _fast_mid_run(self):
-        import random
-
-        from repro.network.network import build_network
-        from repro.traffic.injection import BernoulliInjector, FixedLength
-        from repro.traffic.patterns import build_pattern
-
-        flitmod.set_next_packet_id(0)
-        config = _config(backend="fast")
-        net = build_network(config)
-        rng = random.Random(config.seed + 0x5EED)
-        pat = build_pattern("uniform", net.num_terminals, rng)
-        injector = BernoulliInjector(
-            net.num_terminals, pat, 0.3, FixedLength(1), rng
-        )
-        net.stats.set_window(100, 400)
-        for _ in range(150):
-            for packet in injector.generate(net.cycle):
-                net.inject(packet)
-            net.step()
-        return net
-
-    def test_soa_export_matches_state_dict_derivation(self):
-        net = self._fast_mid_run()
-        live = verify_state_arrays(net)
-        derived = state_arrays_from_state(
-            [r.state_dict(SnapshotContext()) for r in net.routers],
-            net.config.num_vcs,
-        )
-        assert set(live) == set(derived)
-
-    def test_drifted_array_is_named(self):
-        net = self._fast_mid_run()
-        router = net.routers[3]
-        router.credits[1][0] += 5  # live-object drift vs nothing: still
-        # consistent — state_dict reads the same live object.
-        verify_state_arrays(net)
-        # Simulate genuine SoA drift: state_arrays reads live objects,
-        # so fake a mismatch by comparing against tampered state blobs.
-        states = [r.state_dict(SnapshotContext()) for r in net.routers]
-        states[3]["credits"][1][0] -= 5
-        derived = state_arrays_from_state(states, net.config.num_vcs)
-        live = state_arrays(net)
-        same = {
-            key: (live[key] == derived[key]
-                  if isinstance(live[key], list)
-                  else bool((live[key] == derived[key]).all()))
-            for key in live
-        }
-        assert not same["credits"]
-        assert all(v for k, v in same.items() if k != "credits")

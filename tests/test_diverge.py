@@ -1,10 +1,12 @@
 """The lockstep divergence microscope, end to end.
 
-The acceptance bar from the issue: inject an off-by-one into the fast
-core's allocator fast path (test-only monkeypatch) and ``repro diverge
-ref-vs-fast`` must pinpoint the exact first divergent cycle, the owning
-router, and the drifted arbiter-pointer field — via the library API and
-via the CLI, with a machine-readable report.
+The acceptance bar: inject an off-by-one into one side's allocator (a
+test-only, per-instance patch on side B) and the microscope must
+pinpoint the exact first divergent cycle, the owning router, and the
+drifted arbiter-pointer field — via the library API and via the CLI,
+with a machine-readable report. Without the bug, the production core
+and the test oracle (``tests/reference_core.py``) run in lockstep to
+the end.
 """
 
 import io
@@ -13,9 +15,9 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.fastcore.allocators import FastSeparableInputFirstAllocator
 from repro.network import flit as flitmod
 from repro.network.config import mesh_config
+from repro.obs import lockstep
 from repro.obs.digest import DigestRecorder, read_digest_stream
 from repro.obs.lockstep import (
     LockstepSide,
@@ -26,45 +28,74 @@ from repro.obs.lockstep import (
 )
 from repro.sim.runner import run_simulation
 
+from tests.reference_core import reference_core
+
 SPEC = dict(pattern="uniform", rate=0.3, warmup=100, measure=300, drain=200)
 
 
-def _config(seed=1, backend="reference", **kw):
-    # Side A, recorded streams and standalone probes name the reference
-    # core: a comparison of fast against fast would prove nothing.
-    return mesh_config(mesh_k=4, chaining="any_input", seed=seed,
-                       backend=backend, **kw)
+def _config(seed=1, **kw):
+    return mesh_config(mesh_k=4, chaining="any_input", seed=seed, **kw)
 
 
-def _factories(seed=1, **spec):
+def break_allocators(side):
+    """Off-by-one in one side's switch-allocator grant bookkeeping.
+
+    Whenever more than one input requests, every granted input's
+    round-robin pointer is advanced one slot too far — exactly the kind
+    of subtle divergence the microscope exists to catch: the grants
+    themselves stay valid, only future arbitration drifts. Patched per
+    allocator instance, so the other side is untouched.
+    """
+    for router in side.network.routers:
+        alloc = router.switch_alloc
+        orig = alloc.allocate
+
+        def broken(requests, alloc=alloc, orig=orig):
+            grants = orig(requests)
+            if len(requests) > 1:
+                for i in grants:
+                    arb = alloc._input_arbiters[i]
+                    arb.pointer = (arb.pointer + 1) % alloc.num_outputs
+            return grants
+
+        alloc.allocate = broken
+    return side
+
+
+def oracle_factory(label, config, **spec):
+    """Like ``side_factory``, with the side built on the test oracle."""
+    def make():
+        with reference_core():
+            return LockstepSide(label, config, **spec)
+    return make
+
+
+def broken_factory(label, config, **spec):
+    """Like ``side_factory``, with the side's allocators broken."""
+    return lambda: break_allocators(LockstepSide(label, config, **spec))
+
+
+def _factories(seed=1, broken=False, **spec):
     spec = {**SPEC, **spec}
+    make_b = broken_factory if broken else side_factory
     return (
-        side_factory("reference", _config(seed=seed), **spec),
-        side_factory("fast", _config(seed=seed, backend="fast"), **spec),
+        oracle_factory("reference", _config(seed=seed), **spec),
+        make_b("fast", _config(seed=seed), **spec),
     )
 
 
 @pytest.fixture
-def broken_fast_allocator(monkeypatch):
-    """Inject an off-by-one into the fast allocator's grant bookkeeping.
+def broken_side_b(monkeypatch):
+    """``repro diverge`` builds side B (``--vs-config``) broken."""
+    real = lockstep.side_factory
 
-    Whenever more than one input requests, every granted input's
-    round-robin pointer is advanced one slot too far — exactly the kind
-    of subtle fast-path divergence the microscope exists to catch: the
-    grants themselves stay valid, only future arbitration drifts.
-    """
-    orig = FastSeparableInputFirstAllocator.allocate
+    def factory(label, config, **spec):
+        make = real(label, config, **spec)
+        if label == "a":
+            return make
+        return lambda: break_allocators(make())
 
-    def broken(self, requests):
-        grants = orig(self, requests)
-        if len(requests) > 1:
-            for i, o in grants.items():
-                self._input_arbiters[i].pointer = (
-                    self._input_arbiters[i].pointer + 1
-                ) % self.num_outputs
-        return grants
-
-    monkeypatch.setattr(FastSeparableInputFirstAllocator, "allocate", broken)
+    monkeypatch.setattr(lockstep, "side_factory", factory)
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +107,8 @@ class TestFindDivergence:
         make_a, make_b = _factories()
         assert find_divergence(make_a, make_b, every=64) is None
 
-    def test_injected_off_by_one_is_pinpointed(self, broken_fast_allocator):
-        make_a, make_b = _factories()
+    def test_injected_off_by_one_is_pinpointed(self):
+        make_a, make_b = _factories(broken=True)
         report = find_divergence(make_a, make_b, every=64)
 
         assert report is not None
@@ -97,25 +128,20 @@ class TestFindDivergence:
         pointer = next(d for d in report["diffs"][first]
                        if k_match(d["key"]))
         assert (pointer["b"] - pointer["a"]) % 5 == 1
-        # The fast side's SoA arrays still match its canonical state —
-        # the bug is in allocation, not array maintenance.
-        assert report["soa_consistent"]["b"] is True
-        assert report["side_a"]["backend"] == "reference"
-        assert report["side_b"]["backend"] == "fast"
+        assert report["side_a"]["label"] == "reference"
+        assert report["side_b"]["label"] == "fast"
         assert report["trace_a"] and report["trace_b"]
 
-    def test_coarse_and_fine_agree_on_cycle(self, broken_fast_allocator):
-        coarse = find_divergence(*_factories(), every=64)
-        fine = find_divergence(*_factories(), every=1)
+    def test_coarse_and_fine_agree_on_cycle(self):
+        coarse = find_divergence(*_factories(broken=True), every=64)
+        fine = find_divergence(*_factories(broken=True), every=1)
         assert coarse["cycle"] == fine["cycle"]
         assert coarse["components"] == fine["components"]
 
-    def test_run_lockstep_stride_brackets_divergence(
-        self, broken_fast_allocator
-    ):
-        make_a, make_b = _factories()
+    def test_run_lockstep_stride_brackets_divergence(self):
+        make_a, make_b = _factories(broken=True)
         window = run_lockstep(make_a(), make_b(), every=64)
-        exact = find_divergence(*_factories(), every=1)["cycle"]
+        exact = find_divergence(*_factories(broken=True), every=1)["cycle"]
         assert window is not None
         assert window.last_match < exact <= window.cycle
 
@@ -127,12 +153,12 @@ def k_match(key):
 class TestLockstepSides:
     def test_side_state_matches_standalone_run(self):
         """A lockstep side's pid windowing reproduces a fresh process."""
-        side = LockstepSide("probe", _config(), **SPEC)
+        side = oracle_factory("probe", _config(), **SPEC)()
         for _ in range(50):
             side.step()
         probe = side.digest()["root"]
 
-        other = LockstepSide("other", _config(backend="fast"), **SPEC)
+        other = LockstepSide("other", _config(), **SPEC)
         for _ in range(50):
             other.step()
         assert other.digest()["root"] == probe
@@ -154,21 +180,20 @@ class TestVsStream:
         path = str(tmp_path / name)
         recorder = DigestRecorder(every=32, path=path)
         recorder.write_header(_config(seed=seed))
-        run_simulation(_config(seed=seed), digest=recorder, **SPEC)
+        with reference_core():
+            run_simulation(_config(seed=seed), digest=recorder, **SPEC)
         return path
 
     def test_matching_stream_is_identical(self, tmp_path):
         path = self._record(tmp_path)
         stream = read_digest_stream(path)
-        side = LockstepSide("live", _config(backend="fast"), **SPEC)
+        side = LockstepSide("live", _config(), **SPEC)
         assert run_vs_stream(side, stream) is None
 
-    def test_bugged_live_run_diverges_from_stream(
-        self, tmp_path, broken_fast_allocator
-    ):
+    def test_bugged_live_run_diverges_from_stream(self, tmp_path):
         path = self._record(tmp_path)
         stream = read_digest_stream(path)
-        side = LockstepSide("live", _config(backend="fast"), **SPEC)
+        side = break_allocators(LockstepSide("live", _config(), **SPEC))
         report = run_vs_stream(side, stream)
         assert report is not None
         assert report["mode"] == "vs-stream"
@@ -198,17 +223,27 @@ CLI_ARGS = [
 ]
 
 
+def _vs_config_args(tmp_path):
+    cfg = str(tmp_path / "cfg.json")
+    _config().save(cfg)
+    return CLI_ARGS + ["--vs-config", cfg]
+
+
 class TestDivergeCLI:
-    def test_identical_backends_exit_zero(self):
-        code, text = run_cli(*CLI_ARGS)
+    def test_identical_configs_exit_zero(self, tmp_path):
+        code, text = run_cli(*_vs_config_args(tmp_path))
         assert code == 0
         assert "IDENTICAL" in text
 
-    def test_bug_is_reported_with_exit_one(
-        self, tmp_path, broken_fast_allocator
-    ):
+    def test_nothing_to_compare_exits_two(self):
+        code, text = run_cli(*CLI_ARGS)
+        assert code == 2
+        assert "--vs-config" in text and "--vs-digests" in text
+
+    def test_bug_is_reported_with_exit_one(self, tmp_path, broken_side_b):
         report_path = str(tmp_path / "report.json")
-        code, text = run_cli(*CLI_ARGS, "--report", report_path)
+        code, text = run_cli(*_vs_config_args(tmp_path),
+                             "--report", report_path)
         assert code == 1
         assert "DIVERGED" in text
         assert "router[" in text
@@ -220,27 +255,28 @@ class TestDivergeCLI:
         assert report["last_match_cycle"] == report["cycle"] - 1
         assert all(p.startswith("router[") for p in report["components"])
 
-    def test_json_output(self, broken_fast_allocator):
-        code, text = run_cli(*CLI_ARGS, "--json")
+    def test_json_output(self, tmp_path, broken_side_b):
+        code, text = run_cli(*_vs_config_args(tmp_path), "--json")
         assert code == 1
         report = json.loads(text)
         assert report["verdict"] == "diverged"
 
     def test_vs_digests_cli(self, tmp_path):
+        """A stream recorded on the oracle replays on the production core."""
         digest_path = str(tmp_path / "ref.jsonl")
         # In-process CLI: pids continue from earlier tests unless reset;
         # a standalone `repro run` process starts at 0, which is what
         # the lockstep side reproduces.
         flitmod.set_next_packet_id(0)
-        code, _ = run_cli(
-            "run", "--mesh-k", "4", "--chaining", "any_input", "--seed", "1",
-            "--rate", "0.3", "--warmup", "100", "--measure", "300",
-            "--drain", "200", "--digest", digest_path, "--digest-every", "32",
-            "--backend", "reference",
-        )
+        with reference_core():
+            code, _ = run_cli(
+                "run", "--mesh-k", "4", "--chaining", "any_input",
+                "--seed", "1", "--rate", "0.3", "--warmup", "100",
+                "--measure", "300", "--drain", "200",
+                "--digest", digest_path, "--digest-every", "32",
+            )
         assert code == 0
-        code, text = run_cli(*CLI_ARGS, "--backend", "fast",
-                             "--vs-digests", digest_path)
+        code, text = run_cli(*CLI_ARGS, "--vs-digests", digest_path)
         assert code == 0
         assert "IDENTICAL" in text
 
@@ -255,12 +291,4 @@ class TestDivergeCLI:
         args = list(CLI_ARGS)
         args[args.index("--seed") + 1] = "2"  # different experiment
         code, text = run_cli(*args, "--vs-digests", digest_path)
-        assert code == 2
-
-    def test_vs_backend_and_vs_config_are_exclusive(self, tmp_path):
-        cfg = str(tmp_path / "cfg.json")
-        with open(cfg, "w") as fh:
-            json.dump(_config().to_dict(), fh)
-        code, _ = run_cli(*CLI_ARGS, "--vs-backend", "fast",
-                          "--vs-config", cfg)
         assert code == 2

@@ -1,14 +1,15 @@
-"""Fast-core equivalence: the bit-identical correctness bar.
+"""Core equivalence: the production router against the test oracle.
 
-The structure-of-arrays core (``backend="fast"``) must be
-indistinguishable from the reference core on everything a run can
-export: bit-identical SimResult JSON, bit-identical metrics export, an
-identical trace-event stream, and checkpoints that round-trip across
-backends in both directions. Anything less and the fast core is a
-different simulator, not a faster one.
+The production core (``"fast"`` in the test names, the packed-occupancy
+core it grew from) must be indistinguishable from the per-object
+reference core kept in ``tests/reference_core.py`` (``"reference"``) on
+everything a run can export: bit-identical SimResult JSON, bit-identical
+metrics export, an identical trace-event stream, and checkpoints and
+snapshots that round-trip between the two in both directions. The
+oracle shares construction and wiring with production; what it cannot
+see, ``test_core_goldens.py`` pins.
 """
 
-import dataclasses
 import json
 import random
 
@@ -29,6 +30,7 @@ from repro.faults import (
 from repro.network import flit as flitmod
 from repro.network.config import NetworkConfig, mesh_config
 from repro.network.network import build_network
+from repro.network.router import Router
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MemorySink, TraceBus
 from repro.sim.runner import run_simulation
@@ -36,6 +38,14 @@ from repro.topology import build_topology
 from repro.traffic import BimodalLength, FixedLength
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.patterns import build_pattern
+
+from tests.reference_core import (
+    ReferenceRouter,
+    ReferenceSink,
+    ReferenceSource,
+    on_core,
+    reference_core,
+)
 
 
 RUN = dict(pattern="uniform", rate=0.3, warmup=100, measure=300, drain=200)
@@ -67,9 +77,22 @@ def _traced_run(config, **kw):
 
 
 def _both_backends(config, **kw):
-    ref = _traced_run(dataclasses.replace(config, backend="reference"), **kw)
-    fast = _traced_run(dataclasses.replace(config, backend="fast"), **kw)
-    return ref, fast
+    with reference_core():
+        ref = _traced_run(config, **kw)
+    return ref, _traced_run(config, **kw)
+
+
+def test_reference_core_builds_the_oracle():
+    """The swap is real, and undone on exit: otherwise every comparison
+    below would compare the production core with itself."""
+    config = mesh_config(mesh_k=4)
+    with reference_core():
+        net = build_network(config)
+    assert all(type(r) is ReferenceRouter for r in net.routers)
+    assert all(type(s) is ReferenceSource for s in net.sources)
+    assert all(type(s) is ReferenceSink for s in net.sinks)
+    net = build_network(config)
+    assert all(type(r) is Router for r in net.routers)
 
 
 @pytest.mark.parametrize("label", list(CONFIGS))
@@ -104,34 +127,28 @@ def test_fast_backend_matches_with_starvation_threshold():
     ("fast", "reference"),
 ])
 def test_checkpoint_round_trips_across_backends(tmp_path, first, second):
-    """A checkpoint taken under one backend restores under the other.
-
-    The config hash excludes the backend (it is an execution detail,
-    not an experiment parameter), so flipping it in the payload must
-    restore cleanly and converge on the uninterrupted run's answer.
-    """
+    """A checkpoint taken on one core restores on the other and
+    converges on the uninterrupted run's answer."""
     config = mesh_config(mesh_k=4, seed=5, chaining="any_input")
     ref, _ = _both_backends(config, **RUN)
 
     ck = str(tmp_path / "ck.json")
     flitmod.set_next_packet_id(0)
-    with pytest.raises(SimulationKilled):
+    with on_core(first), pytest.raises(SimulationKilled):
         run_simulation(
-            dataclasses.replace(config, backend=first),
-            checkpoint_path=ck, checkpoint_every=100, kill_at=250, **RUN,
+            config, checkpoint_path=ck, checkpoint_every=100, kill_at=250,
+            **RUN,
         )
     payload = load_checkpoint(ck)
-    assert payload["config"]["backend"] == first
-    payload = dict(payload, config=dict(payload["config"], backend=second))
 
     flitmod.set_next_packet_id(0)
     bus = TraceBus()
     sink = bus.attach(MemorySink())
     registry = MetricsRegistry()
-    result = run_simulation(
-        dataclasses.replace(config, backend=second),
-        trace=bus, metrics=registry, resume_from=payload, **RUN,
-    )
+    with on_core(second):
+        result = run_simulation(
+            config, trace=bus, metrics=registry, resume_from=payload, **RUN,
+        )
     assert json.dumps(result.to_dict(), sort_keys=True) == ref[0]
     assert json.dumps(registry.to_dict(), sort_keys=True) == ref[1]
     ck_cycle = payload["cycle"]
@@ -140,20 +157,16 @@ def test_checkpoint_round_trips_across_backends(tmp_path, first, second):
 
 
 def test_state_snapshot_round_trips_between_network_classes():
-    """network.snapshot() from one backend restores into the other."""
+    """network.snapshot() from one core restores into the other."""
     from repro.checkpoint import RestoreContext, SnapshotContext
-    from repro.network.network import build_network
-    from repro.sim.runner import run_simulation as _run  # noqa: F401
 
     config = mesh_config(mesh_k=4, seed=3, chaining="any_input")
-
-    # Drive a fast network for a while, snapshot it.
-    flitmod.set_next_packet_id(0)
-    _traced_run(dataclasses.replace(config, backend="fast"), **RUN)
-    # A fresh pair of networks: snapshot an idle reference network into
-    # a fast one and back; layouts must be interchangeable.
-    ref_net = build_network(dataclasses.replace(config, backend="reference"))
-    fast_net = build_network(dataclasses.replace(config, backend="fast"))
+    _traced_run(config, **RUN)
+    # A fresh pair of networks: snapshot an idle oracle network into a
+    # production one and back; layouts must be interchangeable.
+    with reference_core():
+        ref_net = build_network(config)
+    fast_net = build_network(config)
     ctx = SnapshotContext()
     state = ref_net.snapshot(ctx)
     fast_net.restore(state, RestoreContext(ctx.packets))
@@ -212,7 +225,7 @@ def fault_plans(draw, config):
 
 @st.composite
 def faulted_scenarios(draw):
-    """(config, run kwargs, fault plan) over everything both cores share.
+    """(config, run kwargs, fault plan) over everything the cores share.
 
     One-VC / depth-1 routers (the dynamic-VC-allocation paper's regime)
     are adversarial draws here, not features: they wedge and starve in
@@ -271,15 +284,16 @@ _MESH_DETOUR = (
 def test_generated_faulted_runs_are_bit_identical(scenario):
     config, run, plan = scenario
     outcomes = {}
-    for backend in ("reference", "fast"):
+    for core in ("reference", "fast"):
         # Plan, transport and checker are stateful: fresh per run.
-        outcomes[backend] = _traced_run(
-            dataclasses.replace(config, backend=backend),
-            faults=FaultPlan.from_dict(plan.to_dict()),
-            transport=ReliableTransport(timeout=128),
-            invariants=InvariantChecker(period=16),
-            **run,
-        )
+        with on_core(core):
+            outcomes[core] = _traced_run(
+                config,
+                faults=FaultPlan.from_dict(plan.to_dict()),
+                transport=ReliableTransport(timeout=128),
+                invariants=InvariantChecker(period=16),
+                **run,
+            )
     ref, fast = outcomes["reference"], outcomes["fast"]
     assert fast[0] == ref[0]  # SimResult JSON
     assert fast[1] == ref[1]  # metrics export
@@ -290,27 +304,29 @@ def test_generated_faulted_runs_are_bit_identical(scenario):
 def test_router_fault_keeps_the_fill_counter_exact(backend):
     """After a router fault, buffered-flit counts equal the queue lengths.
 
-    The fast core answers total_buffered_flits() / in_flight_flits()
-    from the routers' shared fill cells; a router fault that clears the
-    queues without them breaks flit conservation at the fault cycle.
+    total_buffered_flits() / in_flight_flits() are answered from the
+    routers' shared fill cells; a router fault that clears the queues
+    without them breaks flit conservation at the fault cycle.
     """
-    config = mesh_config(mesh_k=4, seed=3, backend=backend)
-    net = build_network(config)
-    controller = net.attach_faults(
-        FaultController(FaultPlan(routers=[RouterFault(router=5, cycle=60)]))
-    )
-    checker = net.attach_invariants(InvariantChecker(period=1))  # strict
-    rng = random.Random(7)
-    injector = BernoulliInjector(
-        net.num_terminals, build_pattern("uniform", net.num_terminals, rng),
-        0.45, FixedLength(4), rng,
-    )
-    for _ in range(80):
-        if net.cycle == 60:
-            assert net.routers[5].total_buffered_flits() > 0
-        for packet in injector.generate(net.cycle):
-            net.inject(packet)
-        net.step()
+    config = mesh_config(mesh_k=4, seed=3)
+    with on_core(backend):
+        net = build_network(config)
+        controller = net.attach_faults(
+            FaultController(FaultPlan(routers=[RouterFault(router=5,
+                                                           cycle=60)]))
+        )
+        checker = net.attach_invariants(InvariantChecker(period=1))  # strict
+        rng = random.Random(7)
+        injector = BernoulliInjector(
+            net.num_terminals, build_pattern("uniform", net.num_terminals, rng),
+            0.45, FixedLength(4), rng,
+        )
+        for _ in range(80):
+            if net.cycle == 60:
+                assert net.routers[5].total_buffered_flits() > 0
+            for packet in injector.generate(net.cycle):
+                net.inject(packet)
+            net.step()
     assert controller.failed_routers == 1
     assert checker.checks_run == 80
     for router in net.routers:

@@ -474,6 +474,19 @@ class TestRunnerIntegration:
                                 warmup=10, measure=20, drain=200)
         assert result.faults is None
 
+    def test_network_accepts_faults_and_transport(self):
+        net = Network(mesh_config(mesh_k=4))
+        plan = FaultPlan(links=[LinkFault(router=5, port=1, cycle=3)])
+        controller = net.attach_faults(FaultController(plan))
+        transport = net.attach_transport(ReliableTransport())
+        assert net.faults is controller and net.transport is transport
+        assert all(r.faults is not None for r in net.routers)
+        # Fault-aware DOR is not a pure function of (router, dest).
+        assert all(r._route_cache is None for r in net.routers)
+        assert all(s._route_cache is None for s in net.sources)
+        net.run(5)
+        assert controller.failed_links == 1
+
 
 class TestAcceptanceScenario:
     def test_8x8_chaining_recovers_after_faults(self):

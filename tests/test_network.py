@@ -6,13 +6,16 @@ negative or exceed buffer depth, and the network fully drains.
 """
 
 import random
+import subprocess
+import sys
 
 import pytest
 
 from repro.core.chaining import ChainingScheme
 from repro.network.config import fbfly_config, mesh_config
 from repro.network.flit import Packet
-from repro.network.network import Network
+from repro.network.network import Network, build_network
+from repro.network.router import Router
 
 
 def drain(net, max_cycles=2000):
@@ -214,3 +217,20 @@ class TestNetworkMisc:
                     net.inject(Packet(src, dest, 1, net.cycle))
             net.step()
         assert net.chain_stats().total_chains > 0
+
+    def test_build_network_builds_the_network(self):
+        net = build_network(mesh_config(mesh_k=4))
+        assert type(net) is Network
+        assert all(type(r) is Router for r in net.routers)
+
+    def test_core_does_not_import_numpy(self):
+        # A fresh interpreter: this process has long since imported it.
+        code = (
+            "import sys\n"
+            "from repro.network.config import mesh_config\n"
+            "from repro.network.network import build_network\n"
+            "net = build_network(mesh_config(mesh_k=4))\n"
+            "net.run(3)\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

@@ -205,3 +205,15 @@ def test_is_profile_dict_rejects_other_json():
     assert not is_profile_dict({"cases": {}})
     assert not is_profile_dict([1, 2])
     assert is_profile_dict({"epochs": [], "phase_seconds": {}})
+
+
+@pytest.mark.parametrize("chaining", ["any_input", "same_input"])
+def test_profiled_run_simulates_what_an_unprofiled_one_does(chaining):
+    """The profiler times the step that runs unprofiled, not a twin."""
+    config = mesh_config(mesh_k=4, chaining=chaining)
+    plain = run_simulation(config, **RUN).to_dict()
+    profiled = run_simulation(config, profiler=PhaseProfiler(),
+                              **RUN).to_dict()
+    assert profiled.pop("timing")["phase_seconds"]["pc"] > 0
+    plain.pop("timing")
+    assert profiled == plain

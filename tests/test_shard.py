@@ -7,11 +7,11 @@ guarantee — a sharded run is bit-identical to a single-process run
 allocators, seeds and shard counts. Crash/restart variants live in
 ``test_shard_chaos.py``.
 
-Shard workers, the merge and the single-process oracle all follow
-``NetworkConfig.backend``, so the last part crosses execution modes *and*
-cores: the shard mask on both backends, which core a worker builds, the
-import-before-fork, and a generated sharded ≡ reference ≡ fast
-differential in which every side names its backend.
+The last part crosses execution modes *and* cores: the shard mask on
+the production core and the test oracle (``tests/reference_core.py``),
+which core a worker builds, the import-before-fork, and a generated
+differential in which production shards must match both the oracle's
+and the production core's single-process run.
 """
 
 import json
@@ -27,10 +27,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import canonical_run_spec
-from repro.fastcore import FastNetwork
 from repro.network.config import NetworkConfig
 from repro.network.flit import Packet, set_next_packet_id
 from repro.network.network import Network, build_network
+from repro.network.router import Router
 from repro.obs.digest import digest_network
 from repro.parallel import (
     ShardPlan,
@@ -50,6 +50,8 @@ from repro.traffic.injection import (
     FixedLength,
 )
 from repro.traffic.patterns import build_pattern
+
+from tests.reference_core import ReferenceRouter, on_core, reference_core
 
 #: Tiny-but-real phases: a 4x4 mesh clears this in a couple of seconds.
 SMALL = dict(warmup=20, measure=60, drain=400)
@@ -346,13 +348,12 @@ class TestRunBookkeeping:
 
 
 # ---------------------------------------------------------------------------
-# shard workers follow NetworkConfig.backend
+# the shard mask and the shard workers on both cores
 
 
-def masked_network(backend):
-    """A 4x4 network of ``backend`` masked to shard 0 of 2, and its plan."""
-    config = replace(config_for(mesh_k=4, chaining="any_input", seed=3),
-                     backend=backend)
+def masked_network():
+    """A 4x4 network masked to shard 0 of 2, and its plan."""
+    config = config_for(mesh_k=4, chaining="any_input", seed=3)
     plan = ShardPlan(config, 2)
     set_next_packet_id(0)
     net = build_network(config)
@@ -365,14 +366,15 @@ class TestShardMaskOnBothCores:
     def test_masked_out_sink_is_never_polled(self, backend):
         """A due flit on a masked-out sink's ejection channel belongs to
         the shard that owns the sink; this one must leave it alone."""
-        net, plan = masked_network(backend)
-        outside = plan.terminals_of(1)[0]
-        sink = net.sinks[outside]
-        flit = Packet(0, outside, 1, 0).flits()[0]
-        flit.vc = 0
-        sink.flit_channel.send(flit, net.cycle)
-        for _ in range(sink.flit_channel.delay + 1):  # through its due cycle
-            net.step()
+        with on_core(backend):
+            net, plan = masked_network()
+            outside = plan.terminals_of(1)[0]
+            sink = net.sinks[outside]
+            flit = Packet(0, outside, 1, 0).flits()[0]
+            flit.vc = 0
+            sink.flit_channel.send(flit, net.cycle)
+            for _ in range(sink.flit_channel.delay + 1):  # to its due cycle
+                net.step()
         assert sink.flits_consumed == 0
         assert list(sink.flit_channel.items()) == [flit]
         assert net.stats.packets_ejected == 0
@@ -381,21 +383,23 @@ class TestShardMaskOnBothCores:
         """Same mask, same local traffic: one digest root per cycle."""
         roots = {}
         for backend in ("reference", "fast"):
-            net, plan = masked_network(backend)
-            local = frozenset(plan.terminals_of(0))
-            rng = random.Random(11)
-            injector = BernoulliInjector(
-                net.num_terminals,
-                build_pattern("uniform", net.num_terminals, rng),
-                0.4, BimodalLength(1, 5), rng,
-            )
-            roots[backend] = []
-            for cycle in range(80):
-                for packet in injector.generate(cycle):
-                    if packet.src in local:
-                        net.inject(packet)
-                net.step()
-                roots[backend].append(digest_network(net, injector)["root"])
+            with on_core(backend):
+                net, plan = masked_network()
+                local = frozenset(plan.terminals_of(0))
+                rng = random.Random(11)
+                injector = BernoulliInjector(
+                    net.num_terminals,
+                    build_pattern("uniform", net.num_terminals, rng),
+                    0.4, BimodalLength(1, 5), rng,
+                )
+                roots[backend] = []
+                for cycle in range(80):
+                    for packet in injector.generate(cycle):
+                        if packet.src in local:
+                            net.inject(packet)
+                    net.step()
+                    roots[backend].append(
+                        digest_network(net, injector)["root"])
         assert roots["fast"] == roots["reference"]
         assert len(set(roots["fast"])) == 80  # the network was not idle
 
@@ -412,25 +416,28 @@ def worker_here(root, config, attempt=1, rate=0.25, checkpoint_windows=None):
 
 class TestWorkerBackend:
     def test_worker_builds_the_configured_core(self, tmp_path):
+        """Workers build through Network, so the oracle swap reaches them."""
         config = config_for(mesh_k=4)
-        assert type(worker_here(tmp_path, config).net) is FastNetwork
-        reference = replace(config, backend="reference")
-        assert type(worker_here(tmp_path, reference).net) is Network
+        net = worker_here(tmp_path, config).net
+        assert type(net) is Network
+        assert all(type(r) is Router for r in net.routers)
+        with reference_core():
+            net = worker_here(tmp_path, config).net
+        assert all(type(r) is ReferenceRouter for r in net.routers)
 
     def test_fast_core_is_imported_before_the_fork(self, tmp_path):
-        """Workers of every attempt inherit the compiled fast core from
-        the coordinator (nobody imports it after a fork), and sharding
-        still does not pull NumPy in."""
+        """Workers of every attempt inherit the compiled core from the
+        coordinator (nobody imports it after a fork), and sharding does
+        not pull NumPy in."""
         script = """
 import json, os, sys
 from repro.network.config import NetworkConfig
 from repro.parallel import coordinator, shard_run
 
-assert "repro.fastcore.router" not in sys.modules
 real = coordinator.run_shard_worker
 
 def recording(root, config_dict, run_spec, shard, attempt, options):
-    loaded = "repro.fastcore.router" in sys.modules
+    loaded = "repro.network.router" in sys.modules
     with open(os.path.join(root, f"seen.s{shard}.a{attempt}"), "w") as fh:
         fh.write(json.dumps(loaded))
     real(root, config_dict, run_spec, shard, attempt, options)
@@ -442,7 +449,7 @@ run = shard_run(config, rate=0.25, shards=2, out_dir=sys.argv[1],
                 chaos={0: {"sigkill_at_cycle": 37}})
 print(json.dumps({
     "status": run.status, "restarts": run.restarts,
-    "fastcore": "repro.fastcore.router" in sys.modules,
+    "core": "repro.network.router" in sys.modules,
     "numpy": "numpy" in sys.modules,
 }))
 """
@@ -454,15 +461,15 @@ print(json.dumps({
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.splitlines()[-1])
         assert report == {"status": "done", "restarts": 1,
-                          "fastcore": True, "numpy": False}
+                          "core": True, "numpy": False}
         seen = {name: json.loads((out / name).read_text())
                 for name in os.listdir(out) if name.startswith("seen.")}
         assert seen == {"seen.s0.a1": True, "seen.s0.a2": True,
                         "seen.s1.a1": True}
 
     def test_restart_restores_a_fast_core_checkpoint(self, tmp_path):
-        """SIGKILL past a checkpoint: attempt 2 restores it into a
-        FastNetwork and the run still matches both oracles."""
+        """SIGKILL past a checkpoint: attempt 2 restores it and the run
+        still matches the single-process run on both cores."""
         config = config_for(mesh_k=4, chaining="any_input")
         knobs = dict(SMALL, pattern="uniform", rate=0.3, seed=2)
         out = tmp_path / "state"
@@ -471,18 +478,20 @@ print(json.dumps({
                         chaos={0: {"sigkill_at_cycle": 37}}, **knobs)
         assert run.status == "done" and run.restarts == 1
         for backend in ("reference", "fast"):
-            assert (run.result, run.digest_root) == single_process_run(
-                replace(config, backend=backend), **knobs)
+            with on_core(backend):
+                single = single_process_run(config, **knobs)
+            assert (run.result, run.digest_root) == single
         # What the restarted attempt did first, replayed in-process.
         worker = worker_here(out, replace(config, seed=2), attempt=2,
                              rate=0.3, checkpoint_windows=4)
-        assert type(worker.net) is FastNetwork
+        assert all(type(r) is Router for r in worker.net.routers)
         resumed = worker._resume_window()
         assert resumed > 0 and worker.net.cycle == 2 * resumed
 
 
 # ---------------------------------------------------------------------------
-# generated differential: sharded (fast workers) == reference == fast
+# generated differential: production shards == oracle single == production
+# single
 
 #: Packets of 5 and 8 flits span several 2-cycle windows (the hybrid-
 #: switching paper's long-held connections, as adversarial draws).
@@ -504,7 +513,6 @@ def sharded_scenarios(draw):
         chaining=draw(st.sampled_from(
             ["disabled", "same_vc", "same_input", "any_input"])),
         seed=draw(st.integers(1, 50)),
-        backend="fast",
     )
     run = dict(
         pattern="uniform", rate=draw(st.sampled_from([0.05, 0.25, 0.45])),
@@ -541,8 +549,8 @@ _BLOCKED_UPSTREAM = (
 @example(_BLOCKED_UPSTREAM)
 def test_generated_sharded_runs_match_both_cores(scenario):
     config, run, shards, chaos = scenario
-    reference = single_process_run(replace(config, backend="reference"),
-                                   **run)
+    with reference_core():
+        reference = single_process_run(config, **run)
     assert single_process_run(config, **run) == reference
     with tempfile.TemporaryDirectory(prefix="shard-gen-") as out_dir:
         sharded = shard_run(
