@@ -10,9 +10,12 @@ every case the SHA-256 of the ``SimResult`` JSON, of the metrics export,
 and the final digest Merkle root.
 
 The cases are the equivalence matrix (3 seeds x 4 configs at k=4, the
-k=8 chained run, the threshold-8 run) and the faulted 8x8 CLI run of the
-CI job. Regenerate — only for an intentional behaviour change, and say
-so in the change description — with::
+k=8 chained run, the threshold-8 run), one run per same-VC / same-input
+chaining config (k=4 same-VC; k=4 same-input with bimodal 1/5-flit
+packets and threshold 8; the Section 4.7 ablation, same-input without PC
+priorities; the radix-10 FBFly 2x2 c=8 with a PIM PC allocator) and the
+faulted 8x8 CLI run of the CI job. Regenerate — only for an intentional
+behaviour change, and say so in the change description — with::
 
     PYTHONPATH=src python -m tests.test_core_goldens
 """
@@ -27,10 +30,11 @@ import pytest
 
 from repro.cli import main
 from repro.network import flit as flitmod
-from repro.network.config import mesh_config
+from repro.network.config import fbfly_config, mesh_config
 from repro.obs.digest import DigestRecorder, read_digest_stream
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.runner import run_simulation
+from repro.traffic import BimodalLength
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "data", "core_goldens.json")
 
@@ -60,25 +64,40 @@ def _sha256(obj):
 
 
 def cases():
-    """``{name: config}`` of the in-process cases (all run with RUN)."""
+    """``{name: (config, run spec)}`` of the in-process cases."""
     out = {}
     for label, fields in MATRIX.items():
         for seed in (1, 2, 3):
-            out[f"k4-{label}-s{seed}"] = mesh_config(mesh_k=4, seed=seed,
-                                                     **fields)
-    out["k8-any_input-s2"] = mesh_config(mesh_k=8, seed=2,
-                                         chaining="any_input")
-    out["k4-any_input-threshold8-s1"] = mesh_config(
-        mesh_k=4, seed=1, chaining="any_input", starvation_threshold=8)
+            out[f"k4-{label}-s{seed}"] = (
+                mesh_config(mesh_k=4, seed=seed, **fields), RUN)
+    out["k8-any_input-s2"] = (
+        mesh_config(mesh_k=8, seed=2, chaining="any_input"), RUN)
+    out["k4-any_input-threshold8-s1"] = (mesh_config(
+        mesh_k=4, seed=1, chaining="any_input", starvation_threshold=8), RUN)
+    out["k4-same_vc-s1"] = (
+        mesh_config(mesh_k=4, seed=1, chaining="same_vc"), RUN)
+    out["k4-same_input-bimodal-threshold8-s1"] = (
+        mesh_config(mesh_k=4, seed=1, chaining="same_input",
+                    starvation_threshold=8),
+        dict(RUN, lengths=BimodalLength(1, 5)))
+    # Section 4.7's ablation at its injection rate.
+    out["k4-same_input-no_pc_priorities-s1"] = (
+        mesh_config(mesh_k=4, seed=1, chaining="same_input",
+                    pc_priorities=False),
+        dict(RUN, rate=1.0))
+    out["fbfly2x2c8-same_input-pim-s1"] = (
+        fbfly_config(fbfly_rows=2, fbfly_cols=2, fbfly_concentration=8,
+                     seed=1, chaining="same_input", pc_allocator="pim"),
+        RUN)
     return out
 
 
-def run_outputs(config):
+def run_outputs(config, run):
     """Golden record of one in-process run."""
     flitmod.set_next_packet_id(0)
     registry = MetricsRegistry()
     recorder = DigestRecorder(every=64)
-    result = run_simulation(config, metrics=registry, digest=recorder, **RUN)
+    result = run_simulation(config, metrics=registry, digest=recorder, **run)
     return {
         "result_sha256": _sha256(result.to_dict()),
         "metrics_sha256": _sha256(registry.to_dict()),
@@ -107,7 +126,7 @@ def faulted_outputs():
 
 
 def generate():
-    goldens = {name: run_outputs(config) for name, config in cases().items()}
+    goldens = {name: run_outputs(*case) for name, case in cases().items()}
     goldens["faulted-k8-cli"] = faulted_outputs()
     return goldens
 
@@ -123,7 +142,7 @@ def test_goldens_cover_every_case():
 
 @pytest.mark.parametrize("name", sorted(cases()))
 def test_core_matches_golden(name):
-    assert run_outputs(cases()[name]) == _load()[name]
+    assert run_outputs(*cases()[name]) == _load()[name]
 
 
 def test_faulted_cli_run_matches_golden():
