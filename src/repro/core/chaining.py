@@ -1,4 +1,4 @@
-"""Packet chaining: schemes, request construction, and statistics.
+"""Packet chaining: schemes, PC request classes, and statistics.
 
 Packet chaining (Section 2.2) reuses the switch connection of a
 departing tail flit for a waiting packet destined to the same output,
@@ -46,6 +46,11 @@ class ChainingScheme(enum.Enum):
 #: lower class so they cannot take resources from definite requests.
 PC_PRIORITY_DEFINITE = 1
 PC_PRIORITY_SPECULATIVE = 0
+#: Packet/age priorities are honored *within* each PC class (Section
+#: 2.4): a request's priority is ``class * PC_CLASS_STRIDE`` plus its
+#: packet priority clamped to ``[0, PC_CLASS_STRIDE)``, so the class
+#: separation dominates them.
+PC_CLASS_STRIDE = 1 << 20
 
 
 @dataclass
@@ -155,66 +160,3 @@ def scheme_admits(scheme, cand_input, cand_vc, holder_input, holder_vc):
     if scheme is ChainingScheme.SAME_INPUT:
         return cand_input == holder_input
     return True  # ANY_INPUT
-
-
-class PCRequestBuilder:
-    """Builds the OR-reduced PC request matrix for one router cycle.
-
-    The router feeds it candidates; it applies the scheme filter and
-    OR-reduces to (input, output) -> priority for the PC allocator,
-    remembering per-pair candidate lists so a port-level grant can be
-    mapped back to a VC (highest priority first, then round-robin by
-    the router's per-input chain arbiters).
-    """
-
-    def __init__(self, scheme):
-        self.scheme = ChainingScheme.parse(scheme)
-        self.candidates = []
-
-    def admit(self, candidate, holder_input, holder_vc):
-        """Apply the scheme filter for a candidate against the holder.
-
-        ``holder_input``/``holder_vc`` identify the packet that holds
-        (or is forming) the connection being chained onto.
-        """
-        return scheme_admits(
-            self.scheme, candidate.input_port, candidate.vc, holder_input, holder_vc
-        )
-
-    def add(self, candidate):
-        self.candidates.append(candidate)
-
-    #: Packet/age priorities are honored *within* each PC class
-    #: (Section 2.4); the class separation must dominate them.
-    CLASS_STRIDE = 1 << 20
-
-    def request_matrix(self):
-        """OR-reduce candidates to {(input, output): priority}.
-
-        Priority = PC class (definite vs speculative) with the packet's
-        own priority (e.g. age-escalated) as a tie-breaker inside the
-        class.
-        """
-        matrix = {}
-        for cand in self.candidates:
-            pair = (cand.input_port, cand.output_port)
-            pc_class = (
-                PC_PRIORITY_SPECULATIVE if cand.speculative else PC_PRIORITY_DEFINITE
-            )
-            prio = pc_class * self.CLASS_STRIDE + min(
-                max(cand.priority, 0), self.CLASS_STRIDE - 1
-            )
-            existing = matrix.get(pair)
-            if existing is None or prio > existing:
-                matrix[pair] = prio
-        return matrix
-
-    def candidates_for(self, input_port, output_port):
-        """Candidates behind a port-level grant, definite class first."""
-        matches = [
-            c
-            for c in self.candidates
-            if c.input_port == input_port and c.output_port == output_port
-        ]
-        matches.sort(key=lambda c: (c.speculative, -c.priority))
-        return matches

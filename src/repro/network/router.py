@@ -24,8 +24,9 @@ allocator. Each cycle (:meth:`Router.step`, one method per phase):
     *beginning* of the cycle: packets participate in SA only if their
     input and output are not currently connected.
 4.  Collect PC candidates (definite and speculative classes, Section
-    2.4), OR-reduce, and run the PC allocator in parallel with the
-    switch allocator.
+    2.4) — the chaining scheme of Section 2.3 only filters which VCs
+    may chain onto which connection — OR-reduce, and run the PC
+    allocator in parallel with the switch allocator.
 5.  Commit SA grants (assign output VCs, form connections, launch
     flits with look-ahead routing).
 6.  Validate PC grants against SA outcomes (conflict detection): a PC
@@ -44,7 +45,8 @@ How the phases find their work (DESIGN.md §8 has the reasons):
   VC order (the ``mask & -mask`` idiom), which is the order request
   dicts, PC candidates and trace events depend on.
 - the SA scan visits every occupied VC front once and hands the PC
-  collector and the end-of-cycle counters what it saw.
+  collector (one walk for every chaining scheme) and the end-of-cycle
+  counters what it saw.
 - channel queues are resolved once (``_rx``/``_tx``) and driven
   directly; for plain XY DOR the look-ahead route is memoised per
   (downstream router, destination) until fault injection attaches.
@@ -55,12 +57,12 @@ from time import perf_counter
 from repro.allocators import make_allocator
 from repro.arbiters import RoundRobinArbiter
 from repro.core.chaining import (
+    PC_CLASS_STRIDE,
     PC_PRIORITY_DEFINITE,
     PC_PRIORITY_SPECULATIVE,
     ChainingScheme,
     ChainStats,
     PCCandidate,
-    PCRequestBuilder,
     scheme_admits,
 )
 from repro.core.starvation import StarvationControl, StarvationMode
@@ -208,9 +210,6 @@ class Router:
         #: Immutable all-None connection row: the start-of-cycle
         #: snapshot whenever no connection is held (the common case).
         self._none_row = (None,) * P
-        #: Reused for request_matrix() (its candidate list is replaced
-        #: wholesale each cycle; nothing retains it across cycles).
-        self._pc_builder = PCRequestBuilder(self.scheme)
         #: (input flit queue, credit-return queue, VC list) per wired
         #: port, resolved on the first receive(): the channels are wired
         #: by Network after construction and never replaced afterwards
@@ -920,323 +919,223 @@ class Router:
     ):
         """PC candidates and their OR-reduced request matrix.
 
-        Candidate order — VCs ascending, a front flit's target before
-        the behind-the-tail target — decides priority ties in
-        :meth:`_commit_pc`, so both collectors keep it. ANY_INPUT, the
-        paper's full PC allocator, walks the SA scan's fronts and builds
-        the matrix (``PCRequestBuilder.request_matrix``) in the same
-        pass; every holder admits every candidate there, so the only
-        scheme test left is that a forming connection does not chain
-        onto its own (p, v). The same-input schemes visit only the
-        inputs holding or forming a connection.
+        One walk over the SA scan's fronts serves every chaining scheme
+        and builds the matrix in the same pass. Candidate order — the
+        scan's (input, VC) order, a front flit's target before the
+        behind-the-tail target — decides priority ties in
+        :meth:`_commit_pc` and the matrix's insertion order. The scheme
+        (Section 2.3) is a filter: a candidate onto a releasing
+        connection must be admitted by its holder (``scheme_admits``),
+        and one onto a forming connection by some SA-bidding tail
+        forming it — for a front flit, a tail other than its own. Under
+        ANY_INPUT every holder admits every candidate, so only the
+        own-tail test is left.
         """
-        builder = self._pc_builder
-        candidates = builder.candidates = []
+        candidates = []
         add = candidates.append
-        chainable = set(releasing) | set(forming_tails)
-        if self.scheme is not ChainingScheme.ANY_INPUT:
-            self._collect_pc_same_input(
-                add, chainable, conn_in_start, releasing, forming_tails,
-                released_inputs, inhibited, sa_requests,
-            )
-            matrix = builder.request_matrix() if candidates else {}
-        else:
-            matrix = {}
-            stride = PCRequestBuilder.CLASS_STRIDE
-            definite_base = PC_PRIORITY_DEFINITE * stride
-            speculative_base = PC_PRIORITY_SPECULATIVE * stride
-            prio_cap = stride - 1
-            starv = self.starvation
-            threshold_mode = self._threshold_mode
-            conn_age = self.conn_age
-            credits = self.credits
-            out_vc_busy = self.out_vc_busy
-            class_vcs = self._class_vcs
-            for entry in scan:
-                o_front = entry[5]
-                if o_front is None:
-                    continue
-                if o_front in chainable:
-                    p, v, vcobj, flit, active, _, connected = entry
-                    if connected and not (
-                        p in released_inputs and ("in", p) not in inhibited
-                    ):
-                        # Holding a connection beyond this cycle: no VC of
-                        # this input can chain.
-                        continue
-                    q = vcobj.queue
-                    front_bids_sa = (p, o_front) in sa_requests
-                    # Flits behind an SA-bidding front flit (Section 2.4):
-                    # only the next packet's head directly behind a
-                    # departing tail can chain.
-                    behind = None
-                    if front_bids_sa and flit.is_tail and len(q) > 1:
-                        nxt = q[1]
-                        if nxt.is_head:
-                            behind = nxt
-                    # --- front-flit candidate (o_front) -------------------
-                    while True:  # single-pass block, break = skip
-                        o = o_front
-                        if front_bids_sa and o not in forming_tails:
-                            # The front bids SA for this output; its only PC
-                            # use is chaining onto a connection formed by a
-                            # *different* tail this cycle.
-                            break
-                        requires = ()
-                        if connected and conn_in_start[p] != o:
-                            # Chaining depends on the release of the input's
-                            # old connection: the speculative class.
-                            requires = (("own_release",),)
-                        holder = releasing.get(o)
-                        if holder is not None:
-                            age = conn_age[o]
-                        elif o in forming_tails:
-                            requires = requires + (("sa_tail", o),)
-                            age = 0  # the connection forms this cycle
-                        else:
-                            break
-                        # Length-aware threshold check: don't chain a packet
-                        # starvation control would cut (Section 4.7).
-                        if threshold_mode and not starv.chainable(
-                            age, flit.packet.size - flit.index
-                        ):
-                            break
-                        # Output-VC availability (Section 2.2 (b)+(c)).
-                        if active is not None:
-                            if credits[o][vcobj.active_out_vc] == 0:
-                                break
-                        else:
-                            busy = out_vc_busy[o]
-                            creds = credits[o]
-                            for w in class_vcs[flit.vc_class]:
-                                if not busy[w] and creds[w] > 0:
-                                    break
-                            else:
-                                break
-                        if holder is None:
-                            tails = forming_tails[o]
-                            if len(tails) == 1 and tails[0][0] == p \
-                                    and tails[0][1] == v:
-                                break
-                        prio = flit.packet.priority
-                        add(PCCandidate(
-                            input_port=p,
-                            vc=v,
-                            output_port=o,
-                            priority=prio,
-                            flit=flit,
-                            speculative=bool(requires),
-                            requires=requires,
-                        ))
-                        base = speculative_base if requires else definite_base
-                        if prio > prio_cap:
-                            prio = prio_cap
-                        elif prio < 0:
-                            prio = 0
-                        prio += base
-                        pair = (p, o)
-                        existing = matrix.get(pair)
-                        if existing is None or prio > existing:
-                            matrix[pair] = prio
-                        break
-                else:
-                    flit = entry[3]
-                    if not flit.is_tail:
-                        continue
-                    vcobj = entry[2]
-                    q = vcobj.queue
-                    if len(q) < 2:
-                        continue
-                    nxt = q[1]
-                    if not nxt.is_head:
-                        continue
-                    if nxt.out_port not in chainable:
-                        continue
-                    p = entry[0]
-                    connected = entry[6]
-                    if connected and not (
-                        p in released_inputs and ("in", p) not in inhibited
-                    ):
-                        continue
-                    if (p, o_front) not in sa_requests:
-                        continue
-                    v = entry[1]
-                    behind = nxt
-                # --- behind-the-tail candidate ----------------------------
-                if behind is None:
-                    continue
-                o = behind.out_port
-                requires = (("front_departs",),)
-                if connected and conn_in_start[p] != o:
-                    requires = (("own_release",), ("front_departs",))
-                holder = releasing.get(o)
-                if holder is not None:
-                    age = conn_age[o]
-                elif o in forming_tails:
-                    requires = requires + (("sa_tail", o),)
-                    age = 0
-                else:
-                    continue
-                if threshold_mode and not starv.chainable(
-                    age, behind.packet.size - behind.index
-                ):
-                    continue
-                busy = out_vc_busy[o]
-                creds = credits[o]
-                for w in class_vcs[behind.vc_class]:
-                    if not busy[w] and creds[w] > 0:
-                        break
-                else:
-                    continue
-                prio = behind.packet.priority
-                add(PCCandidate(
-                    input_port=p,
-                    vc=v,
-                    output_port=o,
-                    priority=prio,
-                    flit=behind,
-                    speculative=True,
-                    requires=requires,
-                ))
-                if prio > prio_cap:
-                    prio = prio_cap
-                elif prio < 0:
-                    prio = 0
-                prio += speculative_base
-                pair = (p, o)
-                existing = matrix.get(pair)
-                if existing is None or prio > existing:
-                    matrix[pair] = prio
-        if matrix and not self._pc_priorities:
-            # Section 4.7 ablation: collapse the two PC classes
-            # (packet-level priorities remain).
-            matrix = {
-                pair: prio % PCRequestBuilder.CLASS_STRIDE
-                for pair, prio in matrix.items()
-            }
-        return candidates, matrix
-
-    def _collect_pc_same_input(
-        self, add, chainable, conn_in_start, releasing, forming_tails,
-        released_inputs, inhibited, sa_requests,
-    ):
-        """SAME_VC / SAME_INPUT candidates from the holding inputs only.
-
-        Most occupied VCs target a non-chainable output and exit after a
-        couple of dict probes, before any tuple is built.
-        """
+        matrix = {}
         scheme = self.scheme
-        # Same-input schemes only ever chain packets from the input that
-        # holds (or is forming) the connection. The set's construction
-        # fixes its iteration order, which the candidate order follows.
-        inputs = {holder[0] for holder in releasing.values()}
-        inputs.update(
-            hp for holders in forming_tails.values() for hp, _ in holders
-        )
-        occ = self._occ_mask
-        in_vcs = self.in_vcs
+        filtered = scheme is not ChainingScheme.ANY_INPUT
+        chainable = set(releasing) | set(forming_tails)
+        if filtered:
+            # Same-VC / same-input chaining only takes packets from an
+            # input holding or forming a chainable connection; the
+            # filter would reject every other input anyway.
+            inputs = {holder[0] for holder in releasing.values()}
+            inputs.update(
+                hp for tails in forming_tails.values() for hp, _ in tails
+            )
+            scan = [entry for entry in scan if entry[0] in inputs]
+        definite_base = PC_PRIORITY_DEFINITE * PC_CLASS_STRIDE
+        speculative_base = PC_PRIORITY_SPECULATIVE * PC_CLASS_STRIDE
+        prio_cap = PC_CLASS_STRIDE - 1
         starv = self.starvation
         threshold_mode = self._threshold_mode
         conn_age = self.conn_age
         credits = self.credits
         out_vc_busy = self.out_vc_busy
         class_vcs = self._class_vcs
-        for p in inputs:
-            input_start_output = conn_in_start[p]
-            input_connected = input_start_output is not None
-            if input_connected and not (
-                p in released_inputs and ("in", p) not in inhibited
-            ):
+        for entry in scan:
+            o_front = entry[5]
+            if o_front is None:
                 continue
-            mask = occ[p]
-            vcs = in_vcs[p]
-            while mask:
-                v = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                vcobj = vcs[v]
-                q = vcobj.queue
-                flit = q[0]
-                active = vcobj.active_packet
-                if active is not None:
-                    o_front = vcobj.active_out_port
-                elif flit.is_head:
-                    o_front = flit.out_port
-                else:  # body flit at front without VC state
+            if o_front in chainable:
+                p, v, vcobj, flit, active, _, connected = entry
+                if connected and not (
+                    p in released_inputs and ("in", p) not in inhibited
+                ):
+                    # Holding a connection beyond this cycle: no VC of
+                    # this input can chain.
                     continue
+                q = vcobj.queue
                 front_bids_sa = (p, o_front) in sa_requests
+                # Flits behind an SA-bidding front flit (Section 2.4):
+                # only the next packet's head directly behind a
+                # departing tail can chain.
                 behind = None
                 if front_bids_sa and flit.is_tail and len(q) > 1:
                     nxt = q[1]
                     if nxt.is_head:
                         behind = nxt
-                front_chainable = o_front in chainable
-                if not front_chainable and (
-                    behind is None or behind.out_port not in chainable
-                ):
-                    continue
-                if front_chainable:
-                    targets = ((flit, o_front, False),)
-                    if behind is not None:
-                        targets = ((flit, o_front, False),
-                                   (behind, behind.out_port, True))
-                else:
-                    targets = ((behind, behind.out_port, True),)
-                for cand_flit, o, is_behind in targets:
-                    requires = (("front_departs",),) if is_behind else ()
-                    if input_connected and input_start_output != o:
-                        requires = (("own_release",),) + requires
-                    if not is_behind and front_bids_sa:
-                        if o not in forming_tails:
-                            continue
+                # --- front-flit candidate (o_front) -----------------------
+                while True:  # single-pass block, break = skip
+                    o = o_front
+                    if front_bids_sa and o not in forming_tails:
+                        # The front bids SA for this output; its only PC
+                        # use is chaining onto a connection formed by a
+                        # *different* tail this cycle.
+                        break
+                    requires = ()
+                    if connected and conn_in_start[p] != o:
+                        # Chaining depends on the release of the input's
+                        # old connection: the speculative class.
+                        requires = (("own_release",),)
                     holder = releasing.get(o)
                     if holder is not None:
+                        if filtered and not scheme_admits(
+                            scheme, p, v, holder[0], holder[1]
+                        ):
+                            break
                         age = conn_age[o]
                     elif o in forming_tails:
+                        tails = forming_tails[o]
+                        if filtered:
+                            if not any(
+                                (hp != p or hv != v)
+                                and scheme_admits(scheme, p, v, hp, hv)
+                                for hp, hv in tails
+                            ):
+                                break
+                        elif len(tails) == 1 and tails[0][0] == p \
+                                and tails[0][1] == v:
+                            break  # its own tail is the only former
                         requires = requires + (("sa_tail", o),)
-                        age = 0
+                        age = 0  # the connection forms this cycle
                     else:
-                        continue
+                        break
+                    # Length-aware threshold check: don't chain a packet
+                    # starvation control would cut (Section 4.7).
                     if threshold_mode and not starv.chainable(
-                        age, cand_flit.packet.size - cand_flit.index
+                        age, flit.packet.size - flit.index
                     ):
-                        continue
-                    if active is not None and cand_flit is flit:
-                        if credits[o_front][vcobj.active_out_vc] == 0:
-                            continue
+                        break
+                    # Output-VC availability (Section 2.2 (b)+(c)).
+                    if active is not None:
+                        if credits[o][vcobj.active_out_vc] == 0:
+                            break
                     else:
                         busy = out_vc_busy[o]
                         creds = credits[o]
-                        for w in class_vcs[cand_flit.vc_class]:
+                        for w in class_vcs[flit.vc_class]:
                             if not busy[w] and creds[w] > 0:
                                 break
                         else:
-                            continue
-                    if holder is not None:
-                        admitted = scheme_admits(
-                            scheme, p, v, holder[0], holder[1]
-                        )
-                    elif cand_flit is flit:
-                        admitted = any(
-                            scheme_admits(scheme, p, v, hp, hv)
-                            and (hp, hv) != (p, v)
-                            for hp, hv in forming_tails[o]
-                        )
-                    else:
-                        admitted = any(
-                            scheme_admits(scheme, p, v, hp, hv)
-                            for hp, hv in forming_tails[o]
-                        )
-                    if not admitted:
-                        continue
+                            break
+                    prio = flit.packet.priority
                     add(PCCandidate(
                         input_port=p,
                         vc=v,
                         output_port=o,
-                        priority=cand_flit.packet.priority,
-                        flit=cand_flit,
+                        priority=prio,
+                        flit=flit,
                         speculative=bool(requires),
                         requires=requires,
                     ))
+                    base = speculative_base if requires else definite_base
+                    if prio > prio_cap:
+                        prio = prio_cap
+                    elif prio < 0:
+                        prio = 0
+                    prio += base
+                    pair = (p, o)
+                    existing = matrix.get(pair)
+                    if existing is None or prio > existing:
+                        matrix[pair] = prio
+                    break
+            else:
+                flit = entry[3]
+                if not flit.is_tail:
+                    continue
+                vcobj = entry[2]
+                q = vcobj.queue
+                if len(q) < 2:
+                    continue
+                nxt = q[1]
+                if not nxt.is_head:
+                    continue
+                if nxt.out_port not in chainable:
+                    continue
+                p = entry[0]
+                connected = entry[6]
+                if connected and not (
+                    p in released_inputs and ("in", p) not in inhibited
+                ):
+                    continue
+                if (p, o_front) not in sa_requests:
+                    continue
+                v = entry[1]
+                behind = nxt
+            # --- behind-the-tail candidate --------------------------------
+            if behind is None:
+                continue
+            o = behind.out_port
+            requires = (("front_departs",),)
+            if connected and conn_in_start[p] != o:
+                requires = (("own_release",), ("front_departs",))
+            holder = releasing.get(o)
+            if holder is not None:
+                if filtered and not scheme_admits(
+                    scheme, p, v, holder[0], holder[1]
+                ):
+                    continue
+                age = conn_age[o]
+            elif o in forming_tails:
+                if filtered and not any(
+                    scheme_admits(scheme, p, v, hp, hv)
+                    for hp, hv in forming_tails[o]
+                ):
+                    continue
+                requires = requires + (("sa_tail", o),)
+                age = 0
+            else:
+                continue
+            if threshold_mode and not starv.chainable(
+                age, behind.packet.size - behind.index
+            ):
+                continue
+            busy = out_vc_busy[o]
+            creds = credits[o]
+            for w in class_vcs[behind.vc_class]:
+                if not busy[w] and creds[w] > 0:
+                    break
+            else:
+                continue
+            prio = behind.packet.priority
+            add(PCCandidate(
+                input_port=p,
+                vc=v,
+                output_port=o,
+                priority=prio,
+                flit=behind,
+                speculative=True,
+                requires=requires,
+            ))
+            if prio > prio_cap:
+                prio = prio_cap
+            elif prio < 0:
+                prio = 0
+            prio += speculative_base
+            pair = (p, o)
+            existing = matrix.get(pair)
+            if existing is None or prio > existing:
+                matrix[pair] = prio
+        if matrix and not self._pc_priorities:
+            # Section 4.7 ablation: collapse the two PC classes
+            # (packet-level priorities remain).
+            matrix = {
+                pair: prio % PC_CLASS_STRIDE for pair, prio in matrix.items()
+            }
+        return candidates, matrix
 
     # --- 5. switch-allocation commit ------------------------------------
 

@@ -3,16 +3,18 @@
 import pytest
 
 from repro.core.chaining import (
+    PC_CLASS_STRIDE,
     PC_PRIORITY_DEFINITE,
     PC_PRIORITY_SPECULATIVE,
     ChainStats,
     ChainingScheme,
     PCCandidate,
-    PCRequestBuilder,
     scheme_admits,
 )
 from repro.core.cost_model import AllocatorCostModel
 from repro.core.starvation import StarvationControl, StarvationMode
+
+from tests.reference_core import PCRequestBuilder
 
 
 class TestChainingScheme:
@@ -46,25 +48,27 @@ class TestChainingScheme:
 
 
 class TestPCRequestBuilder:
+    """The test oracle's OR-reduction (production builds it inline)."""
+
     def _cand(self, p, v, o, speculative=False, priority=0):
         return PCCandidate(p, v, o, priority, flit=None, speculative=speculative)
 
     def test_or_reduction_takes_max_class(self):
-        b = PCRequestBuilder(ChainingScheme.ANY_INPUT)
+        b = PCRequestBuilder()
         b.add(self._cand(0, 0, 2, speculative=True))
         b.add(self._cand(0, 1, 2, speculative=False))
         matrix = b.request_matrix()
         assert set(matrix) == {(0, 2)}
-        assert matrix[(0, 2)] // b.CLASS_STRIDE == PC_PRIORITY_DEFINITE
+        assert matrix[(0, 2)] // PC_CLASS_STRIDE == PC_PRIORITY_DEFINITE
 
     def test_packet_priority_breaks_ties_within_class(self):
-        b = PCRequestBuilder(ChainingScheme.ANY_INPUT)
+        b = PCRequestBuilder()
         b.add(self._cand(0, 0, 2, priority=3))
         b.add(self._cand(1, 0, 2, priority=7))
         matrix = b.request_matrix()
         assert matrix[(1, 2)] > matrix[(0, 2)]
         # Class separation dominates any packet priority.
-        b2 = PCRequestBuilder(ChainingScheme.ANY_INPUT)
+        b2 = PCRequestBuilder()
         b2.add(self._cand(0, 0, 2, priority=999, speculative=True))
         b2.add(self._cand(1, 0, 2, priority=0, speculative=False))
         m2 = b2.request_matrix()
@@ -74,7 +78,7 @@ class TestPCRequestBuilder:
         assert PC_PRIORITY_SPECULATIVE < PC_PRIORITY_DEFINITE
 
     def test_candidates_for_orders_definite_first(self):
-        b = PCRequestBuilder(ChainingScheme.ANY_INPUT)
+        b = PCRequestBuilder()
         spec = self._cand(0, 0, 2, speculative=True)
         definite = self._cand(0, 1, 2, speculative=False)
         b.add(spec)
@@ -82,7 +86,7 @@ class TestPCRequestBuilder:
         assert b.candidates_for(0, 2) == [definite, spec]
 
     def test_candidates_for_orders_by_priority_within_class(self):
-        b = PCRequestBuilder(ChainingScheme.ANY_INPUT)
+        b = PCRequestBuilder()
         low = self._cand(0, 0, 2, priority=0)
         high = self._cand(0, 1, 2, priority=5)
         b.add(low)
@@ -90,7 +94,7 @@ class TestPCRequestBuilder:
         assert b.candidates_for(0, 2) == [high, low]
 
     def test_candidates_for_filters_pair(self):
-        b = PCRequestBuilder(ChainingScheme.ANY_INPUT)
+        b = PCRequestBuilder()
         b.add(self._cand(0, 0, 2))
         assert b.candidates_for(1, 2) == []
 

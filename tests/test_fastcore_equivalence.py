@@ -10,8 +10,10 @@ oracle shares construction and wiring with production; what it cannot
 see, ``test_core_goldens.py`` pins.
 """
 
+import dataclasses
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +31,7 @@ from repro.faults import (
 )
 from repro.network import flit as flitmod
 from repro.network.config import NetworkConfig, mesh_config
-from repro.network.network import build_network
+from repro.network.network import Network, build_network
 from repro.network.router import Router
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MemorySink, TraceBus
@@ -182,12 +184,18 @@ def test_state_snapshot_round_trips_between_network_classes():
 
 
 #: (topology fields, routing) pairs NetworkConfig + build_routing accept.
+#: The c=8 FBFly (radix 10, 32 terminals) is the cheapest topology with
+#: ports >= 8, where a set of port numbers stops iterating in port order.
 TOPOLOGIES = [
     (dict(topology="mesh", mesh_k=4), "dor"),
     (dict(topology="torus", mesh_k=4), "dor"),
     (dict(topology="fbfly", fbfly_rows=2, fbfly_cols=2,
           fbfly_concentration=2), "ugal"),
+    (dict(topology="fbfly", fbfly_rows=2, fbfly_cols=2,
+          fbfly_concentration=8), "ugal"),
 ]
+
+ALLOCATORS = ["islip1", "islip2", "wavefront", "pim1", "augmenting"]
 
 #: The multi-flit draws are the point: the 1-flit ledger golden passed a
 #: prototype that lost every packet killed mid-injection.
@@ -239,9 +247,8 @@ def faulted_scenarios(draw):
             [n for n in (1, 2, 4) if n % classes == 0]
         )),
         vc_buf_depth=draw(st.sampled_from([1, 2, 8])),
-        allocator=draw(st.sampled_from(
-            ["islip1", "islip2", "wavefront", "pim1", "augmenting"]
-        )),
+        allocator=draw(st.sampled_from(ALLOCATORS)),
+        pc_allocator=draw(st.sampled_from(ALLOCATORS)),
         chaining=draw(st.sampled_from(
             ["disabled", "same_vc", "same_input", "any_input"]
         )),
@@ -278,7 +285,7 @@ _MESH_DETOUR = (
 
 
 @(_SOAK if settings.default is _SOAK
-  else settings(max_examples=50, derandomize=True))
+  else settings(max_examples=40, derandomize=True))
 @given(faulted_scenarios())
 @example(_MESH_DETOUR)
 def test_generated_faulted_runs_are_bit_identical(scenario):
@@ -298,6 +305,77 @@ def test_generated_faulted_runs_are_bit_identical(scenario):
     assert fast[0] == ref[0]  # SimResult JSON
     assert fast[1] == ref[1]  # metrics export
     assert fast[2] == ref[2]  # full trace-event stream
+
+
+def _candidate_fields(c):
+    return (c.input_port, c.vc, c.output_port, c.priority, c.flit,
+            c.requires)
+
+
+class _CheckedCollectorRouter(Router):
+    """The production router, its PC collector checked on every
+    router-cycle against the oracle's collector on the same arguments.
+
+    A candidate difference the PC allocator happens to mask (a grant
+    the commit then refuses, a tie broken the same way) still fails.
+    """
+
+    _collect_pc_candidates = ReferenceRouter._collect_pc_candidates
+    _candidates_from_vc = ReferenceRouter._candidates_from_vc
+    _pc_output_vc_ok = ReferenceRouter._pc_output_vc_ok
+    _pc_request_matrix = ReferenceRouter._pc_request_matrix
+
+    #: Router-cycles checked with at least one candidate.
+    checked = 0
+
+    def _collect_pc(self, scan, conn_in_start, releasing, forming_tails,
+                    released_inputs, inhibited, sa_requests):
+        candidates, matrix = super()._collect_pc(
+            scan, conn_in_start, releasing, forming_tails,
+            released_inputs, inhibited, sa_requests,
+        )
+        builder = self._collect_pc_candidates(
+            conn_in_start, releasing, forming_tails, released_inputs,
+            inhibited, sa_requests,
+        )
+        assert list(map(_candidate_fields, candidates)) == \
+            list(map(_candidate_fields, builder.candidates))
+        # Insertion order too: PIM's grants depend on it.
+        assert list(matrix.items()) == \
+            list(self._pc_request_matrix(builder).items())
+        if candidates:
+            type(self).checked += 1
+        return candidates, matrix
+
+
+#: Pinned: a loaded radix-10 router, where holder inputs >= 8 occur and
+#: the visiting order of the inputs is observable.
+_FBFLY_RADIX10 = (
+    NetworkConfig(topology="fbfly", routing="ugal", fbfly_rows=2,
+                  fbfly_cols=2, fbfly_concentration=8, seed=1),
+    dict(pattern="uniform", rate=0.3, warmup=WARMUP, measure=MEASURE,
+         drain=0),
+    FaultPlan(),
+)
+
+
+@pytest.mark.parametrize("scheme", ["same_vc", "same_input", "any_input"])
+@(settings(_SOAK, max_examples=100) if settings.default is _SOAK
+  else settings(max_examples=15, derandomize=True))
+@given(scenario=faulted_scenarios(), pc_priorities=st.booleans())
+@example(scenario=_FBFLY_RADIX10, pc_priorities=True)
+def test_generated_pc_collector_matches_the_oracle(scheme, scenario,
+                                                   pc_priorities):
+    config, run, plan = scenario
+    config = dataclasses.replace(config, chaining=scheme,
+                                 pc_priorities=pc_priorities)
+    _CheckedCollectorRouter.checked = 0
+    registry = MetricsRegistry()
+    with mock.patch.object(Network, "ROUTER_CLS", _CheckedCollectorRouter):
+        run_simulation(config, faults=plan, metrics=registry, **run)
+    chains = registry.to_dict()["counters"]["chains_total"]
+    # Every chain was a candidate first: the checked collector ran.
+    assert chains == 0 or _CheckedCollectorRouter.checked > 0
 
 
 @pytest.mark.parametrize("backend", ["reference", "fast"])
