@@ -1,9 +1,8 @@
 """State-digest overhead guarantees.
 
-The lockstep microscope's DigestRecorder (``--digest`` /
-``digest_every=``) hashes the whole network's canonical ``state_dict``
-state every N cycles. Two guarantees back its "leave it on in CI"
-positioning:
+The DigestRecorder (``--digest`` / ``digest_every=``) hashes the whole
+network's canonical ``state_dict`` state every N cycles. Two guarantees
+back its "leave it on in CI" positioning:
 
 - off by default is free: an unattached recorder costs one ``is None``
   check per cycle (inside the baseline measured here), and attaching
@@ -20,9 +19,7 @@ figure (digest cost per run is inversely proportional to the stride;
 per-digest cost is stride-independent since periodic records hash only
 simulation state, whose size does not grow with run length).
 
-The ``mesh4-islip1-digest64`` case in the ``repro bench`` quick suite
-tracks the unamplified cost as a trend line across commits; this bench
-is the hard gate.
+No CI job runs this bench.
 """
 
 import time

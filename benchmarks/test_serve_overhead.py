@@ -15,9 +15,7 @@ serve repeat gets a fresh root, so nothing is ever served from cache —
 the comparison is simulate-vs-simulate, with the service's journal,
 fork, supervision, and artifact costs riding on top of one side.
 
-The ``serve-dispatch`` case in the ``repro bench`` quick suite tracks
-the same path as a trend line across commits; this bench is the hard
-gate.
+No CI job runs this bench.
 """
 
 import shutil

@@ -26,8 +26,7 @@ Examples::
     python -m repro watch /tmp/tel
     python -m repro run --rate 0.4 --profile prof.json
     python -m repro report prof.json --collapsed stacks.txt
-    python -m repro bench --quick
-    python -m repro bench --quick --compare benchmarks/baselines/bench_trend.json
+    python -m repro run --rate 0.3 --digest digests.jsonl.gz --digest-every 1
     python -m repro serve /tmp/svc --workers 4 &
     python -m repro serve /tmp/svc --submit-sweep 0.1 0.2 0.3 --mesh-k 4
     python -m repro serve /tmp/svc --submit examples/jobspec.json
@@ -706,101 +705,6 @@ def cmd_diff(args, out):
     return 1 if diff.regressions else 0
 
 
-def _print_divergence(report, out):
-    out.write(f"verdict           : DIVERGED at cycle {report['cycle']}\n")
-    last_match = report.get("last_match_cycle")
-    if last_match is not None:
-        out.write(f"last match        : cycle {last_match}\n")
-    components = report.get("components", [])
-    if components:
-        out.write(f"components        : {', '.join(components)}\n")
-    elif report.get("uncovered_cycles"):
-        missing = report["uncovered_cycles"]
-        out.write(
-            f"run length        : live run ended at cycle"
-            f" {report['cycle']}; stream records {len(missing)} later"
-            f" cycle(s) (first: {missing[0]})\n"
-        )
-    diffs = report.get("diffs") or {}
-    digests = report.get("digests") or {}
-    for path in components:
-        for entry in diffs.get(path, [])[:5]:
-            out.write(
-                f"  {path}.{entry['key']}:"
-                f" {entry['a']!r} != {entry['b']!r}\n"
-            )
-        if path not in diffs and path in digests:
-            pair = digests[path]
-            out.write(
-                f"  {path}: digest {str(pair['a'])[:12]}"
-                f" != {str(pair['b'])[:12]}\n"
-            )
-
-
-def cmd_diverge(args, out):
-    """Lockstep differential run; bisect the first divergent cycle."""
-    from repro.obs import lockstep
-    from repro.obs.digest import read_digest_stream
-
-    if not (args.vs_config or args.vs_digests):
-        out.write("repro diverge: nothing to compare against; give"
-                  " --vs-config FILE or --vs-digests FILE\n")
-        return 2
-    config_a = _config_from(args)
-    spec = dict(
-        pattern=args.pattern, rate=args.rate, lengths=_lengths_from(args),
-        warmup=args.warmup, measure=args.measure, drain=args.drain,
-        trace_events=args.events,
-    )
-    try:
-        if args.vs_digests:
-            stream = read_digest_stream(args.vs_digests)
-            recorded = (stream.header or {}).get("config")
-            if recorded is not None:
-                if config_a.to_dict() != recorded:
-                    out.write(
-                        "repro diverge: network config does not match the"
-                        " recorded stream's (refusing to compare different"
-                        " experiments)\n"
-                    )
-                    return 2
-            side = lockstep.LockstepSide("live", config_a, **spec)
-            report = lockstep.run_vs_stream(side, stream)
-        else:
-            config_b = NetworkConfig.load(args.vs_config)
-            report = lockstep.find_divergence(
-                lockstep.side_factory("a", config_a, **spec),
-                lockstep.side_factory(f"config:{args.vs_config}", config_b,
-                                      **spec),
-                every=args.digest_every,
-            )
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        out.write(f"repro diverge: {exc}\n")
-        return 2
-    if report is None:
-        if args.json:
-            json.dump({"verdict": "identical"}, out, indent=2, sort_keys=True)
-            out.write("\n")
-        else:
-            out.write("verdict           : IDENTICAL"
-                      " (no digest mismatch at any compared cycle)\n")
-        return 0
-    if args.report:
-        from repro.obs.artifacts import atomic_write
-
-        with atomic_write(args.report, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.json:
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        _print_divergence(report, out)
-        if args.report:
-            out.write(f"report            : {args.report}\n")
-    return 1
-
-
 def cmd_watch(args, out):
     """Live dashboard over a run/sweep telemetry directory."""
     if args.json:
@@ -840,58 +744,6 @@ def cmd_watch(args, out):
         args.directory, out, follow=not args.once, interval=args.interval,
         stale_after=args.stale_after,
     )
-
-
-def cmd_bench(args, out):
-    """Standardized throughput suite + the perf-trend gate."""
-    from repro import bench
-
-    history_path = args.history or bench.default_history_path()
-
-    def progress(name):
-        sys.stderr.write(f"bench: {name}...\n")
-        sys.stderr.flush()
-
-    entry = bench.run_suite(
-        quick=args.quick, scale=args.scale, repeats=args.repeats,
-        progress=progress if not args.json else None,
-    )
-    comparison = None
-    if args.compare is not None:
-        # Explicit reference file (e.g. a checked-in trend baseline),
-        # or the existing history when --compare is given bare.
-        ref_path = args.compare or history_path
-        try:
-            reference = bench.reference_cases(
-                bench.load_history(ref_path),
-                metric="cycles_per_sec" if args.raw else "normalized",
-            )
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            out.write(f"repro bench: bad reference {ref_path}: {exc}\n")
-            return 2
-        if not reference:
-            out.write(f"repro bench: no reference entries in {ref_path}\n")
-            return 2
-        comparison = bench.compare_entries(
-            entry, reference, threshold=args.threshold,
-            metric="cycles_per_sec" if args.raw else "normalized",
-        )
-    if not args.no_append:
-        bench.append_history(history_path, entry)
-    if args.json:
-        payload = {"entry": entry, "history": history_path}
-        if comparison is not None:
-            payload["comparison"] = comparison.to_dict()
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        out.write(bench.format_entry(entry))
-        if not args.no_append:
-            out.write(f"history           : {history_path}\n")
-        if comparison is not None:
-            out.write("\n")
-            out.write(bench.format_comparison(comparison))
-    return 1 if comparison is not None and not comparison.ok else 0
 
 
 def cmd_saturation(args, out):
@@ -1112,8 +964,8 @@ def build_parser():
                         "(chaos testing for checkpoint/resume)")
     p.add_argument("--digest", default=None, metavar="FILE",
                    help="stream hierarchical state digests to a JSONL file "
-                        "(.gz compresses; compare with 'repro diverge "
-                        "--vs-digests')")
+                        "(.gz compresses; read back with "
+                        "repro.obs.digest.read_digest_stream)")
     p.add_argument("--digest-every", type=int, default=64, metavar="N",
                    help="cycles between digests (with --digest)")
     p.set_defaults(func=cmd_run)
@@ -1223,35 +1075,6 @@ def build_parser():
     p.set_defaults(func=cmd_watch)
 
     p = sub.add_parser(
-        "bench",
-        help="standardized cycles/sec suite + perf-trend gate",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="CI-sized subset of the suite")
-    p.add_argument("--repeats", type=int, default=3, metavar="N",
-                   help="timed repeats per case (plus one discarded warmup)")
-    p.add_argument("--scale", type=float, default=1.0, metavar="X",
-                   help="multiply all simulated phase lengths")
-    p.add_argument("--history", default=None, metavar="FILE",
-                   help="trend history file (default BENCH_<host>.json "
-                        "in the current directory)")
-    p.add_argument("--no-append", action="store_true",
-                   help="measure and compare without recording history")
-    p.add_argument("--compare", nargs="?", const="", default=None,
-                   metavar="REF",
-                   help="gate against REF (a history/baseline JSON; bare "
-                        "--compare uses the history itself); exit 1 past "
-                        "the threshold")
-    p.add_argument("--threshold", type=float, default=15.0, metavar="PCT",
-                   help="percent cycles/sec drop that fails the gate")
-    p.add_argument("--raw", action="store_true",
-                   help="compare raw cycles/sec instead of "
-                        "calibration-normalized values")
-    p.add_argument("--json", action="store_true",
-                   help="emit the entry (and comparison) as JSON")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser(
         "shard",
         help="crash-tolerant sharded run (supervised worker per shard)",
     )
@@ -1319,30 +1142,6 @@ def build_parser():
     p.add_argument("--json", action="store_true",
                    help="emit the diff as JSON")
     p.set_defaults(func=cmd_diff)
-
-    p = sub.add_parser(
-        "diverge",
-        help="lockstep differential run; bisect the first divergent cycle",
-    )
-    _add_network_args(p)
-    _add_traffic_args(p)
-    p.add_argument("--rate", type=float, default=0.4)
-    p.add_argument("--vs-config", default=None, metavar="FILE",
-                   help="side B runs a different NetworkConfig JSON under "
-                        "the same traffic")
-    p.add_argument("--vs-digests", default=None, metavar="FILE",
-                   help="compare the live run against a recorded digest "
-                        "stream (run --digest) instead of a second network")
-    p.add_argument("--digest-every", type=int, default=64, metavar="N",
-                   help="coarse comparison stride; the refinement pass "
-                        "always pins the exact first divergent cycle")
-    p.add_argument("--events", type=int, default=64, metavar="K",
-                   help="trace events kept per side for the report tail")
-    p.add_argument("--report", default=None, metavar="FILE",
-                   help="write the machine-readable divergence report JSON")
-    p.add_argument("--json", action="store_true",
-                   help="emit the report (or verdict) as JSON")
-    p.set_defaults(func=cmd_diverge)
 
     p = sub.add_parser("saturation", help="binary-search the saturation rate")
     _add_network_args(p)

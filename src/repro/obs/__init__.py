@@ -26,10 +26,9 @@ Instruments, all zero-overhead when unused:
   telemetry directory (``repro watch``);
 - :mod:`repro.obs.digest` — per-cycle hierarchical SHA-256 state
   digests over ``state_dict()`` state, streamed as JSONL with a
-  whole-run fingerprint (``--digest``/``--digest-every``);
-- :mod:`repro.obs.lockstep` — differential co-simulation of two
-  networks with coarse-to-fine divergence bisection (``repro
-  diverge``).
+  whole-run fingerprint (``--digest``/``--digest-every``); two streams
+  compared record by record name the first divergent cycle and
+  component, and :func:`~repro.obs.digest.state_diff` the fields.
 
 :mod:`repro.obs.report` summarizes a trace file (chain-length
 distribution, port contention, top-blocked packets) for ``repro
@@ -163,19 +162,11 @@ __all__ = [
     "network_states",
     "read_digest_stream",
     "state_diff",
-    "REPORT_SCHEMA",
-    "Divergence",
-    "LockstepSide",
-    "build_report",
-    "find_divergence",
-    "run_lockstep",
-    "run_vs_stream",
-    "side_factory",
 ]
 
-# digest/lockstep sit *above* the simulation core (they import the
-# checkpoint and runner layers, which themselves import repro.obs.trace),
-# so they load lazily to keep this package import-cycle-free.
+# digest sits *above* the simulation core (it imports the checkpoint
+# layer, which itself imports repro.obs.trace), so it loads lazily to
+# keep this package import-cycle-free.
 _LAZY_EXPORTS = {
     name: "repro.obs.digest"
     for name in (
@@ -185,13 +176,6 @@ _LAZY_EXPORTS = {
         "state_diff",
     )
 }
-_LAZY_EXPORTS.update({
-    name: "repro.obs.lockstep"
-    for name in (
-        "REPORT_SCHEMA", "Divergence", "LockstepSide", "build_report",
-        "find_divergence", "run_lockstep", "run_vs_stream", "side_factory",
-    )
-})
 
 
 def __getattr__(name):

@@ -25,8 +25,11 @@ The hierarchy is Merkle-style:
 A mismatch at any level descends: unequal fingerprints → first record
 with unequal roots → component paths whose digests differ →
 :func:`state_diff` on the two components' states names the exact
-fields. :mod:`repro.obs.lockstep` drives that descent between two live
-networks; ``repro diverge`` is the CLI on top.
+fields. To find where two runs (two commits, two configs) first differ,
+record both with ``repro run … --digest FILE --digest-every 1``, walk
+the two :func:`read_digest_stream` results cycle by cycle to the first
+unequal root, and diff :func:`network_states` of both sides at that
+cycle.
 
 :class:`DigestRecorder` streams records as JSONL alongside the
 existing telemetry/trace streams (``.gz`` paths compress) and is wired
@@ -88,10 +91,10 @@ def network_states(network, injector=None, observers=True):
 
     Paths are stable identifiers (``router[3]``, ``source[0]``,
     ``sink[5]``, ``stats``, ``injector``, ``rng``) used by digest
-    records, divergence reports, and ``repro diverge`` output. The
-    expensive sibling of :func:`network_digests` — used only when a
-    divergence needs field-level drilling. ``observers=False`` skips
-    the derived-observer paths (:data:`OBSERVER_PATHS`).
+    records. The expensive sibling of :func:`network_digests` — used
+    only when a divergence needs field-level drilling.
+    ``observers=False`` skips the derived-observer paths
+    (:data:`OBSERVER_PATHS`).
     """
     cache = {}
     out = {}
@@ -262,7 +265,7 @@ class DigestStream:
 
     ``header``/``fingerprint`` may be None for truncated streams (a
     killed run never writes its trailer); ``records`` maps cycle →
-    digest record for lockstep comparison against a live run.
+    digest record, for comparison against another stream or a live run.
     """
 
     def __init__(self, header, records, fingerprint):
@@ -279,21 +282,32 @@ class DigestStream:
 
 
 def read_digest_stream(path):
-    """Load a :class:`DigestRecorder` JSONL file into a DigestStream."""
+    """Load a :class:`DigestRecorder` JSONL file into a DigestStream.
+
+    A torn final line (a run killed mid-write) is discarded, as the
+    other JSONL readers do; the intact records before it load. A
+    ``.gz`` stream cut short the same way loads up to where it ends.
+    """
     header = None
     fingerprint = None
     records = {}
     with open_text_read(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            kind = obj.get("kind")
-            if kind == "header":
-                header = obj
-            elif kind == "digest":
-                records[obj["cycle"]] = obj
-            elif kind == "fingerprint":
-                fingerprint = obj["fingerprint"]
+        try:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError:
+                    break  # torn tail: the writer died mid-record
+                kind = obj.get("kind")
+                if kind == "header":
+                    header = obj
+                elif kind == "digest":
+                    records[obj["cycle"]] = obj
+                elif kind == "fingerprint":
+                    fingerprint = obj["fingerprint"]
+        except EOFError:
+            pass  # a killed .gz writer never wrote the end-of-stream marker
     return DigestStream(header, records, fingerprint)

@@ -80,7 +80,7 @@ class SimulationRun:
 
         Idempotent and safe on resumed runs (the window is only set
         when entering from ``init``); called by :meth:`_execute` and by
-        the lockstep runner, which drives :meth:`step_cycle` directly.
+        callers that drive :meth:`step_cycle` directly.
         """
         self.injector.trace = self.network.trace  # packet creation traces
         if self.phase == "init":
@@ -95,7 +95,7 @@ class SimulationRun:
         Returns True while the run has more cycles to execute, False
         once it reaches ``done`` — so ``while run.step_cycle(): pass``
         is exactly the phase schedule :meth:`_execute` runs, and a
-        lockstep driver can interleave two runs cycle by cycle.
+        caller can stop a run at any cycle to inspect its state.
         """
         net, inj = self.network, self.injector
         if self.phase == "init":

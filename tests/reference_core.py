@@ -5,10 +5,10 @@ router and a packed-occupancy fast core that had to stay bit-identical
 to it. The fast core became :class:`repro.network.router.Router`; the
 reference core's hot paths live on here, moved verbatim, so the
 equivalence suite (``test_fastcore_equivalence.py``, the generated
-differentials in it and in ``test_shard.py``, and the digest and
-lockstep tests) keeps comparing two independent implementations of the
-router phases — as ``DenseSweepWavefront`` in ``test_allocators.py``
-keeps the dense wavefront sweep as the oracle of the request-driven one.
+differentials in it and in ``test_shard.py``, and the digest tests)
+keeps comparing two independent implementations of the router phases —
+as ``DenseSweepWavefront`` in ``test_allocators.py`` keeps the dense
+wavefront sweep as the oracle of the request-driven one.
 
 What the oracle reimplements: arrivals, the step and every allocation
 phase (streaming, flit send, SA collection, PC collection with its
@@ -793,8 +793,8 @@ def reference_core():
 
     Swaps ``Network.ROUTER_CLS`` / ``SOURCE_CLS`` / ``SINK_CLS`` and
     ``Network.step`` for the reference ones (restored on exit), so every
-    entry point — ``run_simulation``, ``single_process_run``, lockstep
-    sides, forked shard workers — runs the oracle unchanged.
+    entry point — ``run_simulation``, ``single_process_run``, forked
+    shard workers — runs the oracle unchanged.
     """
     saved = {name: Network.__dict__[name] for name in _ORACLE}
     for name, value in _ORACLE.items():

@@ -4,10 +4,13 @@ The digest tentpole's correctness bar: the same experiment always
 produces the same whole-run fingerprint (in-process, across process
 restarts, and across kill/resume), a single mutated state field changes
 exactly the owning component's digest and is named field-exactly by
-state_diff, and the JSONL stream round-trips.
+state_diff, the JSONL stream round-trips (and loads when torn), and two
+recorded streams pinpoint where two runs first differ.
 """
 
 import json
+import random
+import re
 import subprocess
 import sys
 
@@ -16,19 +19,21 @@ import pytest
 from repro.checkpoint import SimulationKilled, load_checkpoint
 from repro.network import flit as flitmod
 from repro.network.config import mesh_config
+from repro.network.network import build_network
 from repro.obs.digest import (
     OBSERVER_PATHS,
     DigestRecorder,
     MISSING,
     component_digest,
-    digest_network,
     merkle_root,
     network_digests,
     network_states,
     read_digest_stream,
     state_diff,
 )
-from repro.sim.runner import resume_simulation, run_simulation
+from repro.sim.runner import SimulationRun, resume_simulation, run_simulation
+from repro.traffic.injection import BernoulliInjector, FixedLength
+from repro.traffic.patterns import build_pattern
 
 from tests.reference_core import reference_core
 
@@ -44,6 +49,17 @@ def _run_with_digest(config, path=None, every=32, **overrides):
 
 def _config(seed=7, **kw):
     return mesh_config(mesh_k=4, chaining="any_input", seed=seed, **kw)
+
+
+def _network_and_injector(config):
+    """A fresh network and the injector ``run_simulation`` would build."""
+    flitmod.set_next_packet_id(0)
+    net = build_network(config)
+    rng = random.Random(config.seed + 0x5EED)
+    pat = build_pattern("uniform", net.num_terminals, rng)
+    injector = BernoulliInjector(net.num_terminals, pat, 0.3, FixedLength(1),
+                                 rng)
+    return net, injector
 
 
 # ---------------------------------------------------------------------------
@@ -115,20 +131,7 @@ class TestFingerprintStability:
 
 class TestMutationSensitivity:
     def _mid_run_network(self):
-        import random
-
-        from repro.network.network import build_network
-        from repro.traffic.injection import BernoulliInjector, FixedLength
-        from repro.traffic.patterns import build_pattern
-
-        flitmod.set_next_packet_id(0)
-        config = _config()
-        net = build_network(config)
-        rng = random.Random(config.seed + 0x5EED)
-        pat = build_pattern("uniform", net.num_terminals, rng)
-        injector = BernoulliInjector(
-            net.num_terminals, pat, 0.3, FixedLength(1), rng
-        )
+        net, injector = _network_and_injector(_config())
         net.stats.set_window(100, 400)
         for _ in range(150):
             for packet in injector.generate(net.cycle):
@@ -203,9 +206,92 @@ class TestDigestStream:
         for path in OBSERVER_PATHS:
             assert path in final[0]["components"]
 
+    @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+    def test_torn_tail_keeps_intact_records(self, tmp_path, suffix):
+        path = tmp_path / f"digests{suffix}"
+        _run_with_digest(_config(), path=str(path))
+        full = read_digest_stream(str(path)).cycles()
+        # A run killed halfway through writing its stream.
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+
+        stream = read_digest_stream(str(path))
+        assert stream.fingerprint is None
+        assert stream.header["schema"] == 1
+        assert 0 < len(stream.cycles()) < len(full)
+        assert stream.cycles() == full[:len(stream.cycles())]
+
     def test_recorder_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             DigestRecorder(every=0)
+
+
+# ---------------------------------------------------------------------------
+# where two runs first differ, from their recorded streams
+
+
+def break_allocators(network):
+    """Off-by-one in every switch allocator of one network (test-only).
+
+    Whenever more than one input requests, every granted input's
+    round-robin pointer advances one slot too far: the grants stay
+    valid, only future arbitration drifts. Patched per allocator
+    instance, so no other network is touched.
+    """
+    for router in network.routers:
+        alloc = router.switch_alloc
+        orig = alloc.allocate
+
+        def broken(requests, alloc=alloc, orig=orig):
+            grants = orig(requests)
+            if len(requests) > 1:
+                for i in grants:
+                    arb = alloc._input_arbiters[i]
+                    arb.pointer = (arb.pointer + 1) % alloc.num_outputs
+            return grants
+
+        alloc.allocate = broken
+
+
+class TestFirstDivergence:
+    """Record both runs at ``every=1``; the first record whose roots
+    differ names the cycle and the components, and ``state_diff`` of
+    the two sides' states at that cycle names the fields."""
+
+    def _run(self, broken, digest=None):
+        net, injector = _network_and_injector(_config(seed=1))
+        if broken:
+            break_allocators(net)
+        return SimulationRun(net, injector, warmup=20, measure=40, drain=20,
+                             digest=digest)
+
+    def test_injected_off_by_one_is_pinpointed(self, tmp_path):
+        streams = []
+        for broken in (False, True):
+            path = str(tmp_path / f"broken{broken}.jsonl")
+            self._run(broken, DigestRecorder(every=1, path=path)).execute()
+            streams.append(read_digest_stream(path))
+        clean, bugged = streams
+
+        cycle = next(c for c in clean.cycles()
+                     if clean.records[c]["root"] != bugged.records[c]["root"])
+        a = clean.records[cycle]["components"]
+        b = bugged.records[cycle]["components"]
+        assert cycle == 4
+        assert [path for path in a if a[path] != b[path]] == ["router[2]"]
+
+        states = []
+        for broken in (False, True):
+            run = self._run(broken)
+            while run.network.cycle < cycle:
+                run.step_cycle()
+            states.append(network_states(run.network)["router[2]"]["state"])
+        diff = state_diff(*states)
+        assert diff
+        for entry in diff:
+            assert re.fullmatch(r"switch_alloc\.input_arbiters\[\d\]\.pointer",
+                                entry["key"])
+            assert (entry["b"] - entry["a"]) % 5 == 1
 
 
 # ---------------------------------------------------------------------------
