@@ -16,7 +16,6 @@ from repro import mesh_config
 from repro.network.network import Network
 from repro.obs import NetworkSampler
 from repro.sim.runner import SimulationRun
-from repro.stats.utilization import utilization_summary
 from repro.traffic import BernoulliInjector, FixedLength, Hotspot
 
 CYCLES = 1500
@@ -50,7 +49,14 @@ def main():
         print(sampler.heatmap(field="activity"))
         print("buffered flits (final sample — the saturation tree):")
         print(sampler.heatmap(field="buffered", reduce="last"))
-        print(utilization_summary(net, CYCLES))
+        links = [
+            u for (r, p), u in sampler.link_utilization().items()
+            if u > 0 and not net.routers[r].is_terminal_port[p]
+        ]
+        mean, peak = sum(links) / len(links), max(links)
+        print(f"{len(links)} active links, mean utilization {mean:.3f}"
+              f" flits/cycle")
+        print(f"peak link {peak:.3f} flits/cycle ({peak / mean:.1f}x mean)")
         print(f"accepted {result.avg_throughput:.3f} flits/node/cycle, "
               f"worst source {result.min_throughput:.3f}, "
               f"mean latency {result.packet_latency.mean:.1f}\n")

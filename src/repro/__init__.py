@@ -38,7 +38,7 @@ from repro.serve import (
 )
 from repro.sim.runner import resume_simulation, run_simulation
 from repro.parallel import ShardRunError, ShardRunResult, shard_run
-from repro.sim.sweep import find_saturation, rate_sweep
+from repro.sim.sweep import find_saturation
 from repro.stats.summary import SimResult
 
 __version__ = "1.0.0"
@@ -56,7 +56,6 @@ __all__ = [
     "Network",
     "run_simulation",
     "resume_simulation",
-    "rate_sweep",
     "find_saturation",
     "SimResult",
     "CheckpointError",

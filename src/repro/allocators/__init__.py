@@ -12,6 +12,8 @@ Available allocators:
 - :class:`~repro.allocators.separable.SeparableInputFirstAllocator` —
   input-first separable allocation with round-robin (iSLIP) arbiters and
   a configurable iteration count (iSLIP-1, iSLIP-2, ...).
+- :class:`~repro.allocators.pim.PIMAllocator` — parallel iterative
+  matching: separable allocation with random grants.
 - :class:`~repro.allocators.wavefront.WavefrontAllocator` — maximal
   matchings via the Tamir & Chi wavefront scheme with a rotating
   priority diagonal.
@@ -21,7 +23,6 @@ Available allocators:
 
 from repro.allocators.base import Allocator, RequestMatrix, is_conflict_free
 from repro.allocators.separable import SeparableInputFirstAllocator, islip
-from repro.allocators.output_first import SeparableOutputFirstAllocator
 from repro.allocators.pim import PIMAllocator
 from repro.allocators.wavefront import WavefrontAllocator
 from repro.allocators.augmenting import AugmentingPathsAllocator
@@ -31,7 +32,6 @@ __all__ = [
     "RequestMatrix",
     "is_conflict_free",
     "SeparableInputFirstAllocator",
-    "SeparableOutputFirstAllocator",
     "PIMAllocator",
     "islip",
     "WavefrontAllocator",
@@ -44,8 +44,8 @@ def make_allocator(kind: str, num_inputs: int, num_outputs: int,
     """Construct an allocator by name.
 
     Recognized kinds: ``islip1``/``islip2``/... (input-first separable
-    round-robin with k iterations), ``oslip1``/``oslip2``/...
-    (output-first), ``pim1``/``pim2``/... (randomized PIM),
+    round-robin with k iterations), ``pim1``/``pim2``/... (randomized
+    PIM),
     ``wavefront``, ``augmenting``. Used by router/network configuration.
 
     ``seed`` pins the randomized allocators (PIM's grant RNG, the
@@ -58,9 +58,6 @@ def make_allocator(kind: str, num_inputs: int, num_outputs: int,
     if kind.startswith("islip"):
         iterations = int(kind[len("islip"):] or "1")
         return SeparableInputFirstAllocator(num_inputs, num_outputs, iterations=iterations)
-    if kind.startswith("oslip"):
-        iterations = int(kind[len("oslip"):] or "1")
-        return SeparableOutputFirstAllocator(num_inputs, num_outputs, iterations=iterations)
     if kind.startswith("pim"):
         iterations = int(kind[len("pim"):] or "1")
         return PIMAllocator(num_inputs, num_outputs, iterations=iterations, seed=seed)

@@ -3,20 +3,13 @@
 An arbiter selects at most one winner among a set of requesters. The
 round-robin arbiter implements iSLIP pointer semantics (the pointer is
 only advanced by an explicit :meth:`~repro.arbiters.round_robin.RoundRobinArbiter.update`
-call so callers can implement "update only on accepted grants"). The
-matrix arbiter implements a least-recently-served policy. The priority
-filter restricts arbitration to the highest priority class present.
+call so callers can implement "update only on accepted grants").
 """
 
 from repro.arbiters.base import Arbiter
 from repro.arbiters.round_robin import RoundRobinArbiter
-from repro.arbiters.matrix import MatrixArbiter
-from repro.arbiters.priority import highest_priority_subset, PriorityArbiter
 
 __all__ = [
     "Arbiter",
     "RoundRobinArbiter",
-    "MatrixArbiter",
-    "PriorityArbiter",
-    "highest_priority_subset",
 ]

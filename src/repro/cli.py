@@ -22,8 +22,8 @@ Examples::
         --checkpoint-every 500 --kill-at 1200
     python -m repro resume ck.json.gz --json
     python -m repro run --rate 0.4 --progress --json > result.json
-    python -m repro sweep --rates 0.2 0.3 0.4 --telemetry /tmp/tel &
-    python -m repro watch /tmp/tel
+    python -m repro run --rate 0.4 --metrics m.json
+    python -m repro report m.json
     python -m repro run --rate 0.4 --profile prof.json
     python -m repro report prof.json --collapsed stacks.txt
     python -m repro run --rate 0.3 --digest digests.jsonl.gz --digest-every 1
@@ -68,7 +68,6 @@ from repro.obs import (
     write_run_artifacts,
     write_sweep_manifest,
 )
-from repro.obs.watch import watch as watch_telemetry
 from repro.obs.artifacts import rate_subdir
 from repro.sim.runner import resume_simulation, run_simulation
 from repro.sim.sweep import find_saturation
@@ -83,7 +82,7 @@ def _add_network_args(parser):
                         choices=["mesh", "fbfly", "torus", "cmesh"])
     parser.add_argument("--mesh-k", type=int, default=8)
     parser.add_argument("--allocator", default="islip1",
-                        help="islip<k>, oslip<k>, pim<k>, wavefront, augmenting")
+                        help="islip<k>, pim<k>, wavefront, augmenting")
     parser.add_argument("--pc-allocator", default="islip1")
     parser.add_argument("--chaining", default="disabled",
                         choices=["disabled", "same_vc", "same_input", "any_input"])
@@ -145,7 +144,7 @@ def _add_obs_args(parser, recorder=True):
                              "a JSONL file (obs.telemetry)")
     parser.add_argument("--heartbeat-every", type=int, default=1000,
                         metavar="N", help="cycles between heartbeats "
-                        "(with --progress/--heartbeat/--telemetry)")
+                        "(with --progress/--heartbeat)")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON instead of text")
     if recorder:
@@ -575,18 +574,18 @@ def _random_plan(args, config):
 def cmd_sweep(args, out):
     import os
 
-    from repro.sim.sweep import rate_sweep
-
     want_metrics = args.json or args.artifacts
-    results = rate_sweep(
-        lambda: _config_from(args), args.rates,
-        metrics_factory=MetricsRegistry if want_metrics else None,
-        telemetry_dir=args.telemetry, heartbeat_every=args.heartbeat_every,
-        pattern=args.pattern, lengths=_lengths_from(args),
-        warmup=args.warmup, measure=args.measure, drain=0,
-    )
-    if not want_metrics:
-        results = [(rate, result, None) for rate, result in results]
+    results = []
+    for rate in args.rates:
+        # Registries hold end-of-run snapshots: one per rate, or the
+        # counters would sum across rates.
+        registry = MetricsRegistry() if want_metrics else None
+        result = run_simulation(
+            _config_from(args), pattern=args.pattern, rate=rate,
+            lengths=_lengths_from(args), warmup=args.warmup,
+            measure=args.measure, drain=args.drain, metrics=registry,
+        )
+        results.append((rate, result, registry))
     if args.artifacts:
         config = _config_from(args)
         write_sweep_manifest(
@@ -705,52 +704,11 @@ def cmd_diff(args, out):
     return 1 if diff.regressions else 0
 
 
-def cmd_watch(args, out):
-    """Live dashboard over a run/sweep telemetry directory."""
-    if args.json:
-        from repro.obs.watch import scan_telemetry_dir
-
-        try:
-            state = scan_telemetry_dir(args.directory,
-                                       stale_after=args.stale_after)
-        except FileNotFoundError as exc:
-            out.write(f"repro watch: {exc}\n")
-            return 2
-        payload = {
-            "directory": state.directory,
-            "all_finished": state.all_finished,
-            "counts": state.counts,
-            "aggregate_cycles_per_sec": state.aggregate_cycles_per_sec,
-            "eta_sec": state.eta_sec,
-            "points": [
-                {
-                    "index": p.index, "label": p.label, "rate": p.rate,
-                    "status": p.status, "cycle": p.cycle,
-                    "total_cycles": p.total_cycles,
-                    "progress": p.progress,
-                    "cycles_per_sec": p.cycles_per_sec,
-                    "eta_sec": p.eta_sec, "rss_kb": p.rss_kb,
-                    "wall_seconds": p.wall_seconds, "worker": p.pid,
-                }
-                for p in state.points
-            ],
-        }
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
-        return 1 if (payload["counts"].get("failed", 0)
-                     + payload["counts"].get("killed", 0)
-                     + payload["counts"].get("stalled?", 0)) else 0
-    return watch_telemetry(
-        args.directory, out, follow=not args.once, interval=args.interval,
-        stale_after=args.stale_after,
-    )
-
-
 def cmd_saturation(args, out):
     rate, tp = find_saturation(
         lambda: _config_from(args), pattern=args.pattern,
         lengths=_lengths_from(args), warmup=args.warmup,
-        measure=args.measure, drain=0,
+        measure=args.measure, drain=args.drain,
     )
     out.write(f"saturation rate   : {rate:.3f} flits/node/cycle\n")
     out.write(f"accepted at sat   : {tp:.3f}\n")
@@ -1034,13 +992,8 @@ def build_parser():
                    default=[0.1, 0.2, 0.3, 0.4, 0.5])
     p.add_argument("--json", action="store_true",
                    help="emit one JSON array of per-rate results")
-    p.add_argument("--telemetry", default=None, metavar="DIR",
-                   help="write per-rate heartbeat files into DIR "
-                        "(follow live with 'repro watch DIR')")
-    p.add_argument("--heartbeat-every", type=int, default=1000, metavar="N",
-                   help="cycles between heartbeats (with --telemetry)")
     _add_recorder_args(p, sampling=False)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, drain=0)
 
     p = sub.add_parser(
         "report",
@@ -1056,23 +1009,6 @@ def build_parser():
                    help="with a profile JSON: export collapsed stacks "
                         "(flamegraph.pl / speedscope format)")
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser(
-        "watch", help="live dashboard over a sweep telemetry directory"
-    )
-    p.add_argument("directory",
-                   help="telemetry dir written by parallel_sweep/"
-                        "rate_sweep (sweep --telemetry)")
-    p.add_argument("--interval", type=float, default=2.0, metavar="SEC",
-                   help="poll interval while following")
-    p.add_argument("--once", action="store_true",
-                   help="render one frame and exit (no follow loop)")
-    p.add_argument("--stale-after", type=float, default=30.0, metavar="SEC",
-                   help="flag a running point as stalled after this many "
-                        "seconds without a heartbeat")
-    p.add_argument("--json", action="store_true",
-                   help="emit one machine-readable state snapshot")
-    p.set_defaults(func=cmd_watch)
 
     p = sub.add_parser(
         "shard",
@@ -1146,7 +1082,7 @@ def build_parser():
     p = sub.add_parser("saturation", help="binary-search the saturation rate")
     _add_network_args(p)
     _add_traffic_args(p)
-    p.set_defaults(func=cmd_saturation)
+    p.set_defaults(func=cmd_saturation, drain=0)
 
     p = sub.add_parser("cmp", help="CMP application study (Table 1 setup)")
     _add_network_args(p)

@@ -117,12 +117,7 @@ class HangWatchdog:
         if self.mode == "strict":
             raise WatchdogError(bundle)
         self.hangs.append(bundle)
-        self._armed = False  # one report per run; re-arm explicitly
-
-    def rearm(self):
-        self._armed = True
-        self._moved_cycle = self.network.cycle
-        self._ejected_cycle = self.network.cycle
+        self._armed = False  # one report per run
 
     def diagnose(self, kind, cycle, in_flight, last_progress):
         """Assemble the diagnostic bundle (JSON-serializable)."""

@@ -62,17 +62,6 @@ class PipelinedChannel:
             else:
                 self._queue.append((entry["due"], entry["credit"]))
 
-    def drain_state(self, ctx):
-        """Serialize and remove every queued item (shard boundary export).
-
-        The shard protocol moves a boundary channel's in-flight items
-        into a window-stamped exchange file; the writer's live copy is
-        emptied so the items exist in exactly one place at a time.
-        """
-        state = self.state_dict(ctx)
-        self._queue.clear()
-        return state
-
     def absorb_state(self, state, ctx):
         """Append serialized items to the queue (shard boundary import).
 

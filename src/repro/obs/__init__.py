@@ -16,14 +16,13 @@ Instruments, all zero-overhead when unused:
   trace-event / Perfetto export (``repro spans``);
 - :mod:`repro.obs.sampler` — periodic whole-network state snapshots
   (buffer occupancy, credits, held connections, link utilization) in a
-  bounded ring buffer, with JSONL export and ASCII heatmaps;
+  bounded ring buffer, with JSONL export, the hottest links and ASCII
+  heatmaps;
 - :mod:`repro.obs.artifacts` — the run-artifact flight recorder
   (``--artifacts DIR``) and regression differ (``repro diff``);
 - :mod:`repro.obs.telemetry` — host-performance heartbeats
-  (cycles/sec, ETA, RSS) written to fsynced JSONL files per run or per
-  sweep point (``--progress``/``--telemetry``);
-- :mod:`repro.obs.watch` — the live ASCII dashboard over a sweep's
-  telemetry directory (``repro watch``);
+  (cycles/sec, ETA, RSS) for one run, on stderr or in an fsynced JSONL
+  file (``--progress``/``--heartbeat``);
 - :mod:`repro.obs.digest` — per-cycle hierarchical SHA-256 state
   digests over ``state_dict()`` state, streamed as JSONL with a
   whole-run fingerprint (``--digest``/``--digest-every``); two streams
@@ -67,20 +66,7 @@ from repro.obs.report import (
     summarize_trace,
 )
 from repro.obs.sampler import SAMPLE_FIELDS, NetworkSampler
-from repro.obs.telemetry import (
-    HEARTBEAT_SUFFIX,
-    RunTelemetry,
-    init_telemetry_dir,
-    point_heartbeat_path,
-    read_heartbeats,
-)
-from repro.obs.watch import (
-    PointState,
-    WatchState,
-    format_watch,
-    scan_telemetry_dir,
-    watch,
-)
+from repro.obs.telemetry import RunTelemetry, read_heartbeats
 from repro.obs.spans import (
     SPAN_COMPONENTS,
     PacketSpan,
@@ -127,14 +113,6 @@ __all__ = [
     "format_profile_report",
     "RunTelemetry",
     "read_heartbeats",
-    "init_telemetry_dir",
-    "point_heartbeat_path",
-    "HEARTBEAT_SUFFIX",
-    "WatchState",
-    "PointState",
-    "scan_telemetry_dir",
-    "format_watch",
-    "watch",
     "TraceSummary",
     "summarize_trace",
     "format_report",

@@ -17,7 +17,7 @@ Beyond the phase split, the profiler attributes wall time to named
 (``sa``/``pc``/``vc_alloc`` each tagged with the configured allocator
 type, e.g. ``alloc:islip1``) — so ``repro report`` can answer "which
 allocator should the vectorization PR attack first". The whole
-breakdown exports as collapsed stacks (``save_collapsed``), one
+breakdown exports as collapsed stacks (``collapsed_stacks``), one
 ``frame;frame;frame count`` line per stack with counts in
 microseconds, directly consumable by flamegraph.pl / speedscope /
 inferno.
@@ -157,13 +157,6 @@ class PhaseProfiler:
         into flamegraph.pl, inferno, or speedscope.
         """
         return _collapsed_lines(self.hotspots())
-
-    def save_collapsed(self, path):
-        """Write :meth:`collapsed_stacks` output to ``path``."""
-        with open(path, "w") as fh:
-            for line in self.collapsed_stacks():
-                fh.write(line)
-                fh.write("\n")
 
     def to_dict(self):
         return {

@@ -17,7 +17,9 @@ records a snapshot of the whole network's congestion state:
 
 Samples live in a bounded ring buffer (old samples are dropped and
 counted, never reallocated), export as JSONL (gzip via a ``.gz`` path),
-and render as ASCII heatmaps for mesh/torus-style ``k x k`` grids.
+and yield the package's link-utilization views: per-link flits/cycle,
+the hottest links, and ASCII heatmaps for mesh/torus-style ``k x k``
+grids.
 
 Cost model: unattached networks pay one ``is None`` check per cycle;
 an attached sampler pays one method call per cycle plus the snapshot
@@ -27,10 +29,19 @@ every ``period`` cycles (see ``benchmarks/test_obs_overhead.py``).
 import json
 from collections import deque
 
-from repro.stats.utilization import shade
-
 #: Per-router scalar fields a sample carries (heatmap candidates).
 SAMPLE_FIELDS = ("buffered", "credits_free", "conns_held", "activity")
+
+#: Shading ramp for heatmaps, lightest to darkest.
+_RAMP = " .:-=+*#%@"
+
+
+def shade(value, peak):
+    """Map a value in [0, peak] onto the ASCII shading ramp."""
+    if peak <= 0:
+        return _RAMP[0]
+    idx = int(min(1.0, value / peak) * (len(_RAMP) - 1))
+    return _RAMP[idx]
 
 
 class NetworkSampler:
@@ -134,7 +145,7 @@ class NetworkSampler:
         ``reduce`` is ``mean`` (across all samples) or ``last`` (the
         most recent sample only). Requires a grid topology exposing
         ``k`` and ``router_at`` (mesh, torus, cmesh); raises TypeError
-        otherwise, mirroring ``stats.utilization.mesh_heatmap``.
+        otherwise.
         """
         topo = self.network.topology
         k = getattr(topo, "k", None)

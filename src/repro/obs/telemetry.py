@@ -11,16 +11,13 @@ per-phase wall-time split so far.
 Two independent outputs, both optional:
 
 - ``path`` — an append-only JSONL heartbeat file. Every record is
-  flushed and fsynced, so another process (``repro watch``) can tail
-  live state even if this process is later SIGKILLed; a torn final
-  line is tolerated by :func:`read_heartbeats`.
+  flushed and fsynced, so another process (a ``repro serve``
+  supervisor's lease check) can tail live state even if this process
+  is later SIGKILLed; a torn final line is tolerated by
+  :func:`read_heartbeats`.
 - ``console`` — a text stream (normally ``sys.stderr``) that gets a
   single carriage-return-rewritten progress line per heartbeat, so
   ``repro run --progress --json`` keeps machine-readable stdout clean.
-
-Sweeps write one heartbeat file per point into a shared telemetry
-directory prepared by :func:`init_telemetry_dir`; ``repro watch DIR``
-(:mod:`repro.obs.watch`) renders the directory as a live dashboard.
 
 Overhead: the hot path pays one attribute load and an integer compare
 per cycle between heartbeats (``on_cycle`` returns immediately until
@@ -32,12 +29,6 @@ import json
 import os
 import socket
 import time
-
-#: Suffix for per-run heartbeat files inside a telemetry directory.
-HEARTBEAT_SUFFIX = ".hb.jsonl"
-
-#: Name of the per-sweep manifest written by :func:`init_telemetry_dir`.
-TELEMETRY_MANIFEST = "sweep.json"
 
 
 def rss_kb():
@@ -74,8 +65,8 @@ class RunTelemetry:
     ``every`` is the sampling period in cycles. ``total_cycles`` is the
     planned phase schedule (warmup + measure + drain); the drain may end
     early on quiescence, so progress/ETA treat it as an upper bound.
-    ``label``/``rate`` identify the run inside a sweep's telemetry
-    directory. The runner calls :meth:`begin`, :meth:`on_cycle` once per
+    ``label``/``rate`` identify the run in every record. The runner
+    calls :meth:`begin`, :meth:`on_cycle` once per
     simulated cycle, and :meth:`finish`.
     """
 
@@ -234,52 +225,10 @@ class RunTelemetry:
         self._fh.write(json.dumps(record, separators=(",", ":")))
         self._fh.write("\n")
         # Flush + fsync per record: a heartbeat that was reported is
-        # durable, so `repro watch` never sees a silently-stale file
-        # from a live process (only from a dead one).
+        # durable, so a reader never sees a silently-stale file from a
+        # live process (only from a dead one).
         self._fh.flush()
         os.fsync(self._fh.fileno())
-
-
-# ---------------------------------------------------------------------------
-# telemetry directories (sweeps)
-
-
-def point_heartbeat_path(directory, index):
-    """Heartbeat file for sweep point ``index`` inside ``directory``."""
-    return os.path.join(directory, f"point{index:04d}{HEARTBEAT_SUFFIX}")
-
-
-def init_telemetry_dir(directory, points, walltime=time.time):
-    """Prepare a sweep telemetry directory and write its manifest.
-
-    ``points`` is a list of ``{"label", "rate"}``-style dicts in sweep
-    order; the manifest lets ``repro watch`` show points that have not
-    produced a heartbeat yet (queued behind the worker pool). Stale
-    heartbeat files from a previous sweep in the same directory are
-    removed so the dashboard never mixes two sweeps.
-    """
-    os.makedirs(directory, exist_ok=True)
-    for name in os.listdir(directory):
-        if name.endswith(HEARTBEAT_SUFFIX):
-            os.unlink(os.path.join(directory, name))
-    manifest = {
-        "created": walltime(),
-        "pid": os.getpid(),
-        "points": [
-            {
-                "index": i,
-                "file": os.path.basename(point_heartbeat_path(directory, i)),
-                "label": p.get("label", ""),
-                "rate": p.get("rate"),
-            }
-            for i, p in enumerate(points)
-        ],
-    }
-    path = os.path.join(directory, TELEMETRY_MANIFEST)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return manifest
 
 
 def heartbeat_age(path, now=None):

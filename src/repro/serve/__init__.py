@@ -14,9 +14,7 @@ from repro.serve.api import (
     job_records,
     load_result,
     scan_service,
-    submit_job,
     submit_spec,
-    submit_sweep,
     wait_for,
 )
 from repro.serve.backoff import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -41,8 +39,6 @@ __all__ = [
     "read_events",
     "scan_service",
     "spec_for",
-    "submit_job",
     "submit_spec",
-    "submit_sweep",
     "wait_for",
 ]

@@ -18,7 +18,7 @@ import time
 
 from repro.obs.artifacts import SUMMARY, atomic_write
 from repro.serve.service import STATUS, SPOOL_DIR, spool_path
-from repro.serve.spec import JobSpec, new_job_id, spec_for
+from repro.serve.spec import new_job_id
 from repro.serve.store import JOURNAL, fold_events, read_events
 
 
@@ -36,25 +36,6 @@ def submit_spec(root, spec, job_id=None):
         json.dump({"job": job_id, "spec": spec.to_dict()}, fh, indent=2)
         fh.write("\n")
     return job_id
-
-
-def submit_job(root, config, **kwargs):
-    """Build a spec via :func:`spec_for` and spool it; returns job id."""
-    return submit_spec(root, spec_for(config, **kwargs))
-
-
-def submit_sweep(root, config, rates, **kwargs):
-    """One job per injection rate; returns job ids in rate order."""
-    label = kwargs.pop("label", "")
-    return [
-        submit_spec(
-            root,
-            spec_for(config, rate=rate,
-                     label=f"{label}@{rate:g}" if label else f"rate{rate:g}",
-                     **kwargs),
-        )
-        for rate in rates
-    ]
 
 
 def job_records(root):

@@ -1,7 +1,7 @@
 """Simulation harness: runs, sweeps and saturation search."""
 
 from repro.sim.runner import SimulationRun, resume_simulation, run_simulation
-from repro.sim.sweep import rate_sweep, find_saturation, average_results
+from repro.sim.sweep import find_saturation
 from repro.sim.parallel import (
     MatrixResults,
     PointError,
@@ -14,9 +14,7 @@ __all__ = [
     "SimulationRun",
     "run_simulation",
     "resume_simulation",
-    "rate_sweep",
     "find_saturation",
-    "average_results",
     "parallel_sweep",
     "parallel_matrix",
     "SweepResults",

@@ -36,11 +36,6 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.telemetry import (
-    RunTelemetry,
-    init_telemetry_dir,
-    point_heartbeat_path,
-)
 from repro.serve.backoff import DEFAULT_RETRY_POLICY
 from repro.sim.runner import run_simulation
 from repro.stats.summary import SimResult
@@ -61,10 +56,6 @@ class SweepPoint:
     #: When set, each worker arms a strict HangWatchdog with this
     #: window, so a deadlocked point raises instead of hanging.
     watchdog_window: Optional[int] = None
-    #: When set, the worker writes heartbeat records here
-    #: (obs.telemetry) so ``repro watch`` can render live progress.
-    telemetry_path: Optional[str] = None
-    heartbeat_every: int = 1000
 
 
 @dataclass
@@ -284,16 +275,10 @@ def _run_point(point: SweepPoint):
         from repro.faults.watchdog import HangWatchdog
 
         watchdog = HangWatchdog(window=point.watchdog_window, mode="strict")
-    telemetry = None
-    if point.telemetry_path is not None:
-        telemetry = RunTelemetry(
-            path=point.telemetry_path, every=point.heartbeat_every,
-            label=point.label, rate=point.rate,
-        )
     start = time.perf_counter()
     result = run_simulation(
         point.config, rate=point.rate, profiler=profiler, watchdog=watchdog,
-        telemetry=telemetry, **point.run_kwargs
+        **point.run_kwargs
     )
     timing = PointTiming(
         point.label, point.rate,
@@ -508,26 +493,11 @@ def _execute_journaled(points, workers, timeout, retries, journal_dir,
     return outcomes, errors
 
 
-def _arm_telemetry(points, telemetry_dir, heartbeat_every):
-    """Assign per-point heartbeat paths and write the sweep manifest."""
-    if telemetry_dir is None:
-        return
-    init_telemetry_dir(
-        telemetry_dir,
-        [{"label": p.label, "rate": p.rate} for p in points],
-    )
-    for i, point in enumerate(points):
-        point.telemetry_path = point_heartbeat_path(telemetry_dir, i)
-        point.heartbeat_every = heartbeat_every
-
-
 def parallel_sweep(config, rates, workers: Optional[int] = None,
                    label: str = "", profile_epoch: Optional[int] = None,
                    timeout: Optional[float] = None, retries: int = 1,
                    journal_dir: Optional[str] = None, resume: bool = False,
                    watchdog_window: Optional[int] = None,
-                   telemetry_dir: Optional[str] = None,
-                   heartbeat_every: int = 1000,
                    retry_policy=None, mp_context=None,
                    **run_kwargs):
     """Run one simulation per rate across a process pool.
@@ -553,18 +523,12 @@ def parallel_sweep(config, rates, workers: Optional[int] = None,
     and ``resume=True`` skips points already journaled by a previous
     (killed) invocation of the same sweep. ``watchdog_window`` arms a
     strict HangWatchdog per point.
-
-    ``telemetry_dir`` makes the sweep observable while it runs: each
-    worker writes fsynced heartbeat records (cycle, cycles/sec, ETA,
-    RSS) into one file per point under the directory, which ``repro
-    watch telemetry_dir`` renders as a live dashboard.
     """
     points = [
         SweepPoint(copy.deepcopy(config), rate, dict(run_kwargs), label,
                    profile_epoch, watchdog_window)
         for rate in rates
     ]
-    _arm_telemetry(points, telemetry_dir, heartbeat_every)
     outcomes, errors = _execute_journaled(
         points, workers, timeout, retries, journal_dir, resume,
         retry_policy=retry_policy, mp_context=mp_context,
@@ -580,8 +544,6 @@ def parallel_matrix(configs, rates, workers: Optional[int] = None,
                     timeout: Optional[float] = None, retries: int = 1,
                     journal_dir: Optional[str] = None, resume: bool = False,
                     watchdog_window: Optional[int] = None,
-                    telemetry_dir: Optional[str] = None,
-                    heartbeat_every: int = 1000,
                     retry_policy=None, mp_context=None,
                     **run_kwargs):
     """Sweep a {label: NetworkConfig} matrix of configurations.
@@ -590,10 +552,8 @@ def parallel_matrix(configs, rates, workers: Optional[int] = None,
     whose ``errors`` records per-point failures; a failed point leaves
     a gap in its label's series rather than killing the sweep. All
     points across all configurations share one pool so the pool stays
-    saturated. ``journal_dir``/``resume``/``watchdog_window``,
-    ``telemetry_dir``/``heartbeat_every`` and
-    ``retry_policy``/``mp_context`` behave as in
-    :func:`parallel_sweep`.
+    saturated. ``journal_dir``/``resume``/``watchdog_window`` and
+    ``retry_policy``/``mp_context`` behave as in :func:`parallel_sweep`.
     """
     points = []
     for label, config in configs.items():
@@ -602,7 +562,6 @@ def parallel_matrix(configs, rates, workers: Optional[int] = None,
                 SweepPoint(copy.deepcopy(config), rate, dict(run_kwargs),
                            label, profile_epoch, watchdog_window)
             )
-    _arm_telemetry(points, telemetry_dir, heartbeat_every)
     raw, errors = _execute_journaled(
         points, workers, timeout, retries, journal_dir, resume,
         retry_policy=retry_policy, mp_context=mp_context,

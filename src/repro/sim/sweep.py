@@ -1,62 +1,13 @@
-"""Injection-rate sweeps and saturation search."""
+"""Saturation search over the injection rate."""
 
 from repro.sim.runner import run_simulation
-
-
-def rate_sweep(config_factory, rates, metrics_factory=None,
-               telemetry_dir=None, heartbeat_every=1000, **run_kwargs):
-    """Run one simulation per injection rate.
-
-    ``config_factory`` is a zero-argument callable returning a *fresh*
-    NetworkConfig (router/allocator state must not leak between runs).
-    Returns a list of (rate, SimResult).
-
-    ``metrics_factory``, if given, is called once per rate and must
-    return a fresh :class:`~repro.obs.metrics.MetricsRegistry` the run
-    publishes into; the sweep then returns (rate, SimResult, registry)
-    triples instead. (Registries hold end-of-run snapshots, so each
-    rate needs its own — sharing one would sum counters across rates.)
-
-    ``telemetry_dir`` writes one fsynced heartbeat file per rate into
-    the directory (obs.telemetry) so ``repro watch`` can follow even a
-    serial sweep live; ``heartbeat_every`` is the sampling period in
-    cycles.
-    """
-    telemetry_paths = {}
-    if telemetry_dir is not None:
-        from repro.obs.telemetry import init_telemetry_dir, point_heartbeat_path
-
-        init_telemetry_dir(
-            telemetry_dir, [{"label": "", "rate": rate} for rate in rates]
-        )
-        telemetry_paths = {
-            i: point_heartbeat_path(telemetry_dir, i)
-            for i in range(len(rates))
-        }
-    results = []
-    for i, rate in enumerate(rates):
-        registry = metrics_factory() if metrics_factory is not None else None
-        telemetry = None
-        if i in telemetry_paths:
-            from repro.obs.telemetry import RunTelemetry
-
-            telemetry = RunTelemetry(
-                path=telemetry_paths[i], every=heartbeat_every, rate=rate
-            )
-        result = run_simulation(
-            config_factory(), rate=rate, metrics=registry,
-            telemetry=telemetry, **run_kwargs
-        )
-        if metrics_factory is not None:
-            results.append((rate, result, registry))
-        else:
-            results.append((rate, result))
-    return results
 
 
 def find_saturation(config_factory, lo=0.05, hi=1.0, tol=0.02, **run_kwargs):
     """Binary-search the saturation injection rate.
 
+    ``config_factory`` is a zero-argument callable returning a *fresh*
+    NetworkConfig (router/allocator state must not leak between runs).
     Saturation is declared when accepted throughput falls short of the
     offered rate by more than 5% (the network cannot absorb the load).
     Returns (saturation_rate, accepted_throughput_at_saturation).
@@ -71,9 +22,3 @@ def find_saturation(config_factory, lo=0.05, hi=1.0, tol=0.02, **run_kwargs):
         else:
             hi = mid
     return best_rate, best_tp
-
-
-def average_results(results, metric):
-    """Mean of a SimResult attribute over a list of (rate, result)."""
-    values = [getattr(result, metric) for _, result in results]
-    return sum(values) / len(values) if values else 0.0

@@ -23,10 +23,6 @@ class TrafficPattern(ABC):
     def dest(self, src, rng):
         """Destination terminal for a packet from ``src``."""
 
-    def is_self_loop_free(self):
-        """True if dest(s) != s for every source (used by tests)."""
-        return True
-
 
 class UniformRandom(TrafficPattern):
     """Each packet goes to a uniformly random other terminal."""
@@ -34,9 +30,6 @@ class UniformRandom(TrafficPattern):
     def dest(self, src, rng):
         d = rng.randrange(self.num_terminals - 1)
         return d if d < src else d + 1
-
-    def is_self_loop_free(self):
-        return True
 
 
 class RandomPermutation(TrafficPattern):
@@ -86,9 +79,6 @@ class Shuffle(TrafficPattern):
         mask = self.num_terminals - 1
         return ((src << 1) | (src >> (self.bits - 1))) & mask
 
-    def is_self_loop_free(self):
-        return False  # 0 and all-ones map to themselves
-
 
 class BitComplement(TrafficPattern):
     """Destination is the bitwise complement of the source address."""
@@ -110,9 +100,6 @@ class Tornado(_GridPattern):
         shift = (self.k + 1) // 2 - 1
         return self._terminal((x + shift) % self.k, (y + shift) % self.k)
 
-    def is_self_loop_free(self):
-        return (self.k + 1) // 2 - 1 != 0
-
 
 class Transpose(_GridPattern):
     """(x, y) -> (y, x) on the logical grid."""
@@ -120,9 +107,6 @@ class Transpose(_GridPattern):
     def dest(self, src, rng):
         x, y = self._coords(src)
         return self._terminal(y, x)
-
-    def is_self_loop_free(self):
-        return False  # the diagonal maps to itself
 
 
 class Neighbor(_GridPattern):
@@ -162,9 +146,6 @@ class Hotspot(TrafficPattern):
             if choice != src:
                 return choice
         return self._uniform.dest(src, rng)
-
-    def is_self_loop_free(self):
-        return True
 
 
 #: Pattern sets used in the paper's mesh and FBFly studies (Section 3).

@@ -33,7 +33,7 @@ def request_matrices(max_ports=6):
 
 
 ALL_KINDS = [
-    "islip1", "islip2", "oslip1", "oslip2", "pim1", "pim3",
+    "islip1", "islip2", "pim1", "pim3",
     "wavefront", "augmenting",
 ]
 
@@ -377,39 +377,6 @@ def _max_matching_size(pairs, n_in):
     return sum(try_kuhn(i, set()) for i in range(n_in))
 
 
-class TestOutputFirst:
-    def test_output_first_resolves_output_contention_first(self):
-        from repro.allocators import SeparableOutputFirstAllocator
-
-        alloc = SeparableOutputFirstAllocator(2, 2)
-        # Outputs 0 and 1 both grant input 0 (pointers at 0); input 0
-        # accepts only one, idling input 1 — the output-first mirror of
-        # the Figure 1 single-iteration suboptimality.
-        grants = alloc.allocate({(0, 0): 0, (0, 1): 0, (1, 1): 0})
-        assert len(grants) == 1
-
-    def test_two_iterations_fill_in(self):
-        from repro.allocators import SeparableOutputFirstAllocator
-
-        alloc = SeparableOutputFirstAllocator(2, 2, iterations=2)
-        grants = alloc.allocate({(0, 0): 0, (0, 1): 0, (1, 1): 0})
-        assert grants == {0: 0, 1: 1}
-
-    def test_pointer_rotation_is_fair(self):
-        from repro.allocators import SeparableOutputFirstAllocator
-
-        alloc = SeparableOutputFirstAllocator(2, 2)
-        requests = {(0, 0): 0, (1, 0): 0}
-        winners = [next(iter(alloc.allocate(requests))) for _ in range(4)]
-        assert set(winners) == {0, 1}
-
-    def test_bad_iterations(self):
-        from repro.allocators import SeparableOutputFirstAllocator
-
-        with pytest.raises(ValueError):
-            SeparableOutputFirstAllocator(2, 2, iterations=0)
-
-
 class TestPIM:
     def test_deterministic_with_seed(self):
         from repro.allocators import PIMAllocator
@@ -452,6 +419,5 @@ class TestFactory:
     def test_islip_k_parsing(self):
         assert make_allocator("islip3", 4, 4).iterations == 3
 
-    def test_oslip_and_pim_parsing(self):
-        assert make_allocator("oslip2", 4, 4).iterations == 2
+    def test_pim_parsing(self):
         assert make_allocator("pim4", 4, 4).iterations == 4

@@ -3,12 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.arbiters import (
-    MatrixArbiter,
-    PriorityArbiter,
-    RoundRobinArbiter,
-    highest_priority_subset,
-)
+from repro.arbiters import RoundRobinArbiter
 
 
 class TestRoundRobinArbiter:
@@ -93,66 +88,3 @@ class TestRoundRobinArbiter:
             else:
                 assert winner is None
 
-
-class TestMatrixArbiter:
-    def test_initial_order_prefers_low_index(self):
-        arb = MatrixArbiter(4)
-        assert arb.select([1, 3]) == 1
-
-    def test_least_recently_served(self):
-        arb = MatrixArbiter(3)
-        w = arb.select([0, 1, 2])
-        assert w == 0
-        arb.update(0)
-        assert arb.select([0, 1, 2]) == 1
-        arb.update(1)
-        assert arb.select([0, 1, 2]) == 2
-        arb.update(2)
-        assert arb.select([0, 1, 2]) == 0
-
-    def test_granted_requester_loses_priority(self):
-        arb = MatrixArbiter(2)
-        arb.update(0)
-        assert arb.select([0, 1]) == 1
-
-    def test_empty(self):
-        assert MatrixArbiter(2).select([]) is None
-
-    @given(
-        size=st.integers(min_value=1, max_value=8),
-        data=st.data(),
-    )
-    def test_always_unique_winner(self, size, data):
-        arb = MatrixArbiter(size)
-        for _ in range(8):
-            reqs = data.draw(st.lists(st.integers(0, size - 1), unique=True, min_size=1))
-            winner = arb.select(reqs)
-            assert winner in reqs
-            arb.update(winner)
-
-
-class TestPriority:
-    def test_highest_priority_subset(self):
-        subset, prio = highest_priority_subset({0: 1, 1: 5, 2: 5})
-        assert sorted(subset) == [1, 2]
-        assert prio == 5
-
-    def test_highest_priority_subset_empty_raises(self):
-        with pytest.raises(ValueError):
-            highest_priority_subset({})
-
-    def test_priority_arbiter_filters_low_class(self):
-        arb = PriorityArbiter(RoundRobinArbiter(4))
-        # Index 0 would win round-robin, but index 2 is higher class.
-        assert arb.select({0: 0, 2: 1}) == 2
-
-    def test_priority_arbiter_round_robin_within_class(self):
-        arb = PriorityArbiter(RoundRobinArbiter(4))
-        w = arb.select({1: 3, 2: 3})
-        assert w == 1
-        arb.update(w)
-        assert arb.select({1: 3, 2: 3}) == 2
-
-    def test_priority_arbiter_empty(self):
-        arb = PriorityArbiter(RoundRobinArbiter(4))
-        assert arb.select({}) is None

@@ -41,6 +41,48 @@ class TestCLI:
         lines = [l for l in text.splitlines() if l.strip()]
         assert len(lines) == 3  # header + two rates
 
+    def test_sweep_passes_drain(self):
+        import json
+
+        from repro import mesh_config, run_simulation
+
+        rows = {}
+        for drain in (None, "0", "800"):
+            extra = ("--drain", drain) if drain is not None else ()
+            code, text = run_cli(
+                "sweep", "--mesh-k", "4", "--rates", "0.6", "--warmup", "100",
+                "--measure", "300", "--json", *extra,
+            )
+            assert code == 0
+            rows[drain] = json.loads(text)[0]
+        for drain in (0, 800):
+            expected = run_simulation(
+                mesh_config(mesh_k=4), rate=0.6, warmup=100, measure=300,
+                drain=drain,
+            )
+            row = rows[str(drain)]
+            assert row["drain_cycles"] == expected.drain_cycles
+            assert row["packet_latency"]["mean"] == \
+                expected.packet_latency.mean
+        # Without the flag a sweep does not drain, as before --drain
+        # reached it.
+        assert rows[None] == rows["0"]
+        assert rows["800"]["drain_cycles"] > 0
+
+    def test_saturation_passes_drain(self, monkeypatch):
+        import repro.cli as cli
+
+        seen = []
+
+        def fake_find_saturation(config_factory, **kwargs):
+            seen.append(kwargs["drain"])
+            return 0.5, 0.49
+
+        monkeypatch.setattr(cli, "find_saturation", fake_find_saturation)
+        assert run_cli("saturation", "--mesh-k", "4")[0] == 0
+        assert run_cli("saturation", "--mesh-k", "4", "--drain", "300")[0] == 0
+        assert seen == [0, 300]
+
     def test_saturation(self):
         code, text = run_cli(
             "saturation", "--mesh-k", "4",
@@ -195,32 +237,6 @@ class TestTelemetryCLI:
         assert records[-1]["ev"] == "finish"
         assert any(r["ev"] == "heartbeat" for r in records)
 
-    def test_sweep_telemetry_then_watch(self, tmp_path):
-        import json as json_mod
-
-        directory = str(tmp_path / "tel")
-        code, _ = run_cli(
-            "sweep", "--mesh-k", "4", "--rates", "0.05", "0.1",
-            "--warmup", "100", "--measure", "300",
-            "--telemetry", directory, "--heartbeat-every", "100",
-        )
-        assert code == 0
-        code, text = run_cli("watch", directory, "--once")
-        assert code == 0
-        assert "2 points (2 done)" in text
-        assert "sweep finished" in text
-        code, text = run_cli("watch", directory, "--json")
-        assert code == 0
-        state = json_mod.loads(text)
-        assert state["all_finished"] is True
-        assert [p["status"] for p in state["points"]] == ["done", "done"]
-        assert all(p["wall_seconds"] > 0 for p in state["points"])
-
-    def test_watch_missing_directory(self, tmp_path):
-        code, text = run_cli("watch", str(tmp_path / "nope"), "--once")
-        assert code == 2
-        assert "no telemetry directory" in text
-
     def test_report_on_profile_with_collapsed_export(self, tmp_path):
         profile = tmp_path / "prof.json"
         stacks = tmp_path / "stacks.txt"
@@ -238,6 +254,22 @@ class TestTelemetryCLI:
         lines = stacks.read_text().splitlines()
         assert lines
         assert all(line.startswith("sim;") for line in lines)
+
+    def test_report_on_metrics_export(self, tmp_path):
+        metrics = tmp_path / "m.json"
+        code, _ = run_cli(
+            "run", "--mesh-k", "4", "--rate", "0.3",
+            "--warmup", "50", "--measure", "100", "--drain", "100",
+            "--metrics", str(metrics),
+        )
+        assert code == 0
+        code, text = run_cli("report", str(metrics), "--top", "3")
+        assert code == 0
+        assert text.startswith("metrics export\n")
+        assert "grant efficiency" in text
+        assert "switch alloc" in text
+        counters = text.split("top 3 counters\n")[1].split("\n\n")[0]
+        assert len(counters.splitlines()) == 3
 
     def test_report_collapsed_requires_profile(self, tmp_path):
         trace = tmp_path / "trace.jsonl"

@@ -242,49 +242,6 @@ class TestPointTimings:
         assert entry["worker"] == full.timings[0].worker
 
 
-class TestSweepTelemetry:
-    def test_sweep_writes_heartbeats_per_point(self, tmp_path):
-        from repro.obs.telemetry import point_heartbeat_path, read_heartbeats
-
-        directory = str(tmp_path / "tel")
-        results = parallel_sweep(
-            mesh_config(mesh_k=4), rates=[0.05, 0.1], workers=0,
-            label="m4", telemetry_dir=directory, heartbeat_every=100, **RUN
-        )
-        assert results.complete
-        for i, rate in enumerate([0.05, 0.1]):
-            records = read_heartbeats(point_heartbeat_path(directory, i))
-            assert records[0]["ev"] == "start"
-            assert records[0]["rate"] == rate
-            assert records[0]["label"] == "m4"
-            assert records[-1]["ev"] == "finish"
-            assert records[-1]["status"] == "done"
-
-    def test_sweep_telemetry_renders_in_watch(self, tmp_path):
-        import io
-
-        from repro.obs.watch import watch
-
-        directory = str(tmp_path / "tel")
-        parallel_sweep(mesh_config(mesh_k=4), rates=[0.05], workers=0,
-                       telemetry_dir=directory, heartbeat_every=100, **RUN)
-        out = io.StringIO()
-        assert watch(directory, out, follow=False) == 0
-        assert "sweep finished" in out.getvalue()
-
-    def test_pool_sweep_telemetry(self, tmp_path):
-        from repro.obs.telemetry import point_heartbeat_path, read_heartbeats
-
-        directory = str(tmp_path / "tel")
-        parallel_sweep(mesh_config(mesh_k=4), rates=[0.05, 0.1], workers=2,
-                       telemetry_dir=directory, heartbeat_every=100, **RUN)
-        finishes = [
-            read_heartbeats(point_heartbeat_path(directory, i))[-1]
-            for i in range(2)
-        ]
-        assert all(f["ev"] == "finish" for f in finishes)
-
-
 class TestRetryBackoff:
     """Deterministic backoff between per-point retry attempts."""
 
@@ -399,7 +356,6 @@ def _sigkill_once_run_point(point):
     point = parallel_mod.SweepPoint(
         point.config, point.rate, kwargs, point.label,
         point.profile_epoch, point.watchdog_window,
-        point.telemetry_path, point.heartbeat_every,
     )
     flag = os.path.join(sentinel, f"killed-{point.label}-{point.rate!r}")
     if not os.path.exists(flag):
@@ -419,7 +375,6 @@ def _wedge_once_run_point(point):
     point = parallel_mod.SweepPoint(
         point.config, point.rate, kwargs, point.label,
         point.profile_epoch, point.watchdog_window,
-        point.telemetry_path, point.heartbeat_every,
     )
     flag = os.path.join(sentinel, f"wedged-{point.label}-{point.rate!r}")
     if not os.path.exists(flag):

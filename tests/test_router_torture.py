@@ -103,7 +103,6 @@ MODES = [
     dict(vc_allocation="speculative", chaining="same_input"),
     dict(allocator="wavefront", chaining="any_input"),
     dict(allocator="augmenting", chaining="any_input"),
-    dict(allocator="oslip1"),
     dict(allocator="pim2", chaining="same_vc"),
 ]
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import ChainingScheme, mesh_config, run_simulation
-from repro.sim.sweep import average_results, find_saturation, rate_sweep
+from repro.sim.parallel import parallel_sweep
+from repro.sim.sweep import find_saturation
 from repro.stats.collector import StatsCollector
 from repro.stats.summary import LatencySummary
 from repro.network.flit import Packet
@@ -146,10 +147,9 @@ class TestRunSimulation:
 
 
 class TestSweeps:
-    def test_rate_sweep_monotone_then_flat(self):
-        results = rate_sweep(
-            lambda: mesh_config(mesh_k=4),
-            rates=[0.1, 0.6],
+    def test_sweep_monotone_then_flat(self):
+        results = parallel_sweep(
+            mesh_config(mesh_k=4), rates=[0.1, 0.6], workers=0,
             warmup=150, measure=400, drain=0,
         )
         (r1, res1), (r2, res2) = results
@@ -164,12 +164,3 @@ class TestSweeps:
         )
         assert 0.05 <= rate <= 1.0
         assert tp > 0
-
-    def test_average_results(self):
-        results = rate_sweep(
-            lambda: mesh_config(mesh_k=4),
-            rates=[0.05, 0.1],
-            warmup=100, measure=200, drain=0,
-        )
-        avg = average_results(results, "avg_throughput")
-        assert avg == pytest.approx(0.075, abs=0.03)

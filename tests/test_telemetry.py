@@ -7,15 +7,7 @@ import pytest
 
 from repro.checkpoint import SimulationKilled
 from repro.network.config import mesh_config
-from repro.obs.telemetry import (
-    HEARTBEAT_SUFFIX,
-    TELEMETRY_MANIFEST,
-    RunTelemetry,
-    init_telemetry_dir,
-    point_heartbeat_path,
-    read_heartbeats,
-    rss_kb,
-)
+from repro.obs.telemetry import RunTelemetry, read_heartbeats, rss_kb
 from repro.sim.runner import run_simulation
 
 RUN = dict(rate=0.1, warmup=100, measure=200, drain=0, seed=3)
@@ -178,29 +170,6 @@ class TestHeartbeatFiles:
         path.write_text('\n{"ev": "start"}\n\n{"ev": "finish"}\n')
         assert [r["ev"] for r in read_heartbeats(str(path))] == \
             ["start", "finish"]
-
-
-class TestTelemetryDir:
-    def test_manifest_and_stale_cleanup(self, tmp_path):
-        directory = str(tmp_path / "tel")
-        stale = tmp_path / "tel"
-        stale.mkdir()
-        (stale / f"old{HEARTBEAT_SUFFIX}").write_text("{}\n")
-        points = [{"label": "a", "rate": 0.1}, {"label": "b", "rate": 0.2}]
-        manifest = init_telemetry_dir(directory, points)
-        assert not (stale / f"old{HEARTBEAT_SUFFIX}").exists()
-        assert len(manifest["points"]) == 2
-        assert manifest["points"][1]["label"] == "b"
-        assert manifest["points"][1]["rate"] == 0.2
-        on_disk = json.loads((stale / TELEMETRY_MANIFEST).read_text())
-        assert on_disk["points"] == manifest["points"]
-
-    def test_point_paths_are_stable_and_sorted(self, tmp_path):
-        paths = [point_heartbeat_path(str(tmp_path), i) for i in (0, 1, 12)]
-        assert [p.rsplit("/", 1)[1] for p in paths] == [
-            "point0000.hb.jsonl", "point0001.hb.jsonl", "point0012.hb.jsonl",
-        ]
-        assert sorted(paths) == paths
 
 
 def test_rss_kb_positive_on_linux():
