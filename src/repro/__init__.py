@@ -3,7 +3,7 @@
 A from-scratch Python reproduction of Michelogiannakis, Jiang, Dally &
 Becker (MICRO 2011): a cycle-accurate NoC simulator with virtual-channel
 flow control, incremental allocation, a combined switch/VC allocator,
-four switch-allocator families (iSLIP-k, wavefront, augmenting paths)
+four switch-allocator families (iSLIP-k, PIM, wavefront, augmenting paths)
 and the paper's packet-chaining mechanism, plus a cache-coherent CMP
 model for the application study.
 

@@ -11,10 +11,10 @@ per-phase wall-time split so far.
 Two independent outputs, both optional:
 
 - ``path`` — an append-only JSONL heartbeat file. Every record is
-  flushed and fsynced, so another process (a ``repro serve``
-  supervisor's lease check) can tail live state even if this process
-  is later SIGKILLed; a torn final line is tolerated by
-  :func:`read_heartbeats`.
+  flushed and fsynced, so another process can trust what it reads
+  (``repro serve``'s lease check reads the file's age with
+  :func:`heartbeat_age`) even if this process is later SIGKILLed; a
+  torn final line is tolerated by :func:`read_heartbeats`.
 - ``console`` — a text stream (normally ``sys.stderr``) that gets a
   single carriage-return-rewritten progress line per heartbeat, so
   ``repro run --progress --json`` keeps machine-readable stdout clean.

@@ -8,6 +8,7 @@ import pytest
 from repro.network.config import fbfly_config, mesh_config
 from repro.network.network import Network
 from repro.obs import SAMPLE_FIELDS, NetworkSampler
+from repro.obs.sampler import shade
 from repro.sim.runner import run_simulation
 
 
@@ -103,7 +104,8 @@ class TestDerivedViews:
         )
         cycles = sampler.period * len(sampler.samples)
         assert sum(util.values()) == pytest.approx(total_flits / cycles)
-        assert all(u >= 0 for u in util.values())
+        # One flit per cycle is a link's capacity.
+        assert all(0 <= u <= 1 for u in util.values())
 
     def test_hottest_links_ranked(self, sampled):
         _, sampler = sampled
@@ -127,6 +129,11 @@ class TestHeatmap:
             rows = art.split("\n")
             assert len(rows) == 4
             assert all(len(row) == 4 for row in rows)
+
+    def test_shade_ramp(self):
+        assert shade(0, 10) == " "
+        assert shade(10, 10) == "@"
+        assert shade(0, 0) == " "
 
     def test_heatmap_no_samples(self):
         sampler = NetworkSampler()
