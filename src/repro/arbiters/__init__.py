@@ -6,10 +6,8 @@ only advanced by an explicit :meth:`~repro.arbiters.round_robin.RoundRobinArbite
 call so callers can implement "update only on accepted grants").
 """
 
-from repro.arbiters.base import Arbiter
 from repro.arbiters.round_robin import RoundRobinArbiter
 
 __all__ = [
-    "Arbiter",
     "RoundRobinArbiter",
 ]

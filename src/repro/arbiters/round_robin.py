@@ -2,25 +2,30 @@
 
 from typing import Iterable, Optional
 
-from repro.arbiters.base import Arbiter
 
+class RoundRobinArbiter:
+    """Round-robin arbiter over integer request indices ``[0, size)``.
 
-class RoundRobinArbiter(Arbiter):
-    """Round-robin arbiter.
-
-    The pointer designates the highest-priority request index. On
-    :meth:`update`, the pointer moves to one beyond the granted index,
-    which is the iSLIP priority-update rule (McKeown, 1999): the granted
-    requester becomes the lowest priority for the next allocation.
+    The pointer designates the highest-priority request index.
+    :meth:`select` does not move it; :meth:`update` moves it to one
+    beyond the granted index, which is the iSLIP priority-update rule
+    (McKeown, 1999): the granted requester becomes the lowest priority
+    for the next allocation. Callers thus update only on accepted grants.
     """
 
     def __init__(self, size: int, start: int = 0) -> None:
-        super().__init__(size)
+        if size <= 0:
+            raise ValueError(f"arbiter size must be positive, got {size}")
+        self.size = size
         if not 0 <= start < size:
             raise ValueError(f"start pointer {start} out of range [0, {size})")
         self.pointer = start
 
     def select(self, requests: Iterable[int]) -> Optional[int]:
+        """The winning request index, or ``None`` if no requests.
+
+        Indices outside ``[0, size)`` raise :class:`ValueError`.
+        """
         reqs = self._validate(requests)
         if not reqs:
             return None
@@ -35,6 +40,13 @@ class RoundRobinArbiter(Arbiter):
         if not 0 <= granted < self.size:
             raise ValueError(f"granted index {granted} out of range [0, {self.size})")
         self.pointer = (granted + 1) % self.size
+
+    def _validate(self, requests: Iterable[int]) -> list:
+        reqs = list(requests)
+        for r in reqs:
+            if not 0 <= r < self.size:
+                raise ValueError(f"request index {r} out of range [0, {self.size})")
+        return reqs
 
     def reset(self) -> None:
         """Return the pointer to index 0."""

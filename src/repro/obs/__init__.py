@@ -66,7 +66,7 @@ from repro.obs.report import (
     summarize_trace,
 )
 from repro.obs.sampler import SAMPLE_FIELDS, NetworkSampler
-from repro.obs.telemetry import RunTelemetry, read_heartbeats
+from repro.obs.telemetry import RunTelemetry
 from repro.obs.spans import (
     SPAN_COMPONENTS,
     PacketSpan,
@@ -82,6 +82,7 @@ from repro.obs.trace import (
     RingSink,
     TraceBus,
     TraceFilter,
+    append_jsonl,
     open_text_read,
     open_text_write,
     read_jsonl,
@@ -96,6 +97,7 @@ __all__ = [
     "NULL_TRACE",
     "EVENT_TYPES",
     "read_jsonl",
+    "append_jsonl",
     "open_text_read",
     "open_text_write",
     "MetricsRegistry",
@@ -112,7 +114,6 @@ __all__ = [
     "is_profile_dict",
     "format_profile_report",
     "RunTelemetry",
-    "read_heartbeats",
     "TraceSummary",
     "summarize_trace",
     "format_report",

@@ -46,12 +46,11 @@ fingerprint still seals the complete end state.
 """
 
 import hashlib
-import json
 from collections import deque
 
 from repro.checkpoint import SnapshotContext, canonical_json, canonical_sha256
 from repro.core.serialization import rng_state_to_json
-from repro.obs.trace import open_text_read, open_text_write
+from repro.obs.trace import open_text_write, read_jsonl
 
 #: Bump on any incompatible change to the digest-stream layout.
 DIGEST_SCHEMA = 1
@@ -284,30 +283,19 @@ class DigestStream:
 def read_digest_stream(path):
     """Load a :class:`DigestRecorder` JSONL file into a DigestStream.
 
-    A torn final line (a run killed mid-write) is discarded, as the
-    other JSONL readers do; the intact records before it load. A
-    ``.gz`` stream cut short the same way loads up to where it ends.
+    :func:`~repro.obs.trace.read_jsonl` discards a torn final line (a
+    run killed mid-write) and loads a ``.gz`` stream cut short up to
+    where it ends; the intact records before either load.
     """
     header = None
     fingerprint = None
     records = {}
-    with open_text_read(path) as fh:
-        try:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn tail: the writer died mid-record
-                kind = obj.get("kind")
-                if kind == "header":
-                    header = obj
-                elif kind == "digest":
-                    records[obj["cycle"]] = obj
-                elif kind == "fingerprint":
-                    fingerprint = obj["fingerprint"]
-        except EOFError:
-            pass  # a killed .gz writer never wrote the end-of-stream marker
+    for obj in read_jsonl(path):
+        kind = obj.get("kind")
+        if kind == "header":
+            header = obj
+        elif kind == "digest":
+            records[obj["cycle"]] = obj
+        elif kind == "fingerprint":
+            fingerprint = obj["fingerprint"]
     return DigestStream(header, records, fingerprint)

@@ -11,10 +11,11 @@ per-phase wall-time split so far.
 Two independent outputs, both optional:
 
 - ``path`` — an append-only JSONL heartbeat file. Every record is
-  flushed and fsynced, so another process can trust what it reads
-  (``repro serve``'s lease check reads the file's age with
-  :func:`heartbeat_age`) even if this process is later SIGKILLed; a
-  torn final line is tolerated by :func:`read_heartbeats`.
+  written with :func:`repro.obs.trace.append_jsonl` (fsynced), so
+  another process can trust what it reads (``repro serve``'s lease
+  check reads the file's age with :func:`repro.proc.file_age`) even if
+  this process is later SIGKILLed; :func:`repro.obs.trace.read_jsonl`
+  reads it back and discards a torn final line.
 - ``console`` — a text stream (normally ``sys.stderr``) that gets a
   single carriage-return-rewritten progress line per heartbeat, so
   ``repro run --progress --json`` keeps machine-readable stdout clean.
@@ -25,10 +26,11 @@ the next sampling cycle), matching the trace bus's disabled-by-default
 budget; ``benchmarks/test_obs_overhead.py`` holds it under 5%.
 """
 
-import json
 import os
 import socket
 import time
+
+from repro.obs.trace import append_jsonl
 
 
 def rss_kb():
@@ -84,7 +86,6 @@ class RunTelemetry:
         self.records_written = 0
         self._clock = clock
         self._walltime = walltime
-        self._fh = None
         self._profiler = None
         self._start_time = None
         self._start_cycle = 0
@@ -97,7 +98,7 @@ class RunTelemetry:
     # --- lifecycle (called by the runner) -----------------------------
 
     def begin(self, total_cycles=None, profiler=None, start_cycle=0):
-        """Open the heartbeat file and emit the ``start`` record."""
+        """Emit the ``start`` record."""
         if total_cycles is not None:
             self.total_cycles = total_cycles
         self._profiler = profiler
@@ -105,8 +106,6 @@ class RunTelemetry:
         self._start_time = self._last_time = now
         self._start_cycle = self._last_cycle = start_cycle
         self._next_cycle = start_cycle + self.every
-        if self.path is not None and self._fh is None:
-            self._fh = open(self.path, "a")
         self._emit(
             {
                 "ev": "start",
@@ -128,7 +127,7 @@ class RunTelemetry:
         self._heartbeat(cycle, phase)
 
     def finish(self, status="done", cycle=None, result=None):
-        """Emit the terminal record and close the heartbeat file.
+        """Emit the terminal record.
 
         ``status`` is ``"done"`` for a clean finish, or a short reason
         (``"killed"``, ``"failed"``) otherwise. Safe to call twice.
@@ -164,9 +163,6 @@ class RunTelemetry:
             # End the carriage-return progress line cleanly.
             self.console.write("\n")
             self.console.flush()
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
     # --- internals ----------------------------------------------------
 
@@ -220,53 +216,9 @@ class RunTelemetry:
 
     def _emit(self, record):
         self.records_written += 1
-        if self._fh is None:
-            return
-        self._fh.write(json.dumps(record, separators=(",", ":")))
-        self._fh.write("\n")
-        # Flush + fsync per record: a heartbeat that was reported is
-        # durable, so a reader never sees a silently-stale file from a
-        # live process (only from a dead one).
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        if self.path is not None:
+            # Fsynced per record: a heartbeat that was reported is
+            # durable, so a reader never sees a silently-stale file from
+            # a live process (only from a dead one).
+            append_jsonl(self.path, record)
 
-
-def heartbeat_age(path, now=None):
-    """Seconds since ``path`` was last appended to (None if absent).
-
-    The age of a heartbeat file's mtime is the liveness signal lease
-    supervision runs on: every record is flushed+fsynced on write, so a
-    fresh mtime means the writer was alive that recently, and a stale
-    mtime means it is wedged or dead — even SIGKILL cannot forge a
-    newer timestamp. Uses the filesystem clock (``time.time`` domain).
-    """
-    try:
-        mtime = os.stat(path).st_mtime
-    except OSError:
-        return None
-    return max(0.0, (time.time() if now is None else now) - mtime)
-
-
-def read_heartbeats(path):
-    """Parse one heartbeat file; a torn final line is discarded.
-
-    Returns the list of record dicts. Missing file -> empty list, so
-    watchers can poll paths that workers have not created yet.
-    """
-    records = []
-    try:
-        fh = open(path)
-    except OSError:
-        return records
-    with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail: the writer died mid-append
-            if isinstance(record, dict):
-                records.append(record)
-    return records

@@ -16,10 +16,16 @@ Events are flat dicts so they serialize directly to JSONL::
 Common keys: ``ev`` (event type), ``cycle``, and — where meaningful —
 ``router``, ``port`` (the *output* port of the event), ``pid`` (packet
 id). Remaining keys are event-specific.
+
+The module also owns the JSONL format of every durable log (job store,
+cache index, sweep and shard journals, heartbeat files):
+:func:`append_jsonl` is their one fsynced writer and :func:`read_jsonl`
+the one reader, for those logs and for traces and digest streams alike.
 """
 
 import gzip
 import json
+import os
 import sys
 
 #: The typed events the simulation core emits.
@@ -275,20 +281,46 @@ class TraceBus:
 NULL_TRACE = TraceBus(enabled=False)
 
 
+def append_jsonl(path, record):
+    """Durably append one JSON line to ``path``.
+
+    The file is opened, written, flushed, fsynced and closed for every
+    record, so a record that was appended survives the writer dying the
+    next instant; a writer killed mid-append leaves at most one torn
+    final line, which :func:`read_jsonl` discards.
+    """
+    with open(path, "a") as fh:
+        fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
 def read_jsonl(path):
-    """Load a JSONL trace back into a list of event dicts.
+    """Load a JSONL log back into a list of dicts, up to a torn tail.
 
     ``path`` may be a plain file, a ``.gz`` gzip-compressed file, or
     ``-`` for stdin (so traces pipe straight into ``repro report``).
+    Blank lines and lines that are not objects are skipped. Reading
+    stops at the first line that does not decode, and at the end of a
+    ``.gz`` stream cut short: a writer killed mid-record leaves exactly
+    that, and the intact records before it load.
     """
-    events = []
+    records = []
     fh = open_text_read(path)
     try:
         for line in fh:
             line = line.strip()
-            if line:
-                events.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                break  # torn tail: the writer died mid-append
+            if isinstance(record, dict):
+                records.append(record)
+    except EOFError:
+        pass  # a killed .gz writer never wrote the end-of-stream marker
     finally:
         if fh is not sys.stdin:
             fh.close()
-    return events
+    return records

@@ -37,6 +37,7 @@ from repro.checkpoint import (
     config_hash,
 )
 from repro.obs.artifacts import atomic_write
+from repro.obs.trace import append_jsonl
 from repro.parallel.exchange import EXCH_DIR
 from repro.parallel.merge import assemble_result
 from repro.parallel.partition import ShardPlan
@@ -84,15 +85,6 @@ class ShardRunResult:
     cycles: int = None
     restarts: int = 0
     timers: dict = field(default_factory=dict)
-
-
-def _journal_append(path, event, **fields):
-    record = {"t": time.time(), "event": event}
-    record.update(fields)
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
 
 
 def _load_final(out_dir, shard, expected_hash):
@@ -233,7 +225,8 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
         payload = _load_final(out_dir, i, expected_hash)
         if payload is not None:
             finals[i] = payload
-            _journal_append(journal, "resume_skip", shard=i)
+            append_jsonl(journal, {"t": time.time(), "event": "resume_skip",
+                                   "shard": i})
         else:
             pending.add(i)
 
@@ -256,14 +249,15 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
         now = time.monotonic()
         handles[i] = {"proc": proc, "attempt": attempts[i], "spawned": now,
                       "progress": None, "progress_t": now}
-        _journal_append(journal, "spawn", shard=i, attempt=attempts[i],
-                        pid=proc.pid)
+        append_jsonl(journal, {"t": time.time(), "event": "spawn", "shard": i,
+                               "attempt": attempts[i], "pid": proc.pid})
 
     def restart(i, reason):
         nonlocal restarts_total
         restarts_total += 1
-        _journal_append(journal, "restart", shard=i,
-                        attempt=attempts[i], reason=reason)
+        append_jsonl(journal, {"t": time.time(), "event": "restart",
+                               "shard": i, "attempt": attempts[i],
+                               "reason": reason})
         if attempts[i] > max_restarts:
             for other in pending:
                 proc = handles.get(other, {}).get("proc")
@@ -299,7 +293,8 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
         while pending:
             if not drained_mode and drain_requested():
                 drained_mode = True
-                _journal_append(journal, "drain_begin")
+                append_jsonl(journal, {"t": time.time(),
+                                       "event": "drain_begin"})
                 for i in pending:
                     proc = handles[i]["proc"]
                     if proc.is_alive():
@@ -320,17 +315,19 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
                         if payload is not None:
                             finals[i] = payload
                             pending.discard(i)
-                            _journal_append(journal, "finalized", shard=i,
-                                            attempt=info["attempt"],
-                                            cycle=out.get("cycle"))
+                            append_jsonl(journal, {
+                                "t": time.time(), "event": "finalized",
+                                "shard": i, "attempt": info["attempt"],
+                                "cycle": out.get("cycle")})
                             continue
                         reason = "ok outcome but final payload missing"
                     elif out is not None and out.get("drained"):
                         if drained_mode:
                             pending.discard(i)
-                            _journal_append(journal, "drained", shard=i,
-                                            attempt=info["attempt"],
-                                            window=out.get("window"))
+                            append_jsonl(journal, {
+                                "t": time.time(), "event": "drained",
+                                "shard": i, "attempt": info["attempt"],
+                                "window": out.get("window")})
                             continue
                         reason = "drain exit without a drain request"
                     elif out is not None:
@@ -341,8 +338,9 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
                         # Shutting down anyway: the shard's checkpoints
                         # carry the resume; don't respawn.
                         pending.discard(i)
-                        _journal_append(journal, "died_during_drain",
-                                        shard=i, reason=reason)
+                        append_jsonl(journal, {
+                            "t": time.time(), "event": "died_during_drain",
+                            "shard": i, "reason": reason})
                         continue
                     restart(i, reason)
                     continue
@@ -392,7 +390,7 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
             signal.signal(signal.SIGTERM, previous_sigterm)
 
     if drained_mode:
-        _journal_append(journal, "drain_complete")
+        append_jsonl(journal, {"t": time.time(), "event": "drain_complete"})
         return ShardRunResult(status="drained", shards=shards, window=win,
                               out_dir=out_dir, restarts=restarts_total)
 
@@ -410,8 +408,9 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
     for payload in payloads:
         for key, value in (payload.get("timers") or {}).items():
             timers[key] = timers.get(key, 0.0) + value
-    _journal_append(journal, "assembled", cycle=net.cycle,
-                    digest_root=digest_root, restarts=restarts_total)
+    append_jsonl(journal, {"t": time.time(), "event": "assembled",
+                           "cycle": net.cycle, "digest_root": digest_root,
+                           "restarts": restarts_total})
     summary_path = os.path.join(out_dir, "result.json")
     with atomic_write(summary_path) as fh:
         fh.write(canonical_json({

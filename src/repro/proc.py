@@ -108,12 +108,16 @@ def write_outcome(path, **fields):
 
 
 def file_age(path, now=None):
-    """Seconds since ``path`` was last touched, or None if unreadable."""
+    """Seconds since ``path`` was last touched, or None if unreadable.
+
+    Clamped at 0, so a file written after ``now`` was sampled never
+    reports a negative age.
+    """
     try:
         mtime = os.stat(path).st_mtime
     except OSError:
         return None
-    return (time.time() if now is None else now) - mtime
+    return max(0.0, (time.time() if now is None else now) - mtime)
 
 
 def wait_for_exit(processes, timeout):

@@ -23,12 +23,12 @@ source of truth, and :meth:`ResultCache.reconcile` re-derives missing
 index lines after a crash between publish and append.
 """
 
-import json
 import os
 import shutil
 import tempfile
 
 from repro.obs.artifacts import SUMMARY
+from repro.obs.trace import append_jsonl, read_jsonl
 
 CACHE_DIR = "cache"
 OBJECTS_DIR = "objects"
@@ -47,7 +47,6 @@ class ResultCache:
         self.index_path = os.path.join(self.base, INDEX)
         os.makedirs(self.objects, exist_ok=True)
         os.makedirs(self.tmp, exist_ok=True)
-        self._index_fh = None
 
     # --- lookup / publish --------------------------------------------
 
@@ -95,38 +94,22 @@ class ResultCache:
 
     def read_index(self):
         """Intact index entries, in append order (torn tail dropped)."""
-        entries = []
         if not os.path.exists(self.index_path):
-            return entries
-        with open(self.index_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn tail from a crash mid-append
-                if isinstance(entry, dict) and "hash" in entry:
-                    entries.append(entry)
-        return entries
+            return []
+        return [entry for entry in read_jsonl(self.index_path)
+                if "hash" in entry]
 
     def indexed_hashes(self):
         return {entry["hash"] for entry in self.read_index()}
 
     def record(self, spec_hash, job_id=None, t=None):
         """Durably append one index line (caller dedups per hash)."""
-        if self._index_fh is None:
-            self._index_fh = open(self.index_path, "a")
         entry = {"hash": spec_hash, "path": self.relative_entry(spec_hash)}
         if job_id is not None:
             entry["job"] = job_id
         if t is not None:
             entry["t"] = t
-        self._index_fh.write(json.dumps(entry, separators=(",", ":")))
-        self._index_fh.write("\n")
-        self._index_fh.flush()
-        os.fsync(self._index_fh.fileno())
+        append_jsonl(self.index_path, entry)
 
     def reconcile(self):
         """Sweep staging debris; index entries published but unindexed.
@@ -144,8 +127,3 @@ class ResultCache:
                 self.record(name)
                 indexed.add(name)
         return indexed
-
-    def close(self):
-        if self._index_fh is not None:
-            self._index_fh.close()
-            self._index_fh = None

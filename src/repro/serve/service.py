@@ -44,8 +44,7 @@ import time
 
 from repro.obs.artifacts import atomic_write
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import heartbeat_age
-from repro.proc import wait_for_exit
+from repro.proc import file_age, wait_for_exit
 from repro.serve.backoff import DEFAULT_RETRY_POLICY
 from repro.serve.cache import ResultCache
 from repro.serve.spec import JobSpec, new_job_id
@@ -160,9 +159,7 @@ class ExperimentService:
         return requeued
 
     def close(self):
-        """Release file handles and the lock (workers are left alone)."""
-        self.store.close()
-        self.cache.close()
+        """Release the lock (workers are left alone)."""
         self._release_lock()
 
     def __enter__(self):
@@ -325,7 +322,7 @@ class ExperimentService:
 
     def _lease_age(self, handle):
         """Seconds since the worker last proved liveness."""
-        age = heartbeat_age(handle.hb_path, now=self.walltime())
+        age = file_age(handle.hb_path, now=self.walltime())
         if age is None:
             # No heartbeat yet: count from lease start (covers workers
             # that wedge before opening their stream).

@@ -4,10 +4,10 @@ The service's single source of truth is ``<root>/jobs.jsonl``. Every
 job state transition is appended as one JSON line and fsynced before
 the transition is acted on, so the scheduler's state is reconstructible
 after a crash at any instant: fold the journal, keep the latest state
-per job. A torn final line (SIGKILL mid-append) is detected by its JSON
-parse failure and discarded together with anything after it, exactly
-like :class:`repro.sim.parallel.SweepJournal` — the corresponding
-transition simply re-happens.
+per job. Lines are written with :func:`repro.obs.trace.append_jsonl`
+and read with :func:`repro.obs.trace.read_jsonl`, which discards a torn
+final line (SIGKILL mid-append) — the corresponding transition simply
+re-happens.
 
 Job lifecycle (the state machine DESIGN §10 documents)::
 
@@ -25,10 +25,11 @@ directory lives — the journal plus the cache index is enough to audit
 that no experiment hash was ever simulated twice.
 """
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from repro.obs.trace import append_jsonl, read_jsonl
 
 JOURNAL = "jobs.jsonl"
 
@@ -78,21 +79,10 @@ class JobRecord:
 
 def read_events(path):
     """Every intact journal line, in order; torn tail discarded."""
-    events = []
     if not os.path.exists(path):
-        return events
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail from a crash mid-append
-            if isinstance(event, dict) and "ev" in event and "job" in event:
-                events.append(event)
-    return events
+        return []
+    return [event for event in read_jsonl(path)
+            if "ev" in event and "job" in event]
 
 
 def fold_events(events):
@@ -155,34 +145,19 @@ class JobStore:
         os.makedirs(root, exist_ok=True)
         self.root = root
         self.path = os.path.join(root, JOURNAL)
-        self._fh = None
 
     def append(self, ev, job_id, **fields):
-        """Durably append one event; returns the event dict."""
+        """Durably append one event; returns the event dict.
+
+        Fsynced per event: an acted-on transition must survive the
+        process dying the very next instant, or recovery would disagree
+        with what the dead scheduler already did.
+        """
         event = {"ev": ev, "job": job_id}
         event.update(fields)
-        if self._fh is None:
-            self._fh = open(self.path, "a")
-        self._fh.write(json.dumps(event, separators=(",", ":")))
-        self._fh.write("\n")
-        # Flush + fsync per event: an acted-on transition must survive
-        # the process dying the very next instant, or recovery would
-        # disagree with what the dead scheduler already did.
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        append_jsonl(self.path, event)
         return event
 
     def recover(self):
         """Fold the on-disk journal into ``{job_id: JobRecord}``."""
         return fold_events(read_events(self.path))
-
-    def close(self):
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

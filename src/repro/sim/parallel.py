@@ -27,8 +27,6 @@ deadlocked point fails fast instead of eating its timeout.
 """
 
 import copy
-import dataclasses
-import json
 import os
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -36,6 +34,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.obs.trace import append_jsonl, read_jsonl
 from repro.serve.backoff import DEFAULT_RETRY_POLICY
 from repro.sim.runner import run_simulation
 from repro.stats.summary import SimResult
@@ -90,10 +89,6 @@ class PointTiming:
     retry_delays: List[float] = field(default_factory=list)
 
 
-def _timing_rows(timings):
-    return [dataclasses.asdict(t) for t in timings]
-
-
 class SweepResults(list):
     """``[(rate, SimResult)]`` plus per-point failures in ``errors``.
 
@@ -117,28 +112,6 @@ class SweepResults(list):
         return sum(t.wall_time for t in self.timings
                    if t.wall_time is not None)
 
-    def to_dict(self):
-        """JSON-serializable dict; inverse is :meth:`from_dict`."""
-        return {
-            "results": [
-                {"rate": rate, "result": result.to_dict()}
-                for rate, result in self
-            ],
-            "errors": [dataclasses.asdict(e) for e in self.errors],
-            "timings": _timing_rows(self.timings),
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            (
-                (item["rate"], SimResult.from_dict(item["result"]))
-                for item in data["results"]
-            ),
-            (PointError(**e) for e in data["errors"]),
-            (PointTiming(**t) for t in data.get("timings", [])),
-        )
-
 
 class MatrixResults(dict):
     """``{label: [(rate, SimResult)]}`` plus failures in ``errors``.
@@ -161,34 +134,6 @@ class MatrixResults(dict):
         return sum(t.wall_time for t in self.timings
                    if t.wall_time is not None)
 
-    def to_dict(self):
-        """JSON-serializable dict; inverse is :meth:`from_dict`."""
-        return {
-            "series": {
-                label: [
-                    {"rate": rate, "result": result.to_dict()}
-                    for rate, result in series
-                ]
-                for label, series in self.items()
-            },
-            "errors": [dataclasses.asdict(e) for e in self.errors],
-            "timings": _timing_rows(self.timings),
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            {
-                label: [
-                    (item["rate"], SimResult.from_dict(item["result"]))
-                    for item in series
-                ]
-                for label, series in data["series"].items()
-            },
-            (PointError(**e) for e in data["errors"]),
-            (PointTiming(**t) for t in data.get("timings", [])),
-        )
-
 
 # ---------------------------------------------------------------------------
 # completion journal
@@ -197,12 +142,11 @@ class MatrixResults(dict):
 class SweepJournal:
     """Append-only JSONL record of completed sweep points.
 
-    One line per finished point: ``{"key", "label", "rate", "result"}``.
-    Appends are flushed and fsynced so a completed point survives the
-    sweep process dying the very next instant. A torn final line (crash
-    mid-append) is detected by its JSON parse failure and discarded
-    along with anything after it — the corresponding points simply
-    re-run.
+    One line per finished point: ``{"key", "label", "rate", "result"}``,
+    appended with :func:`~repro.obs.trace.append_jsonl` so a completed
+    point survives the sweep process dying the very next instant.
+    :func:`~repro.obs.trace.read_jsonl` discards a torn final line
+    (crash mid-append); the corresponding points simply re-run.
     """
 
     FILENAME = "journal.jsonl"
@@ -213,21 +157,10 @@ class SweepJournal:
 
     def completed(self):
         """``{key: journal entry}`` for every intact line."""
-        done = {}
         if not os.path.exists(self.path):
-            return done
-        with open(self.path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn tail from a crash mid-append
-                if isinstance(entry, dict) and "key" in entry:
-                    done[entry["key"]] = entry
-        return done
+            return {}
+        return {entry["key"]: entry for entry in read_jsonl(self.path)
+                if "key" in entry}
 
     def truncate(self):
         """Start a fresh journal (non-resume sweeps drop stale entries)."""
@@ -244,11 +177,7 @@ class SweepJournal:
             entry["worker"] = timing.worker
             entry["attempts"] = timing.attempts
             entry["retry_delays"] = timing.retry_delays
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(entry, separators=(",", ":")))
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        append_jsonl(self.path, entry)
 
 
 def _point_key(point, index):

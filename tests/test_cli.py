@@ -223,7 +223,7 @@ class TestTelemetryCLI:
         assert "cycles/sec" in captured.err  # progress went to stderr
 
     def test_run_heartbeat_file(self, tmp_path):
-        from repro.obs.telemetry import read_heartbeats
+        from repro.obs.trace import read_jsonl
 
         hb = tmp_path / "run.hb.jsonl"
         code, _ = run_cli(
@@ -232,7 +232,7 @@ class TestTelemetryCLI:
             "--heartbeat", str(hb), "--heartbeat-every", "100",
         )
         assert code == 0
-        records = read_heartbeats(str(hb))
+        records = read_jsonl(str(hb))
         assert records[0]["ev"] == "start"
         assert records[-1]["ev"] == "finish"
         assert any(r["ev"] == "heartbeat" for r in records)

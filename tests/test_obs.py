@@ -1,8 +1,11 @@
 """Observability layer: trace bus, metrics registry, profiler, report."""
 
 import json
+import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.network.config import mesh_config
 from repro.network.network import Network
@@ -412,6 +415,33 @@ class TestCLIObservability:
         assert "chain-length distribution" in text
         assert "chained takeovers reconstructed" in text
 
+    @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+    def test_report_and_spans_on_torn_trace(self, tmp_path, suffix):
+        import zlib
+
+        trace = tmp_path / ("t" + suffix)
+        code, _ = self.run_cli(
+            "run", "--mesh-k", "4", "--rate", "0.3",
+            "--warmup", "20", "--measure", "60", "--drain", "0",
+            "--trace", str(trace),
+        )
+        assert code == 0
+        # Cut the file mid-record, as a writer killed mid-append leaves it.
+        raw = trace.read_bytes()
+        torn = tmp_path / ("torn" + suffix)
+        torn.write_bytes(raw[:len(raw) // 2])
+        text = raw[:len(raw) // 2]
+        if suffix.endswith(".gz"):
+            text = zlib.decompressobj(wbits=31).decompress(text)
+        intact = text.count(b"\n")
+        assert 0 < intact < len(read_jsonl(str(trace)))
+        code, report = self.run_cli("report", str(torn))
+        assert code == 0
+        assert report.startswith(f"trace: {intact} events")
+        code, spans = self.run_cli("spans", str(torn))
+        assert code == 0
+        assert "complete packets" in spans
+
     def test_trace_filter_limits_events(self, tmp_path):
         trace = tmp_path / "t.jsonl"
         code, _ = self.run_cli(
@@ -522,6 +552,65 @@ class TestTraceIO:
         out = io.StringIO()
         assert main(["report", str(path)], out=out) == 0
         assert "chain-length distribution" in out.getvalue()
+
+
+JSON_RECORDS = st.lists(
+    st.dictionaries(
+        st.text(max_size=4),
+        st.one_of(st.none(), st.booleans(), st.integers(),
+                  st.text(max_size=8)),
+        max_size=4,
+    ),
+    max_size=30,
+)
+
+
+class TestJsonlLogFormat:
+    """``append_jsonl`` and ``read_jsonl`` on logs cut at any byte."""
+
+    @given(records=JSON_RECORDS, data=st.data())
+    def test_plain_log_cut_anywhere_loads_whole_lines(self, records, data):
+        import tempfile
+
+        from repro.obs.trace import append_jsonl
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "log.jsonl")
+            open(path, "w").close()
+            for record in records:
+                append_jsonl(path, record)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            cut = data.draw(st.integers(0, len(raw)), label="cut")
+            with open(path, "wb") as fh:
+                fh.write(raw[:cut])
+            got = read_jsonl(path)
+        # The records whose newline lies before the cut; a cut right on
+        # a newline leaves that record's text whole, and it loads too.
+        assert got == records[:raw[:cut + 1].count(b"\n")]
+
+    @given(records=JSON_RECORDS, data=st.data())
+    def test_gzip_log_cut_anywhere_loads_a_prefix(self, records, data):
+        import tempfile
+        import zlib
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "log.jsonl.gz")
+            with JsonlSink(path) as sink:
+                for record in records:
+                    sink.write(record)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            # A one-byte file is not yet a gzip magic number (a killed
+            # buffered writer leaves none or all of the 10-byte header).
+            cut = data.draw(st.integers(0, len(raw)).filter(lambda c: c != 1),
+                            label="cut")
+            with open(path, "wb") as fh:
+                fh.write(raw[:cut])
+            got = read_jsonl(path)
+        assert got == records[:len(got)]
+        text = zlib.decompressobj(wbits=31).decompress(raw[:cut])
+        assert len(got) == text.count(b"\n")
 
 
 class TestStatsListeners:

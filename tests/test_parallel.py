@@ -1,16 +1,12 @@
 """Tests for multiprocess sweeps."""
 
-import json
-
 import pytest
 
 from repro.network.config import mesh_config
 from repro.sim import parallel as parallel_mod
 from repro.sim.parallel import (
-    MatrixResults,
     PointError,
     PointTiming,
-    SweepResults,
     parallel_matrix,
     parallel_sweep,
 )
@@ -134,41 +130,6 @@ class TestPointFaultTolerance:
         assert seen == [500]
 
 
-class TestResultsRoundTrip:
-    def test_point_error_survives_sweep_results_to_dict(self):
-        results = parallel_sweep(BAD, rates=[0.05], workers=0, retries=0,
-                                 label="bad", **RUN)
-        data = json.loads(json.dumps(results.to_dict()))
-        back = SweepResults.from_dict(data)
-        assert not back.complete
-        assert len(back.errors) == 1
-        err = back.errors[0]
-        assert isinstance(err, PointError)
-        assert (err.label, err.rate, err.attempts) == ("bad", 0.05, 1)
-        assert "no-such-allocator" in err.error
-
-    def test_sweep_results_round_trip(self):
-        results = parallel_sweep(mesh_config(mesh_k=4), rates=[0.05, 0.1],
-                                 workers=0, **RUN)
-        back = SweepResults.from_dict(json.loads(json.dumps(results.to_dict())))
-        assert back.complete
-        assert [r for r, _ in back] == [0.05, 0.1]
-        assert [res.to_dict() for _, res in back] == \
-            [res.to_dict() for _, res in results]
-
-    def test_matrix_results_round_trip(self):
-        out = parallel_matrix(
-            {"good": mesh_config(mesh_k=4), "bad": BAD},
-            rates=[0.05], workers=0, retries=0, **RUN
-        )
-        back = MatrixResults.from_dict(json.loads(json.dumps(out.to_dict())))
-        assert set(back) == {"good", "bad"}
-        assert not back.complete
-        assert back.errors[0].label == "bad"
-        assert [res.to_dict() for _, res in back["good"]] == \
-            [res.to_dict() for _, res in out["good"]]
-
-
 class TestPointTimings:
     def test_inline_sweep_records_timings(self):
         import os
@@ -201,27 +162,6 @@ class TestPointTimings:
         )
         assert sorted(t.label for t in out.timings) == ["a", "b"]
         assert out.total_wall_time() > 0
-
-    def test_timings_survive_round_trip(self):
-        results = parallel_sweep(mesh_config(mesh_k=4), rates=[0.05],
-                                 workers=0, label="m4", **RUN)
-        back = SweepResults.from_dict(
-            json.loads(json.dumps(results.to_dict()))
-        )
-        assert len(back.timings) == 1
-        timing = back.timings[0]
-        assert (timing.label, timing.rate) == ("m4", 0.05)
-        assert timing.wall_time == results.timings[0].wall_time
-        assert timing.worker == results.timings[0].worker
-
-    def test_legacy_dict_without_timings_loads(self):
-        results = parallel_sweep(mesh_config(mesh_k=4), rates=[0.05],
-                                 workers=0, **RUN)
-        data = results.to_dict()
-        del data["timings"]
-        back = SweepResults.from_dict(data)
-        assert back.complete
-        assert back.timings == []
 
     def test_journal_resume_restores_timings(self, tmp_path):
         from repro.sim.parallel import SweepJournal

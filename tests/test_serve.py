@@ -126,7 +126,6 @@ class TestJobStore:
         store.append("running", "j1", worker=43, t=3.6)
         store.append("done", "j1", cached=False, artifact="cache/objects/h1",
                      wall_time=0.2, worker=43, t=4.0)
-        store.close()
         rec = JobStore(str(tmp_path)).recover()["j1"]
         assert rec.state == "done"
         assert rec.terminal
@@ -152,7 +151,6 @@ class TestJobStore:
         store = JobStore(str(tmp_path))
         store.append("submitted", "j1", spec={}, hash="h", t=1.0)
         store.append("leased", "j1", attempt=1, t=2.0)
-        store.close()
         with open(store.path, "a") as fh:
             fh.write('{"ev": "done", "job": "j1", "cach')  # SIGKILL here
         rec = JobStore(str(tmp_path)).recover()["j1"]
@@ -234,7 +232,6 @@ class TestResultCache:
     def test_torn_index_tail_tolerated(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         cache.record("a" * 64, job_id="j1")
-        cache.close()
         with open(cache.index_path, "a") as fh:
             fh.write('{"hash": "bb')
         assert ResultCache(str(tmp_path)).indexed_hashes() == {"a" * 64}
@@ -410,7 +407,6 @@ class TestRecovery:
                      hash=spec.spec_hash(), priority=0, t=1.0)
         store.append("leased", "jdead1", attempt=1, t=2.0)
         store.append("running", "jdead1", worker=999999, t=2.1)
-        store.close()
         with ExperimentService(str(tmp_path), workers=1,
                                retry_policy=FAST) as svc:
             assert svc.jobs["jdead1"].state == "submitted"
@@ -434,7 +430,6 @@ class TestRecovery:
                      hash=spec.spec_hash(), priority=0, t=1.0)
         store.append("leased", "jghost", attempt=1, t=2.0)
         store.append("running", "jghost", worker=999999, t=2.1)
-        store.close()
         run_job_worker(str(tmp_path), "jghost", 1, spec.to_dict())
         run_service(tmp_path)
         rec = job_records(str(tmp_path))["jghost"]

@@ -7,7 +7,8 @@ import pytest
 
 from repro.checkpoint import SimulationKilled
 from repro.network.config import mesh_config
-from repro.obs.telemetry import RunTelemetry, read_heartbeats, rss_kb
+from repro.obs.telemetry import RunTelemetry, rss_kb
+from repro.obs.trace import read_jsonl
 from repro.sim.runner import run_simulation
 
 RUN = dict(rate=0.1, warmup=100, measure=200, drain=0, seed=3)
@@ -39,7 +40,7 @@ class TestRunTelemetry:
             tele.on_cycle(cycle, "measure")
         tele.finish("done", cycle=40)
 
-        records = read_heartbeats(str(path))
+        records = read_jsonl(str(path))
         events = [r["ev"] for r in records]
         assert events[0] == "start"
         assert events[-1] == "finish"
@@ -62,7 +63,7 @@ class TestRunTelemetry:
         for cycle in range(1, 101):
             tele.on_cycle(cycle, "measure")
         tele.finish("done", cycle=100)
-        events = [r["ev"] for r in read_heartbeats(str(path))]
+        events = [r["ev"] for r in read_jsonl(str(path))]
         assert events == ["start", "finish"]
 
     def test_finish_reports_status_and_result_summary(self, tmp_path):
@@ -71,7 +72,7 @@ class TestRunTelemetry:
         tele = RunTelemetry(path=str(path), every=50, clock=FakeClock())
         tele.begin(total_cycles=300)
         tele.finish("done", cycle=300, result=result)
-        finish = read_heartbeats(str(path))[-1]
+        finish = read_jsonl(str(path))[-1]
         assert finish["status"] == "done"
         assert finish["result"]["cycles_run"] == result.cycles_run
         assert finish["result"]["avg_throughput"] == result.avg_throughput
@@ -82,7 +83,7 @@ class TestRunTelemetry:
         tele.begin(total_cycles=10)
         tele.finish("done", cycle=10)
         tele.finish("done", cycle=10)  # must not raise or duplicate
-        events = [r["ev"] for r in read_heartbeats(str(path))]
+        events = [r["ev"] for r in read_jsonl(str(path))]
         assert events.count("finish") == 1
 
     def test_console_progress_line(self):
@@ -116,7 +117,7 @@ class TestRunTelemetry:
         tele.begin(total_cycles=10, profiler=FakeProfiler())
         tele.on_cycle(10, "warmup")
         tele.finish()
-        beat = [r for r in read_heartbeats(str(path))
+        beat = [r for r in read_jsonl(str(path))
                 if r["ev"] == "heartbeat"][0]
         assert beat["phase_seconds"] == {"sa": 1.5, "stream": 0.5}
 
@@ -127,7 +128,7 @@ class TestRunnerIntegration:
         tele = RunTelemetry(path=str(path), every=100)
         result = run_simulation(mesh_config(mesh_k=4), telemetry=tele,
                                 **RUN)
-        records = read_heartbeats(str(path))
+        records = read_jsonl(str(path))
         assert records[0]["ev"] == "start"
         assert records[0]["total_cycles"] == 300
         assert any(r["ev"] == "heartbeat" for r in records)
@@ -142,7 +143,7 @@ class TestRunnerIntegration:
         with pytest.raises(SimulationKilled):
             run_simulation(mesh_config(mesh_k=4), telemetry=tele,
                            kill_at=150, **RUN)
-        finish = read_heartbeats(str(path))[-1]
+        finish = read_jsonl(str(path))[-1]
         assert finish["ev"] == "finish"
         assert finish["status"] == "killed"
         assert finish["cycle"] >= 150
@@ -156,19 +157,16 @@ class TestRunnerIntegration:
 
 
 class TestHeartbeatFiles:
-    def test_read_missing_file_is_empty(self, tmp_path):
-        assert read_heartbeats(str(tmp_path / "nope.hb.jsonl")) == []
-
     def test_torn_tail_discarded(self, tmp_path):
         path = tmp_path / "run.hb.jsonl"
         good = {"ev": "heartbeat", "cycle": 10}
         path.write_text(json.dumps(good) + "\n" + '{"ev": "hea')
-        assert read_heartbeats(str(path)) == [good]
+        assert read_jsonl(str(path)) == [good]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "run.hb.jsonl"
         path.write_text('\n{"ev": "start"}\n\n{"ev": "finish"}\n')
-        assert [r["ev"] for r in read_heartbeats(str(path))] == \
+        assert [r["ev"] for r in read_jsonl(str(path))] == \
             ["start", "finish"]
 
 
