@@ -82,7 +82,6 @@ from repro.obs.trace import (
     RingSink,
     TraceBus,
     TraceFilter,
-    append_jsonl,
     open_text_read,
     open_text_write,
     read_jsonl,
@@ -97,7 +96,6 @@ __all__ = [
     "NULL_TRACE",
     "EVENT_TYPES",
     "read_jsonl",
-    "append_jsonl",
     "open_text_read",
     "open_text_write",
     "MetricsRegistry",

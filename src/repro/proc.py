@@ -15,9 +15,10 @@ file-based signalling pattern:
   and ``ok`` means success, present and not ``ok`` carries the
   diagnostic, absent after process exit means the child died hard.
 - **Liveness probes** (:func:`alive_pid`, :func:`file_age`): a
-  heartbeat file's mtime age is the lease signal. A lease needs to be
-  fresh, not durable — nothing reads it after a host crash — so shard
-  heartbeats are renamed into place without an fsync.
+  heartbeat file's mtime age is the lease signal, for serve attempts
+  (fsynced JSONL heartbeats) and shard workers alike. A shard lease
+  needs to be fresh, not durable — nothing reads it after a host
+  crash — so shard heartbeats are renamed into place without an fsync.
 - **Event-driven reaping** (:func:`wait_for_exit`): supervisors sleep
   on their workers' process sentinels, not on a timer.
 """

@@ -22,6 +22,7 @@ from repro.obs import (
     read_jsonl,
     summarize_trace,
 )
+from repro.obs.trace import append_jsonl
 from repro.sim.parallel import parallel_sweep
 from repro.sim.runner import SimulationRun, run_simulation
 from repro.traffic.injection import BernoulliInjector, FixedLength
@@ -571,8 +572,6 @@ class TestJsonlLogFormat:
     @given(records=JSON_RECORDS, data=st.data())
     def test_plain_log_cut_anywhere_loads_whole_lines(self, records, data):
         import tempfile
-
-        from repro.obs.trace import append_jsonl
 
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "log.jsonl")
