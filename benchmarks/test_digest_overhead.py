@@ -1,6 +1,6 @@
 """State-digest overhead guarantees.
 
-The DigestRecorder (``--digest`` / ``digest_every=``) hashes the whole
+The DigestRecorder (``--digest`` / ``--digest-every``) hashes the whole
 network's canonical ``state_dict`` state every N cycles. Two guarantees
 back its "leave it on in CI" positioning:
 
@@ -28,6 +28,7 @@ from conftest import once, sim_cycles
 
 import repro.network.flit as flitmod
 from repro.network.config import mesh_config
+from repro.obs.digest import DigestRecorder
 from repro.sim.runner import run_simulation
 
 CYCLES = sim_cycles(warmup=100, measure=600)
@@ -47,7 +48,8 @@ def timed_run(digest_every):
     start = time.perf_counter()
     result = run_simulation(
         cfg, rate=0.6, warmup=CYCLES["warmup"], measure=CYCLES["measure"],
-        drain=0, digest_every=digest_every,
+        drain=0,
+        digest=DigestRecorder(every=digest_every) if digest_every else None,
     )
     return time.perf_counter() - start, result
 

@@ -36,7 +36,7 @@ from repro.serve import (
     submit_spec,
     wait_for,
 )
-from repro.sim.runner import resume_simulation, run_simulation
+from repro.sim.runner import run_simulation
 from repro.parallel import ShardRunError, ShardRunResult, shard_run
 from repro.sim.sweep import find_saturation
 from repro.stats.summary import SimResult
@@ -55,7 +55,6 @@ __all__ = [
     "fbfly_config",
     "Network",
     "run_simulation",
-    "resume_simulation",
     "find_saturation",
     "SimResult",
     "CheckpointError",

@@ -5,7 +5,7 @@ A :class:`FaultController` interprets a
 and routers dead (and transient links back alive) at their scheduled
 cycles, decides per-flit drops/corruptions with the plan's seeded RNG,
 and keeps the counters (``failed_links``, ``dropped_flits``, ...) the
-metrics registry and ``repro faults`` report.
+metrics registry and ``repro run --faults`` report.
 
 Fault model (see DESIGN.md):
 

@@ -33,8 +33,7 @@ cycle.
 
 :class:`DigestRecorder` streams records as JSONL alongside the
 existing telemetry/trace streams (``.gz`` paths compress) and is wired
-into the runner via ``run_simulation(digest=...)`` /
-``digest_every=``.
+into the runner via ``run_simulation(digest=DigestRecorder(...))``.
 
 Periodic records hash *simulation* state only (routers, terminals,
 RNGs, injector): the StatsCollector is a derived observer whose every
@@ -171,11 +170,11 @@ def state_diff(a, b, limit=None):
 class DigestRecorder:
     """Periodic digest taker + JSONL stream + rolling run fingerprint.
 
-    Attach via ``run_simulation(digest=DigestRecorder(...))`` or the
-    ``digest_path=``/``digest_every=`` conveniences; the runner calls
-    :meth:`on_cycle` after every simulated cycle and :meth:`finish`
-    once the run completes (which takes a final digest even off the
-    stride, so the fingerprint always covers the end state).
+    Attach via ``run_simulation(digest=DigestRecorder(...))``; the
+    runner calls :meth:`on_cycle` after every simulated cycle and
+    :meth:`finish` once the run completes (which takes a final digest
+    even off the stride, so the fingerprint always covers the end
+    state).
     """
 
     def __init__(self, every=64, path=None, keep=None):

@@ -287,12 +287,37 @@ def append_jsonl(path, record):
     The file is opened, written, flushed, fsynced and closed for every
     record, so a record that was appended survives the writer dying the
     next instant; a writer killed mid-append leaves at most one torn
-    final line, which :func:`read_jsonl` discards.
+    final line, which :func:`read_jsonl` discards. The next append cuts
+    that torn line off first, so records written after a crash are not
+    glued onto it and lost.
     """
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+    line = (json.dumps(record, separators=(",", ":")) + "\n").encode()
+    with open(path, "a+b") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        keep = _last_line_end(fh, end)
+        if keep != end:
+            fh.truncate(keep)
+        fh.write(line)
         fh.flush()
         os.fsync(fh.fileno())
+
+
+def _last_line_end(fh, end):
+    """Offset just past the last newline in ``fh``'s first ``end`` bytes.
+
+    A whole log ends in a newline, so the first probe reads one byte;
+    only a torn tail is scanned further back. 0 if there is no newline.
+    """
+    pos, step = end, 1
+    while pos > 0:
+        step = min(pos, step)
+        pos -= step
+        fh.seek(pos)
+        newline = fh.read(step).rfind(b"\n")
+        if newline >= 0:
+            return pos + newline + 1
+        step = 1 << 16
+    return 0
 
 
 def read_jsonl(path):

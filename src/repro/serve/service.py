@@ -44,16 +44,12 @@ import time
 
 from repro.obs.artifacts import atomic_write
 from repro.obs.metrics import MetricsRegistry
-from repro.proc import file_age, wait_for_exit
+from repro.proc import alive_pid, confirmed_kill, file_age, wait_for_exit
 from repro.serve.backoff import DEFAULT_RETRY_POLICY
 from repro.serve.cache import ResultCache
 from repro.serve.spec import JobSpec, new_job_id
 from repro.serve.store import ACTIVE_STATES, JobStore
-from repro.serve.supervisor import (
-    alive_pid,
-    confirmed_kill,
-    start_worker,
-)
+from repro.serve.supervisor import start_worker
 
 LOCK = "serve.lock"
 STATUS = "status.json"

@@ -1,6 +1,6 @@
 """Simulation harness: runs, sweeps and saturation search."""
 
-from repro.sim.runner import SimulationRun, resume_simulation, run_simulation
+from repro.sim.runner import SimulationRun, run_simulation
 from repro.sim.sweep import find_saturation
 from repro.sim.parallel import (
     MatrixResults,
@@ -13,7 +13,6 @@ from repro.sim.parallel import (
 __all__ = [
     "SimulationRun",
     "run_simulation",
-    "resume_simulation",
     "find_saturation",
     "parallel_sweep",
     "parallel_matrix",

@@ -314,17 +314,15 @@ class TestCheckpointFiles:
         """A checkpoint written while the config still had a ``backend``
         field (cycle 50 of a 4x4 run, ``"backend": "reference"``)
         resumes to the uninterrupted run's result."""
-        from repro.sim.runner import resume_simulation
-
         path = os.path.join(os.path.dirname(__file__), "data",
                             "legacy_backend_checkpoint.json.gz")
         assert load_checkpoint(path)["config"]["backend"] == "reference"
         _fresh_pids()
-        expected = run_simulation(
-            mesh_config(mesh_k=4, seed=5, chaining="any_input"),
-            pattern="uniform", rate=0.3, warmup=40, measure=80, drain=60,
-        )
-        resumed = resume_simulation(path)
+        config = mesh_config(mesh_k=4, seed=5, chaining="any_input")
+        run = dict(pattern="uniform", rate=0.3, warmup=40, measure=80,
+                   drain=60)
+        expected = run_simulation(config, **run)
+        resumed = run_simulation(config, **run, resume_from=path)
         assert resumed.to_dict() == expected.to_dict()
 
 

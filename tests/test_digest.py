@@ -31,7 +31,7 @@ from repro.obs.digest import (
     read_digest_stream,
     state_diff,
 )
-from repro.sim.runner import SimulationRun, resume_simulation, run_simulation
+from repro.sim.runner import SimulationRun, run_simulation
 from repro.traffic.injection import BernoulliInjector, FixedLength
 from repro.traffic.patterns import build_pattern
 
@@ -114,7 +114,7 @@ class TestFingerprintStability:
 
         flitmod.set_next_packet_id(0)
         recorder = DigestRecorder(every=32)
-        resume_simulation(ck, digest=recorder)
+        run_simulation(_config(), digest=recorder, resume_from=ck, **RUN)
 
         by_cycle = {r["cycle"]: r for r in ref.records}
         resumed = [r for r in recorder.records if r["cycle"] > ck_cycle]

@@ -569,6 +569,17 @@ JSON_RECORDS = st.lists(
 class TestJsonlLogFormat:
     """``append_jsonl`` and ``read_jsonl`` on logs cut at any byte."""
 
+    def test_append_after_torn_tail_keeps_later_records(self, tmp_path):
+        path = str(tmp_path / "log.jsonl")
+        append_jsonl(path, {"n": 1})
+        append_jsonl(path, {"n": 2})
+        with open(path, "a") as fh:
+            fh.write('{"n": 3, "pad')  # the writer died mid-append
+        append_jsonl(path, {"n": 4})
+        assert read_jsonl(path) == [{"n": 1}, {"n": 2}, {"n": 4}]
+        with open(path, "rb") as fh:
+            assert fh.read() == b'{"n":1}\n{"n":2}\n{"n":4}\n'
+
     @given(records=JSON_RECORDS, data=st.data())
     def test_plain_log_cut_anywhere_loads_whole_lines(self, records, data):
         import tempfile

@@ -19,7 +19,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MemorySink, TraceBus
 from repro.sim import parallel as parallel_mod
 from repro.sim.parallel import SweepJournal, parallel_sweep
-from repro.sim.runner import resume_simulation, run_simulation
+from repro.sim.runner import run_simulation
 
 
 RUN = dict(pattern="uniform", rate=0.3, warmup=200, measure=400, drain=300)
@@ -65,7 +65,8 @@ def test_killed_and_resumed_run_matches_uninterrupted(
     bus = TraceBus()
     sink = bus.attach(MemorySink())
     registry = MetricsRegistry()
-    res_result = resume_simulation(ck, trace=bus, metrics=registry)
+    res_result = run_simulation(config, trace=bus, metrics=registry,
+                                resume_from=ck, **RUN)
 
     assert json.dumps(res_result.to_dict(), sort_keys=True) == \
         json.dumps(ref_result.to_dict(), sort_keys=True)
@@ -96,7 +97,7 @@ def test_mid_warmup_restore_keeps_same_seed_runs_identical(tmp_path):
     flitmod.set_next_packet_id(0)
     bus = TraceBus()
     sink = bus.attach(MemorySink())
-    resume_simulation(ck, trace=bus)
+    run_simulation(config, trace=bus, resume_from=ck, **RUN)
     assert sink.events == [e for e in ref_events if e["cycle"] >= 100]
 
 
@@ -112,10 +113,10 @@ def test_resumed_checkpoint_of_checkpoint_still_matches(tmp_path):
                        kill_at=250, **RUN)
     flitmod.set_next_packet_id(0)
     with pytest.raises(SimulationKilled):
-        resume_simulation(ck, checkpoint_path=ck, checkpoint_every=100,
-                          kill_at=600)
+        run_simulation(config, checkpoint_path=ck, checkpoint_every=100,
+                       kill_at=600, resume_from=ck, **RUN)
     flitmod.set_next_packet_id(0)
-    result = resume_simulation(ck)
+    result = run_simulation(config, resume_from=ck, **RUN)
     assert json.dumps(result.to_dict(), sort_keys=True) == \
         json.dumps(ref_result.to_dict(), sort_keys=True)
 

@@ -156,6 +156,15 @@ class TestJobStore:
         rec = JobStore(str(tmp_path)).recover()["j1"]
         assert rec.state == "leased"  # the torn 'done' never happened
 
+    def test_append_after_torn_tail_is_kept(self, tmp_path):
+        store = JobStore(str(tmp_path))
+        store.append("submitted", "j1", spec={}, hash="h", t=1.0)
+        with open(store.path, "a") as fh:
+            fh.write('{"ev": "leased", "job": "j1", "att')  # SIGKILL here
+        JobStore(str(tmp_path)).append("done", "j1", cached=True, t=2.0)
+        rec = JobStore(str(tmp_path)).recover()["j1"]
+        assert rec.state == "done"
+
     def test_requeued_returns_to_submitted(self, tmp_path):
         store = JobStore(str(tmp_path))
         store.append("submitted", "j1", spec={}, hash="h", t=1.0)
@@ -365,7 +374,7 @@ class TestRetryAndDeadLetter:
 
 class TestLeaseExpiry:
     def test_wedged_worker_is_killed_and_job_retried(self, tmp_path):
-        from repro.serve.supervisor import alive_pid
+        from repro.proc import alive_pid
 
         jid = submit_spec(
             str(tmp_path),
