@@ -3,10 +3,12 @@
 ``repro serve`` buys crash tolerance — a fsynced job journal, one
 supervised process per attempt, heartbeat leases, and atomic
 content-addressed cache publication — and all of that costs wall time
-that a bare :func:`repro.sim.parallel.parallel_sweep` does not pay.
-The guarantee gated here: for a realistic fleet the whole tax stays
-under 5% of the bare sweep's wall time, so there is no performance
-excuse to run long sweeps outside the service.
+that a bare fork ``multiprocessing.Pool.map`` over
+:func:`repro.sim.runner.run_simulation` does not pay. ``parallel_sweep``
+and ``parallel_matrix`` run on the service, so this is also the tax
+every sweep pays. The guarantee gated here: for a realistic fleet the
+whole tax stays under 5% of the bare pool's wall time, so there is no
+performance excuse to run long sweeps outside the service.
 
 Both sides run the identical fleet (same rates, phases, seed, worker
 count) and the repeats interleave bare/serve so slow host drift hits
@@ -18,6 +20,7 @@ fork, supervision, and artifact costs riding on top of one side.
 No CI job runs this bench.
 """
 
+import multiprocessing
 import shutil
 import tempfile
 import time
@@ -27,7 +30,7 @@ from conftest import once, sim_cycles
 from repro.network.config import mesh_config
 from repro.serve import ExperimentService
 from repro.serve.spec import spec_for
-from repro.sim.parallel import parallel_sweep
+from repro.sim.runner import run_simulation
 
 CYCLES = sim_cycles(warmup=600, measure=1200)
 RATES = [0.05, 0.15, 0.25, 0.30, 0.35, 0.40]
@@ -36,11 +39,16 @@ REPEATS = 3
 CONFIG = mesh_config(mesh_k=4)
 
 
+def simulate(rate):
+    return run_simulation(CONFIG, rate=rate, **CYCLES)
+
+
 def timed_bare():
     start = time.perf_counter()
-    results = parallel_sweep(CONFIG, RATES, workers=WORKERS, **CYCLES)
+    with multiprocessing.get_context("fork").Pool(WORKERS) as pool:
+        results = pool.map(simulate, RATES)
     elapsed = time.perf_counter() - start
-    assert not results.errors, results.errors
+    assert len(results) == len(RATES)
     return elapsed
 
 
@@ -76,9 +84,10 @@ def test_serve_overhead(benchmark, report):
     bare_time, serve_time = once(benchmark, run_experiment)
     overhead = 100 * (serve_time / bare_time - 1)
 
-    rep = report("Experiment-service dispatch overhead vs bare sweep")
+    rep = report("Experiment-service dispatch overhead vs a bare pool")
     rep.row("configuration", "seconds", "overhead", widths=[24, 10, 10])
-    rep.row("parallel_sweep", f"{bare_time:.3f}", "-", widths=[24, 10, 10])
+    rep.row("multiprocessing.Pool", f"{bare_time:.3f}", "-",
+            widths=[24, 10, 10])
     rep.row("repro serve", f"{serve_time:.3f}", f"{overhead:+.1f}%",
             widths=[24, 10, 10])
     rep.line()
@@ -88,10 +97,10 @@ def test_serve_overhead(benchmark, report):
              f"per-attempt forks, heartbeat leases, and atomic cache "
              f"publication")
     rep.line("guarantee: the crash-tolerance tax stays under 5% of the "
-             "bare sweep's wall time")
+             "bare pool's wall time")
     rep.save()
 
     assert overhead <= 5.0, (
-        f"service dispatch costs {overhead:.1f}% over bare "
-        f"parallel_sweep (budget: 5%)"
+        f"service dispatch costs {overhead:.1f}% over a bare "
+        f"multiprocessing.Pool (budget: 5%)"
     )

@@ -1,12 +1,13 @@
 """Deterministic jittered exponential backoff.
 
-Both the experiment service's job scheduler and ``parallel_sweep``'s
-per-point retry path wait between attempts of work that just failed.
-The delay schedule here is the usual exponential-with-jitter, but the
-jitter is *deterministic*: it is drawn from a :class:`random.Random`
-seeded from the work item's identity and the attempt number, so a
-re-run of the same sweep (or a restarted service replaying the same
-job) produces byte-for-byte the same retry timeline. Determinism is a
+The experiment service's job scheduler waits between attempts of a
+job that just failed; sweeps (``parallel_sweep``/``parallel_matrix``)
+are service jobs, so this is the one retry scheme. The delay schedule
+here is the usual exponential-with-jitter, but the jitter is
+*deterministic*: it is drawn from a :class:`random.Random` seeded from
+the job's spec hash and the attempt number, so a re-run of the same
+sweep (or a restarted service replaying the same job) produces
+byte-for-byte the same retry timeline. Determinism is a
 repository-wide invariant — retries must not be the one place wall
 behaviour depends on a process-global RNG.
 
@@ -66,5 +67,5 @@ class RetryPolicy:
         return [self.delay(key, attempt) for attempt in range(1, retries + 1)]
 
 
-#: Default policy for sweep-point retries and the experiment service.
+#: Default policy of the experiment service (and so of every sweep).
 DEFAULT_RETRY_POLICY = RetryPolicy()

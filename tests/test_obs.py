@@ -23,7 +23,6 @@ from repro.obs import (
     summarize_trace,
 )
 from repro.obs.trace import append_jsonl
-from repro.sim.parallel import parallel_sweep
 from repro.sim.runner import SimulationRun, run_simulation
 from repro.traffic.injection import BernoulliInjector, FixedLength
 from repro.traffic.patterns import build_pattern
@@ -313,19 +312,6 @@ class TestPhaseProfiler:
     def test_rejects_bad_epoch(self):
         with pytest.raises(ValueError):
             PhaseProfiler(epoch_cycles=0)
-
-
-class TestParallelProfiling:
-    def test_inline_sweep_carries_timing(self):
-        cfg = mesh_config(mesh_k=4, seed=1)
-        results = parallel_sweep(
-            cfg, [0.1, 0.2], workers=0, profile_epoch=100,
-            warmup=50, measure=100, drain=0,
-        )
-        assert len(results) == 2
-        for _, result in results:
-            assert result.timing is not None
-            assert result.timing["cycles_per_sec"] > 0
 
 
 class TestTraceReport:

@@ -3,22 +3,27 @@
 A run killed at an arbitrary cycle and resumed from its last checkpoint
 must be indistinguishable from an uninterrupted run: bit-identical
 SimResult, bit-identical metrics export, and an identical trace-event
-stream over the re-executed cycles. Crash-tolerant sweeps must re-run
-only the points a killed sweep never finished.
+stream over the re-executed cycles. A sweep rerun on the root of a
+killed sweep must simulate only the points it never finished.
 """
 
 import json
+import multiprocessing
 import os
+import signal
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.checkpoint import SimulationKilled, load_checkpoint
 from repro.network import flit as flitmod
 from repro.network.config import mesh_config
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MemorySink, TraceBus
-from repro.sim import parallel as parallel_mod
-from repro.sim.parallel import SweepJournal, parallel_sweep
+from repro.serve import JobStore, fold_events, job_records
+from repro.sim import runner
+from repro.sim.parallel import parallel_sweep
 from repro.sim.runner import run_simulation
 
 
@@ -140,71 +145,145 @@ def test_wavefront_same_seed_instances_are_deterministic():
 SWEEP_RUN = dict(warmup=100, measure=200, drain=0, pattern="uniform",
                  packet_length=1)
 RATES = [0.1, 0.2, 0.3, 0.4]
+FORK = multiprocessing.get_context("fork")
+
+
+def _sweep_results(results):
+    return json.dumps([(r, res.to_dict()) for r, res in results])
 
 
 def test_sweep_resume_reruns_only_missing_points(tmp_path, monkeypatch):
-    sweep_dir = str(tmp_path / "sweep")
+    """A SIGKILLed sweep, rerun on its root, simulates only what is left.
+
+    The sweep process dies while its third point runs. The rerun serves
+    the two finished points from the cache (``cached`` in
+    ``jobs.jsonl``), simulates the other two once each, and returns
+    exactly what an uninterrupted sweep returns.
+    """
     config = mesh_config(mesh_k=4, seed=3)
-    full = parallel_sweep(config, RATES, workers=0, journal_dir=sweep_dir,
-                          **SWEEP_RUN)
+    full = parallel_sweep(config, RATES, workers=1,
+                          journal_dir=str(tmp_path / "full"), **SWEEP_RUN)
     assert full.complete and len(full) == len(RATES)
 
-    # Simulate a sweep killed after two points: keep only the journal's
-    # first two lines.
-    journal_path = os.path.join(sweep_dir, SweepJournal.FILENAME)
-    with open(journal_path) as fh:
-        lines = fh.readlines()
-    assert len(lines) == len(RATES)
-    with open(journal_path, "w") as fh:
-        fh.writelines(lines[:2])
+    sweep_dir = str(tmp_path / "sweep")
+    ran = str(tmp_path / "ran")
+    armed = str(tmp_path / "armed")
+    real = runner.run_simulation
 
-    calls = []
-    real_run_point = parallel_mod._run_point
+    def patched(cfg, **kwargs):
+        if kwargs["rate"] == RATES[2] and os.path.exists(armed):
+            os.unlink(armed)
+            os.kill(os.getppid(), signal.SIGKILL)  # the sweep process
+            os.kill(os.getpid(), signal.SIGKILL)
+        with open(ran, "a") as fh:
+            fh.write(f"{kwargs['rate']!r}\n")
+        return real(cfg, **kwargs)
 
-    def counting_run_point(point):
-        calls.append(point.rate)
-        return real_run_point(point)
+    monkeypatch.setattr(runner, "run_simulation", patched)
+    open(armed, "w").close()
+    sweeper = FORK.Process(target=parallel_sweep, args=(config, RATES),
+                           kwargs=dict(workers=1, journal_dir=sweep_dir,
+                                       mp_context=FORK, **SWEEP_RUN))
+    sweeper.start()
+    sweeper.join(120)
+    assert sweeper.exitcode == -signal.SIGKILL
 
-    monkeypatch.setattr(parallel_mod, "_run_point", counting_run_point)
-    resumed = parallel_sweep(config, RATES, workers=0,
-                             journal_dir=sweep_dir, resume=True, **SWEEP_RUN)
-    assert calls == RATES[2:]  # only the missing points ran
-    assert [rate for rate, _ in resumed] == RATES
-    assert json.dumps([(r, res.to_dict()) for r, res in resumed]) == \
-        json.dumps([(r, res.to_dict()) for r, res in full])
+    def simulated():
+        with open(ran) as fh:
+            return sorted(float(line) for line in fh)
+
+    assert simulated() == RATES[:2]
+    os.unlink(ran)
+    resumed = parallel_sweep(config, RATES, workers=1, journal_dir=sweep_dir,
+                             mp_context=FORK, **SWEEP_RUN)
+    assert simulated() == RATES[2:]  # only the missing points ran
+    assert _sweep_results(resumed) == _sweep_results(full)
+    assert [t.attempts for t in resumed.timings[:2]] == [0, 0]
+    hits = {rec.rate for rec in job_records(sweep_dir).values() if rec.cached}
+    assert set(RATES[:2]) <= hits
 
 
-def test_sweep_without_resume_truncates_stale_journal(tmp_path):
+def test_sweep_on_a_used_root_returns_only_its_own_points(tmp_path):
     sweep_dir = str(tmp_path / "sweep")
     config = mesh_config(mesh_k=4, seed=3)
-    parallel_sweep(config, RATES[:2], workers=0, journal_dir=sweep_dir,
+    parallel_sweep(config, RATES[:2], workers=1, journal_dir=sweep_dir,
                    **SWEEP_RUN)
-    journal = SweepJournal(sweep_dir)
-    assert len(journal.completed()) == 2
-    # A fresh sweep with different rates must not inherit those entries.
-    parallel_sweep(config, RATES[2:], workers=0, journal_dir=sweep_dir,
-                   **SWEEP_RUN)
-    done = journal.completed()
-    assert len(done) == 2
-    assert all(entry["rate"] in RATES[2:] for entry in done.values())
+    # A sweep over other rates must not inherit the first sweep's jobs.
+    second = parallel_sweep(config, RATES[2:], workers=1,
+                            journal_dir=sweep_dir, **SWEEP_RUN)
+    assert [rate for rate, _ in second] == RATES[2:]
+    assert [t.rate for t in second.timings] == RATES[2:]
+    assert [t.attempts for t in second.timings] == [1, 1]
+    records = job_records(sweep_dir).values()
+    assert sorted(rec.rate for rec in records) == RATES
+    assert all(rec.state == "done" for rec in records)
 
 
 def test_journal_discards_torn_tail(tmp_path):
-    journal = SweepJournal(str(tmp_path))
-    import repro  # noqa: F401  (SimResult import path sanity)
-    from repro.stats.summary import SimResult, LatencySummary
+    """A sweep killed mid-append leaves a torn ``jobs.jsonl`` tail."""
+    sweep_dir = str(tmp_path / "sweep")
+    config = mesh_config(mesh_k=4, seed=3)
+    first = parallel_sweep(config, RATES[:2], workers=1,
+                           journal_dir=sweep_dir, **SWEEP_RUN)
+    before = job_records(sweep_dir)
+    with open(os.path.join(sweep_dir, "jobs.jsonl"), "a") as fh:
+        fh.write('{"ev": "submitted", "job": "jtorn", "spec"')
+    assert job_records(sweep_dir) == before
+    rerun = parallel_sweep(config, RATES[:2], workers=1,
+                           journal_dir=sweep_dir, **SWEEP_RUN)
+    assert _sweep_results(rerun) == _sweep_results(first)
+    assert [t.attempts for t in rerun.timings] == [0, 0]
+    records = job_records(sweep_dir)
+    assert "jtorn" not in records
+    assert [rec.state for rec in records.values()] == ["done"] * 4
 
-    result = SimResult(0.1, 0.1, 0.1, LatencySummary.of([1]),
-                       LatencySummary.of([1]), LatencySummary.of([0]))
-    journal.record("a|0|0.1", "a", 0.1, result)
-    journal.record("a|1|0.2", "a", 0.2, result)
-    with open(journal.path, "a") as fh:
-        fh.write('{"key": "a|2|0.3", "label"')  # crash mid-append
-    done = journal.completed()
-    assert set(done) == {"a|0|0.1", "a|1|0.2"}
+
+JOB_IDS = st.sampled_from(["ja", "jb", "jc"])
+SECONDS = st.floats(0, 1e6, allow_nan=False, allow_infinity=False)
+JOB_EVENT = st.one_of(
+    st.builds(lambda job, rate, t: ("submitted", job, {
+        "spec": {"label": "p", "rate": rate}, "hash": "h" + job,
+        "priority": 0, "t": t}), JOB_IDS, st.floats(0, 1), SECONDS),
+    st.builds(lambda job, attempt, t: ("leased", job, {
+        "attempt": attempt, "t": t}), JOB_IDS, st.integers(1, 5), SECONDS),
+    st.builds(lambda job, pid: ("running", job, {"worker": pid}),
+              JOB_IDS, st.integers(1, 1 << 22)),
+    st.builds(lambda job, delay, t: ("retry", job, {
+        "error": "boom", "delay": delay, "not_before": t}),
+        JOB_IDS, SECONDS, SECONDS),
+    st.builds(lambda job: ("requeued", job, {}), JOB_IDS),
+    st.builds(lambda job, cached, wall: ("done", job, {
+        "cached": cached, "artifact": "cache/objects/h" + job,
+        "wall_time": wall}), JOB_IDS, st.booleans(), SECONDS),
+    st.builds(lambda job, attempts: ("dead", job, {
+        "error": "gone", "attempts": attempts}),
+        JOB_IDS, st.integers(0, 5)),
+)
 
 
-def test_resume_without_journal_dir_is_an_error():
-    with pytest.raises(ValueError, match="journal_dir"):
-        parallel_sweep(mesh_config(mesh_k=4), [0.1], workers=0, resume=True,
-                       **SWEEP_RUN)
+@given(first=st.lists(JOB_EVENT, max_size=20),
+       more=st.lists(JOB_EVENT, min_size=1, max_size=20), data=st.data())
+def test_job_log_torn_anywhere_folds_the_acknowledged_events(first, more,
+                                                             data):
+    """A sweep's ``jobs.jsonl`` torn at any byte, then appended to.
+
+    The tear is a writer killed mid-append: the events whose newline
+    made it to disk were acknowledged, the torn one was not. At least
+    one event is appended after the tear, which cuts the torn bytes
+    off; those events are acknowledged too, so recovery must fold
+    exactly the acknowledged events.
+    """
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as root:
+        store = JobStore(root)
+        open(store.path, "ab").close()
+        acked = [store.append(ev, job, **fields) for ev, job, fields in first]
+        with open(store.path, "rb") as fh:
+            raw = fh.read()
+        cut = data.draw(st.integers(0, len(raw)), label="cut")
+        with open(store.path, "r+b") as fh:
+            fh.truncate(cut)
+        acked = acked[:raw[:cut].count(b"\n")]
+        acked += [store.append(ev, job, **fields) for ev, job, fields in more]
+        assert store.recover() == fold_events(acked)

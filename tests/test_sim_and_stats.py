@@ -149,7 +149,7 @@ class TestRunSimulation:
 class TestSweeps:
     def test_sweep_monotone_then_flat(self):
         results = parallel_sweep(
-            mesh_config(mesh_k=4), rates=[0.1, 0.6], workers=0,
+            mesh_config(mesh_k=4), rates=[0.1, 0.6], workers=2,
             warmup=150, measure=400, drain=0,
         )
         (r1, res1), (r2, res2) = results
