@@ -612,21 +612,6 @@ def cmd_cost(args, out):
     return 0
 
 
-def _shard_chaos_from(args):
-    """Fault-injection plumbing for CI smoke: one chaos dict for one
-    shard, built from the --chaos-* flags."""
-    chaos = {}
-    if args.chaos_kill_cycle is not None:
-        chaos["sigkill_at_cycle"] = args.chaos_kill_cycle
-    if args.chaos_kill_publish_window is not None:
-        chaos["sigkill_on_publish_window"] = args.chaos_kill_publish_window
-    if args.chaos_wedge_window is not None:
-        chaos["wedge_at_window"] = args.chaos_wedge_window
-    if not chaos:
-        return None
-    return {args.chaos_shard: chaos}
-
-
 def cmd_shard(args, out):
     from repro.parallel import shard_run, single_process_run
     from repro.parallel.coordinator import ShardRunError
@@ -637,21 +622,15 @@ def cmd_shard(args, out):
         pattern=args.pattern, rate=args.rate, lengths=_lengths_from(args),
         warmup=args.warmup, measure=args.measure, drain=args.drain,
     )
+    chaos = None
+    if args.chaos_kill_cycle is not None:  # CI's restart-path smoke
+        chaos = {args.chaos_shard: {"sigkill_at_cycle": args.chaos_kill_cycle}}
     try:
-        res = shard_run(
-            config, shards=args.shards, out_dir=args.out_dir,
-            window=args.window, checkpoint_windows=args.checkpoint_windows,
-            max_restarts=args.max_restarts, lease_timeout=args.lease_timeout,
-            window_timeout=args.window_timeout, chaos=_shard_chaos_from(args),
-            **kwargs,
-        )
+        res = shard_run(config, shards=args.shards, out_dir=args.out_dir,
+                        chaos=chaos, **kwargs)
     except (ShardPlanError, ShardRunError) as exc:
         out.write(f"repro shard: {exc}\n")
         return 2
-    if res.status == "drained":
-        out.write(f"repro shard: drained (resume with the same --out-dir "
-                  f"{res.out_dir})\n")
-        return 5
     _print_result(res.result, out)
     out.write(
         f"shards            : {res.shards} (window {res.window} cycles)\n"
@@ -835,21 +814,7 @@ def build_parser():
                    help="worker processes / row bands (<= mesh-k)")
     p.add_argument("--out-dir", default=None, metavar="DIR",
                    help="run-state directory (exchange files, checkpoints, "
-                        "journal); reuse it to resume an interrupted run")
-    p.add_argument("--window", type=int, default=None, metavar="CYCLES",
-                   help="lookahead window override (default: the safe "
-                        "maximum, the minimum boundary channel latency)")
-    p.add_argument("--checkpoint-windows", type=int, default=None,
-                   metavar="N", help="windows between file checkpoints")
-    p.add_argument("--max-restarts", type=int, default=3, metavar="N")
-    p.add_argument("--lease-timeout", type=float, default=15.0,
-                   metavar="SECONDS",
-                   help="heartbeat staleness before a worker is presumed "
-                        "dead and restarted")
-    p.add_argument("--window-timeout", type=float, default=60.0,
-                   metavar="SECONDS",
-                   help="barrier watchdog: running without window/cycle "
-                        "progress this long means wedged")
+                        "journal); rerun on it to resume a killed run")
     p.add_argument("--check-single", action="store_true",
                    help="also run single-process and verify bit-identical "
                         "SimResult + digest root (exit 3 on mismatch)")
@@ -858,12 +823,6 @@ def build_parser():
     p.add_argument("--chaos-kill-cycle", type=int, default=None,
                    metavar="CYCLE", help="SIGKILL the target shard "
                    "mid-window at this cycle (first attempt only)")
-    p.add_argument("--chaos-kill-publish-window", type=int, default=None,
-                   metavar="W", help="SIGKILL the target shard just "
-                   "before publishing this window's exchange file")
-    p.add_argument("--chaos-wedge-window", type=int, default=None,
-                   metavar="W", help="wedge the target shard at this "
-                   "window (heartbeats but no progress)")
     p.set_defaults(func=cmd_shard)
 
     p = sub.add_parser(

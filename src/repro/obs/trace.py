@@ -326,14 +326,19 @@ def read_jsonl(path):
     ``path`` may be a plain file, a ``.gz`` gzip-compressed file, or
     ``-`` for stdin (so traces pipe straight into ``repro report``).
     Blank lines and lines that are not objects are skipped. Reading
-    stops at the first line that does not decode, and at the end of a
-    ``.gz`` stream cut short: a writer killed mid-record leaves exactly
-    that, and the intact records before it load.
+    stops at the first line that does not decode, at a final line with
+    no newline, and at the end of a ``.gz`` stream cut short: a writer
+    killed mid-record leaves exactly that, and the intact records before
+    it load. A record counts once its newline is on disk, so a final
+    line that happens to be whole JSON is dropped too — the next
+    :func:`append_jsonl` cuts it off, and no reader may see it first.
     """
     records = []
     fh = open_text_read(path)
     try:
         for line in fh:
+            if not line.endswith("\n"):
+                break  # unterminated final line: never acknowledged
             line = line.strip()
             if not line:
                 continue

@@ -9,14 +9,14 @@ state lives in the run directory, so a killed coordinator (or a worker
 SIGKILLed mid-window) resumes by re-invoking ``shard_run`` with the
 same ``out_dir``.
 
-Supervision mirrors repro.serve: a worker holds a lease via its
-heartbeat file's mtime, and a *barrier watchdog* additionally requires
-window/cycle progress whenever the heartbeat claims to be running — a
-worker that heartbeats but stops advancing (wedged) is confirmed-killed
-and restarted from its last checkpoint within one ``window_timeout``.
-Workers legitimately blocked on a peer's exchange file report
-``state="waiting"`` and are exempt from the progress check (the peer's
-restart is what unblocks them).
+Liveness works as in repro.serve: a worker holds a lease via its
+heartbeat file's mtime, and a worker that dies, fails, or stops
+beating for ``lease_timeout`` is confirmed-killed and restarted from
+its newest checkpoint, up to ``max_restarts`` times. A worker blocked
+on a peer's exchange file keeps beating while it waits, so only the
+peer's lease runs out. There is no graceful stop: SIGTERM or Ctrl-C
+kills the run, and rerunning on the same ``out_dir`` is the one way
+to resume.
 
 The coordinator also owns the wake pipes (hints, never data — see
 repro.parallel.exchange): one per reader shard, made before the first
@@ -26,8 +26,6 @@ of every shard inherits the same fds through ``fork``.
 
 import json
 import os
-import signal
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -44,12 +42,9 @@ from repro.parallel.partition import ShardPlan
 from repro.parallel.worker import (
     CKPT_DIR,
     CKPT_SCHEMA,
-    CONTROL_DIR,
-    END_STATES,
     FINAL_DIR,
     HB_DIR,
     _FINAL_MAGIC,
-    drain_flag_path,
     final_path,
     heartbeat_path,
     load_payload_gz,
@@ -69,11 +64,11 @@ class ShardRunError(RuntimeError):
 
 @dataclass
 class ShardRunResult:
-    """Outcome of one ``shard_run`` invocation.
+    """Outcome of one completed ``shard_run`` invocation.
 
-    ``status`` is ``"done"`` (``result``/``digest_root`` populated) or
-    ``"drained"`` (graceful shutdown — every shard checkpointed its
-    window-start state; re-invoke with the same ``out_dir`` to resume).
+    ``status`` is always ``"done"``: a run that cannot finish raises
+    :class:`ShardRunError`, and a killed one is resumed by re-invoking
+    ``shard_run`` with the same ``out_dir``.
     """
 
     status: str
@@ -140,8 +135,7 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
               lengths=None, warmup=1000, measure=3000, drain=2000,
               seed=None, shards=2, out_dir=None, window=None,
               checkpoint_windows=None, max_restarts=3, lease_timeout=15.0,
-              window_timeout=60.0, poll=0.02, grace=2.0, chaos=None,
-              metrics=None):
+              poll=0.02, grace=2.0, chaos=None, metrics=None):
     """Run one experiment sharded across supervised worker processes.
 
     Returns a :class:`ShardRunResult` whose SimResult, metrics export,
@@ -151,6 +145,9 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
     fresh temporary directory is created when omitted. Re-invoking with
     an existing ``out_dir`` resumes: shards with valid finals are
     skipped, the rest restart from their newest checkpoints.
+
+    ``lease_timeout`` must exceed a worker's longest beat-free section
+    (DESIGN.md §11 has the measured ones).
 
     ``chaos`` maps shard id to a fault-injection dict (see
     repro.parallel.worker) applied on that shard's first attempt only —
@@ -171,14 +168,8 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
         import tempfile
 
         out_dir = tempfile.mkdtemp(prefix="repro-shard-")
-    for sub in (CKPT_DIR, FINAL_DIR, HB_DIR, CONTROL_DIR):
+    for sub in (CKPT_DIR, FINAL_DIR, HB_DIR):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
-    # A drain request addresses one invocation; a flag left by a
-    # previous (drained) run must not stop the resume immediately.
-    try:
-        os.unlink(drain_flag_path(out_dir))
-    except OSError:
-        pass
     for i in range(shards):
         os.makedirs(os.path.join(out_dir, EXCH_DIR, f"s{i}"), exist_ok=True)
 
@@ -246,9 +237,8 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
             daemon=True,
         )
         proc.start()
-        now = time.monotonic()
-        handles[i] = {"proc": proc, "attempt": attempts[i], "spawned": now,
-                      "progress": None, "progress_t": now}
+        handles[i] = {"proc": proc, "attempt": attempts[i],
+                      "spawned": time.monotonic()}
         append_jsonl(journal, {"t": time.time(), "event": "spawn", "shard": i,
                                "attempt": attempts[i], "pid": proc.pid})
 
@@ -269,20 +259,6 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
             )
         spawn(i)
 
-    def drain_requested():
-        return os.path.exists(drain_flag_path(out_dir))
-
-    previous_sigterm = None
-    on_main_thread = threading.current_thread() is threading.main_thread()
-    if on_main_thread:
-        def _request_drain(*_args):
-            flag = drain_flag_path(out_dir)
-            with atomic_write(flag) as fh:
-                fh.write("drain\n")
-
-        previous_sigterm = signal.signal(signal.SIGTERM, _request_drain)
-
-    drained_mode = False
     wake = [os.pipe() for _ in range(shards)]  # (read, write) per reader
     wake_fds = [fd for pair in wake for fd in pair]
     try:
@@ -291,17 +267,6 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
         for i in sorted(pending):
             spawn(i)
         while pending:
-            if not drained_mode and drain_requested():
-                drained_mode = True
-                append_jsonl(journal, {"t": time.time(),
-                                       "event": "drain_begin"})
-                for i in pending:
-                    proc = handles[i]["proc"]
-                    if proc.is_alive():
-                        try:
-                            proc.terminate()  # SIGTERM: graceful drain
-                        except (OSError, ValueError):
-                            pass
             for i in sorted(pending):
                 info = handles[i]
                 proc = info["proc"]
@@ -321,78 +286,28 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
                                 "cycle": out.get("cycle")})
                             continue
                         reason = "ok outcome but final payload missing"
-                    elif out is not None and out.get("drained"):
-                        if drained_mode:
-                            pending.discard(i)
-                            append_jsonl(journal, {
-                                "t": time.time(), "event": "drained",
-                                "shard": i, "attempt": info["attempt"],
-                                "window": out.get("window")})
-                            continue
-                        reason = "drain exit without a drain request"
                     elif out is not None:
                         reason = out.get("error", "worker error")
                     else:
                         reason = f"hard death (exit code {proc.exitcode})"
-                    if drained_mode:
-                        # Shutting down anyway: the shard's checkpoints
-                        # carry the resume; don't respawn.
-                        pending.discard(i)
-                        append_jsonl(journal, {
-                            "t": time.time(), "event": "died_during_drain",
-                            "shard": i, "reason": reason})
-                        continue
                     restart(i, reason)
                     continue
-                # Lease: the heartbeat file's mtime is the liveness claim.
-                hb_path = heartbeat_path(out_dir, i, info["attempt"])
-                age = file_age(hb_path)
-                if age is None:
-                    age = time.monotonic() - info["spawned"]
+                # Lease: time since the attempt's last beat, counted
+                # from its spawn. A rerun numbers attempts from 1 again,
+                # so a killed run's file may sit at this attempt's path
+                # with an mtime older than the spawn.
+                age = time.monotonic() - info["spawned"]
+                hb_age = file_age(heartbeat_path(out_dir, i, info["attempt"]))
+                if hb_age is not None:
+                    age = min(age, hb_age)
                 if age > lease_timeout:
                     confirmed_kill(proc, grace=grace)
                     restart(i, "lease_expired")
-                    continue
-                # Barrier watchdog: the pulse thread keeps the lease
-                # fresh even in a wedged worker, so stall detection is
-                # positional — a worker must advance its (window,
-                # cycle, state) within window_timeout. Only waiting on
-                # a peer's exchange file is exempt: that stall is the
-                # *peer's* fault, and restarting the peer unblocks it.
-                # An attempt that published its end state is past
-                # stalling; only the lease bounds how long it may linger.
-                hb = read_outcome(hb_path) or {}
-                blocked_on_peer = (
-                    hb.get("state") == "waiting"
-                    and hb.get("awaiting") is not None
-                    and not os.path.exists(
-                        os.path.join(out_dir, hb["awaiting"]))
-                )
-                ended = hb.get("state") in END_STATES.values()
-                if hb.get("state") is None or blocked_on_peer or ended:
-                    info["progress_t"] = time.monotonic()
-                else:
-                    position = (hb.get("window"), hb.get("cycle"),
-                                hb.get("state"))
-                    if position != info["progress"]:
-                        info["progress"] = position
-                        info["progress_t"] = time.monotonic()
-                    elif time.monotonic() - info["progress_t"] > window_timeout:
-                        confirmed_kill(proc, grace=grace)
-                        restart(i, "wedged")
-                        continue
             if pending:
                 wait_for_exit([handles[i]["proc"] for i in pending], poll)
     finally:
         for fd in wake_fds:
             os.close(fd)
-        if on_main_thread and previous_sigterm is not None:
-            signal.signal(signal.SIGTERM, previous_sigterm)
-
-    if drained_mode:
-        append_jsonl(journal, {"t": time.time(), "event": "drain_complete"})
-        return ShardRunResult(status="drained", shards=shards, window=win,
-                              out_dir=out_dir, restarts=restarts_total)
 
     payloads = []
     for i in range(shards):

@@ -108,17 +108,16 @@ def wake_peers(wake_fds):
             pass
 
 
-def wait_for_exchange(root, shard, window, heartbeat=None, should_abort=None,
-                      poll=0.01, max_poll=0.2, wake_fd=None):
+def wait_for_exchange(root, shard, window, heartbeat=None, poll=0.01,
+                      max_poll=0.2, wake_fd=None):
     """Block until another shard's window file appears, then load it.
 
     The wait is unbounded by design — liveness of the peer is the
-    coordinator's job (lease expiry / barrier watchdog restart the
-    peer; PDEATHSIG reaps us if the coordinator dies). ``heartbeat``
-    is called periodically so waiting never looks like a wedge, and
-    ``should_abort`` (drain requested) breaks the wait. A token on
-    ``wake_fd`` (this shard's wake pipe) only cuts the back-off sleep
-    short; with no fd the ``select`` is a plain sleep.
+    coordinator's job (lease expiry restarts the peer; PDEATHSIG reaps
+    us if the coordinator dies). ``heartbeat`` is called with the
+    awaited path on every poll, so the waiter's own lease stays fresh.
+    A token on ``wake_fd`` (this shard's wake pipe) only cuts the
+    back-off sleep short; with no fd the ``select`` is a plain sleep.
     """
     path = exchange_path(root, shard, window)
     wake = [] if wake_fd is None else [wake_fd]
@@ -126,8 +125,6 @@ def wait_for_exchange(root, shard, window, heartbeat=None, should_abort=None,
     while True:
         if os.path.exists(path):
             return read_exchange(path, shard, window)
-        if should_abort is not None and should_abort():
-            return None
         if heartbeat is not None:
             heartbeat(os.path.relpath(path, root))
         if select.select(wake, [], [], delay)[0]:

@@ -9,8 +9,8 @@ boundary channel latency):
    drain replay rewinds to. Always taken **before** imports, so the
    restart path re-imports exactly once.
 2. Import every neighbor's exchange file for the previous window
-   (gather all files first, then absorb — a drain request mid-wait
-   must leave the window-start state unmutated).
+   (gather all files first, then absorb; a drain replay re-absorbs
+   the same records).
 3. Step the window. The full-network injector runs in every shard for
    pid/RNG determinism; only packets sourced at local terminals are
    actually injected.
@@ -26,20 +26,23 @@ boundary channel latency):
 6. Either finalize (publish the shard's end-state payload) or clear
    the exported boundary channels and continue.
 
-SIGTERM/SIGINT request a graceful drain: the worker checkpoints the
-current window-start state and exits with code 5; a later run resumes
-from that checkpoint bit-identically.
+There is no graceful stop: SIGTERM/SIGINT kill a worker like any
+other crash, and a later run on the same directory resumes from the
+shard's newest checkpoint bit-identically.
 
 Everything a resume reads (exchange files, checkpoints, finals,
 outcomes) is fsynced before it becomes visible; the heartbeat, a lease
-whose only meaning is its mtime, is not (see :class:`Heartbeat`).
+whose only meaning is its mtime, is not (see :class:`Heartbeat`). The
+lease must outlast the longest beat-free section — building the
+network, loading and restoring a checkpoint, capturing the
+window-start state, encoding and gzipping a checkpoint or the final
+payload — so the worker beats between them.
 """
 
 import gzip
 import json
 import os
 import signal
-import threading
 import time
 
 from repro.checkpoint import (
@@ -69,18 +72,13 @@ from repro.traffic.patterns import build_pattern
 CKPT_DIR = "ckpt"
 FINAL_DIR = "final"
 HB_DIR = "hb"
-CONTROL_DIR = "control"
 
 CKPT_SCHEMA = 1
 _CKPT_MAGIC = "repro-shard-checkpoint"
 _FINAL_MAGIC = "repro-shard-final"
 
 EXIT_OK = 0
-#: Graceful drain: the worker checkpointed its window-start state.
-EXIT_DRAINED = 5
 EXIT_FAILED = 1
-#: Heartbeat ``state`` an attempt publishes last, by its exit code.
-END_STATES = {EXIT_OK: "done", EXIT_DRAINED: "drained", EXIT_FAILED: "failed"}
 
 #: File checkpoint cadence fallback: roughly every 64 cycles' worth of
 #: windows (lookahead windows are short — per-window files would thrash).
@@ -103,10 +101,6 @@ def outcome_path(root, shard, attempt):
     return os.path.join(root, HB_DIR, f"s{shard}.a{attempt}.out.json")
 
 
-def drain_flag_path(root):
-    return os.path.join(root, CONTROL_DIR, "drain")
-
-
 def window_schedule(main_cycles, drain_cycles, window):
     """Window spans ``[(a, b), ...]`` covering main then drain cycles.
 
@@ -126,12 +120,19 @@ def window_schedule(main_cycles, drain_cycles, window):
     return spans
 
 
-def save_payload_gz(path, payload):
+def save_payload_gz(path, payload, beat):
     """Gzip + atomically publish a JSON payload; immutable once written
-    (restarted shards regenerate byte-identical payloads and skip)."""
+    (restarted shards regenerate byte-identical payloads and skip).
+
+    ``beat`` runs between the encode and the gzip: at 64x64 each takes
+    seconds, and back to back they can outlast half the lease
+    (DESIGN.md §11).
+    """
     if os.path.exists(path):
         return False
-    blob = gzip.compress(canonical_json(payload).encode("utf-8"), mtime=0)
+    text = canonical_json(payload).encode("utf-8")
+    beat()
+    blob = gzip.compress(text, mtime=0)
     with atomic_write(path, mode="wb") as fh:
         fh.write(blob)
     return True
@@ -175,15 +176,8 @@ class ShardStatsCollector(StatsCollector):
 
 class Heartbeat:
     """Atomic single-file heartbeat: mtime is the lease, the JSON body
-    carries window progress for the barrier watchdog.
-
-    Thread-safe: a background pulse thread re-publishes the last-known
-    fields (fresh mtime) while the main thread is inside a long
-    beat-free section — constructing a large network, serializing a
-    checkpoint or the final payload — so the lease never expires on a
-    merely *slow* worker. A *stalled* worker is still caught: its
-    (window, cycle, state) position stops advancing and the
-    coordinator's barrier watchdog fires instead.
+    (state, window, cycle, awaiting, pid) tells a person reading the
+    run directory where the attempt is.
 
     Published by rename without an fsync — nothing reads a lease after
     a host crash, and the rename alone keeps readers from seeing a
@@ -195,27 +189,17 @@ class Heartbeat:
         self.path = path
         self.min_interval = min_interval
         self._last = 0.0
-        self._lock = threading.Lock()
         self._fields = {"shard": shard, "attempt": attempt,
                         "pid": os.getpid()}
 
     def beat(self, force=False, **fields):
-        with self._lock:
-            self._fields.update(fields)
-            now = time.monotonic()
-            if not force and now - self._last < self.min_interval:
-                return
-            self._last = now
-            record = dict(self._fields)
-        record["t"] = time.time()
+        self._fields.update(fields)
+        now = time.monotonic()
+        if not force and now - self._last < self.min_interval:
+            return
+        self._last = now
         with atomic_write(self.path, fsync=False) as fh:
-            json.dump(record, fh)
-
-    def pulse(self, stop, interval=1.0):
-        """Re-publish current fields until ``stop`` is set."""
-        while not stop.is_set():
-            self.beat(force=True)
-            stop.wait(interval)
+            json.dump(dict(self._fields, t=time.time()), fh)
 
 
 class _ShardWorker:
@@ -243,7 +227,6 @@ class _ShardWorker:
             heartbeat_path(root, shard, attempt), shard, attempt)
         self.timers = {"step_seconds": 0.0, "wait_seconds": 0.0,
                        "publish_seconds": 0.0, "checkpoint_seconds": 0.0}
-        self.drain_flag = False
         # Wake pipes inherited from the coordinator through fork; absent
         # (in-process runs) the exchange wait just polls.
         self.wake_fd = options.get("wake_fd")
@@ -285,16 +268,9 @@ class _ShardWorker:
 
     # ------------------------------------------------------------------
 
-    def request_drain(self, *_args):
-        self.drain_flag = True
-
-    def _drain_requested(self):
-        return self.drain_flag or os.path.exists(drain_flag_path(self.root))
-
     def _beat_waiting(self, awaiting):
-        # Naming the awaited file lets the coordinator scope the
-        # waiting exemption: a worker "waiting" on a file that already
-        # exists is wedged, not blocked.
+        # Names the awaited file, so a reader of the run directory can
+        # tell a shard blocked on a dead peer from one that is stuck.
         self.hb.beat(state="waiting", awaiting=awaiting)
 
     # ------------------------------------------------------------------
@@ -325,9 +301,11 @@ class _ShardWorker:
 
     def _save_checkpoint(self, window_index, state):
         t0 = time.perf_counter()
+        # Between the caller's capture and the encode (DESIGN.md §11).
+        self.hb.beat(state="checkpointing", window=window_index)
         payload = self._checkpoint_payload(_CKPT_MAGIC, window_index, state)
         save_payload_gz(checkpoint_path(self.root, self.shard, window_index),
-                        payload)
+                        payload, self.hb.beat)
         self._prune_checkpoints(window_index)
         self.timers["checkpoint_seconds"] += time.perf_counter() - t0
 
@@ -369,6 +347,7 @@ class _ShardWorker:
         except OSError:
             return 0
         for name in names:
+            self.hb.beat(state="restoring")
             try:
                 payload = load_payload_gz(os.path.join(ckpt_dir, name))
             except (OSError, EOFError, json.JSONDecodeError):
@@ -378,6 +357,7 @@ class _ShardWorker:
                     or payload.get("config_hash") != self.hash
                     or payload.get("shard") != self.shard):
                 continue
+            self.hb.beat()  # between the load and the restore
             self._restore_state(payload)
             return payload["window_index"]
         return 0
@@ -386,22 +366,17 @@ class _ShardWorker:
 
     def _gather_imports(self, window_index):
         """All neighbor exchange files for the previous window, read but
-        not yet applied. None when a drain request interrupted the wait."""
+        not yet applied."""
         if window_index == 0:
             return []
         records = []
         t0 = time.perf_counter()
         try:
             for src in self.plan.import_sources(self.shard):
-                record = wait_for_exchange(
+                records.append(wait_for_exchange(
                     self.root, src, window_index - 1,
-                    heartbeat=self._beat_waiting,
-                    should_abort=self._drain_requested,
-                    wake_fd=self.wake_fd,
-                )
-                if record is None:
-                    return None
-                records.append(record)
+                    heartbeat=self._beat_waiting, wake_fd=self.wake_fd,
+                ))
         finally:
             self.timers["wait_seconds"] += time.perf_counter() - t0
         return records
@@ -497,8 +472,8 @@ class _ShardWorker:
         included — the decision is a pure function of published files,
         so restarted shards recompute the identical verdict) and
         returns the earliest position ``t`` in ``[M, b]`` where the
-        global in-flight count is zero, None if the network is still
-        busy, or "abort" when a drain request interrupted the wait.
+        global in-flight count is zero, or None if the network is still
+        busy.
         """
         candidates = range(self.M, b + 1)
         needed = sorted({self.recorder[pos] for pos in candidates if pos > 0})
@@ -510,12 +485,8 @@ class _ShardWorker:
                         continue
                     record = wait_for_exchange(
                         self.root, s, j,
-                        heartbeat=self._beat_waiting,
-                        should_abort=self._drain_requested,
-                        wake_fd=self.wake_fd,
+                        heartbeat=self._beat_waiting, wake_fd=self.wake_fd,
                     )
-                    if record is None:
-                        return "abort"
                     self.hist_cache[(s, j)] = record["inflight"]
         finally:
             self.timers["wait_seconds"] += time.perf_counter() - t0
@@ -539,29 +510,12 @@ class _ShardWorker:
 
     # ------------------------------------------------------------------
 
-    def _wedge(self, window_index):
-        """Chaos: stop making progress while heartbeating as 'running',
-        so only the barrier watchdog (not lease expiry) can catch us."""
-        while not self._drain_requested():
-            self.hb.beat(force=True, state="running", window=window_index)
-            time.sleep(0.05)
-
-    # ------------------------------------------------------------------
-
-    def _drain_exit(self, window_index, state):
-        self._save_checkpoint(window_index, state)
-        write_outcome(
-            outcome_path(self.root, self.shard, self.attempt),
-            ok=False, drained=True, shard=self.shard, attempt=self.attempt,
-            window=window_index, cycle=state["network"]["cycle"],
-            timers=self.timers,
-        )
-        return EXIT_DRAINED
-
     def _finalize(self, position, drained):
         self.inj.enabled = False  # the runner's main→drain transition
         assert self.net.cycle == position, (self.net.cycle, position)
         state = self._capture()
+        # Between capture and encode, as in _save_checkpoint.
+        self.hb.beat(state="finalizing", cycle=position)
         payload = self._checkpoint_payload(_FINAL_MAGIC, None, state)
         payload["finalize"] = {
             "position": position,
@@ -569,7 +523,8 @@ class _ShardWorker:
             "drained": drained,
         }
         payload["timers"] = self.timers
-        save_payload_gz(final_path(self.root, self.shard), payload)
+        save_payload_gz(final_path(self.root, self.shard), payload,
+                        self.hb.beat)
         write_outcome(
             outcome_path(self.root, self.shard, self.attempt),
             ok=True, shard=self.shard, attempt=self.attempt,
@@ -583,32 +538,27 @@ class _ShardWorker:
         start_index = self._resume_window()
         if not self.schedule:
             return self._finalize(0, None)  # zero-cycle run
-        index = start_index
-        while index < len(self.schedule):
+        for index in range(start_index, len(self.schedule)):
             a, b = self.schedule[index]
             in_drain = self.drain > 0 and a >= self.M
             self.hb.beat(state="running", window=index, cycle=a,
                          phase="drain" if in_drain else "main")
-            if self._drain_requested():
-                return self._drain_exit(index, self._capture())
             if self.chaos.get("wedge_at_window") == index:
-                self._wedge(index)
-                return self._drain_exit(index, self._capture())
+                # Chaos: stall without beating until killed; only lease
+                # expiry can catch this worker.
+                while True:
+                    signal.pause()
             # Window-start snapshot, before imports (see module docs).
             need_ckpt = index > 0 and index % self.ckpt_every == 0
             snapshot = self._capture() if (in_drain or need_ckpt) else None
             if need_ckpt:
                 self._save_checkpoint(index, snapshot)
             records = self._gather_imports(index)
-            if records is None:
-                return self._drain_exit(index, snapshot or self._capture())
             self._absorb_imports(records)
             hist = self._step_window(a, b)
             self._publish_window(index, a, b, hist)
             if in_drain:
                 verdict = self._decide(index, b)
-                if verdict == "abort":
-                    return self._drain_exit(index, snapshot)
                 if verdict is not None:
                     if verdict < b:
                         self._replay(snapshot, records, a, verdict)
@@ -619,7 +569,6 @@ class _ShardWorker:
                 # exports stay live: the merge needs the sender copies.
                 return self._finalize(b, False if self.drain > 0 else None)
             self._clear_exports()
-            index += 1
         raise AssertionError("unreachable: schedule exhausted without finalize")
 
 
@@ -633,33 +582,17 @@ def run_shard_worker(root, config_dict, run_spec, shard, attempt, options,
     from repro.network.config import NetworkConfig
 
     die_with_parent()
-    # A fork inherits the coordinator's SIGTERM handler, which writes
-    # the *global* drain flag — a kill aimed at this worker alone must
-    # not drain the whole run. Replace it before anything slow runs,
-    # remembering any early request so it still takes effect.
-    early_drain = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_a: early_drain.set())
-    signal.signal(signal.SIGINT, lambda *_a: early_drain.set())
+    # The fork inherits the coordinator's signal handlers; restore the
+    # defaults, as serve's workers do: SIGTERM/SIGINT end the attempt
+    # like any crash, and a rerun resumes from the newest checkpoint.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
     config = NetworkConfig.from_dict(config_dict)
-    # The lease must stay fresh through every long beat-free section
-    # (network construction, checkpoint/final serialization — minutes
-    # for large topologies on loaded hosts), so a pulse thread owns
-    # liveness for the worker's whole lifetime; the barrier watchdog,
-    # which tracks (window, cycle, state) *progress*, is what catches
-    # a genuinely stalled worker.
     hb = Heartbeat(heartbeat_path(root, shard, attempt), shard, attempt)
     hb.beat(force=True, state="constructing")
-    stop_pulse = threading.Event()
-    pulse = threading.Thread(target=hb.pulse, args=(stop_pulse,),
-                             daemon=True)
-    pulse.start()
     try:
         worker = _ShardWorker(root, config, run_spec, shard, attempt,
                               options, heartbeat=hb)
-        if early_drain.is_set():
-            worker.request_drain()
-        signal.signal(signal.SIGTERM, worker.request_drain)
-        signal.signal(signal.SIGINT, worker.request_drain)
         code = worker.run()
     except BaseException as exc:  # noqa: BLE001 - the outcome file is the report
         import traceback
@@ -671,12 +604,9 @@ def run_shard_worker(root, config_dict, run_spec, shard, attempt, options,
             traceback=traceback.format_exc(),
         )
         code = EXIT_FAILED
-    finally:
-        stop_pulse.set()
-        pulse.join()  # no stale pulse may land on top of the final beat
     # The throttle can swallow every beat of a short attempt; the forced
     # last one says how it ended instead of "constructing" forever.
-    hb.beat(force=True, state=END_STATES[code])
+    hb.beat(force=True, state="done" if code == EXIT_OK else "failed")
     if hard_exit:
         os._exit(code)
     return code

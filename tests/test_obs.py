@@ -566,6 +566,19 @@ class TestJsonlLogFormat:
         with open(path, "rb") as fh:
             assert fh.read() == b'{"n":1}\n{"n":2}\n{"n":4}\n'
 
+    def test_whole_record_without_its_newline_is_never_read(self, tmp_path):
+        """A tear right on a record's final newline leaves whole JSON.
+        The record was never acknowledged and the next append cuts it
+        off, so no reader may see it in between."""
+        path = str(tmp_path / "log.jsonl")
+        append_jsonl(path, {"n": 1})
+        append_jsonl(path, {"n": 2})
+        with open(path, "r+b") as fh:
+            fh.truncate(fh.seek(0, os.SEEK_END) - 1)
+        assert read_jsonl(path) == [{"n": 1}]
+        append_jsonl(path, {"n": 3})
+        assert read_jsonl(path) == [{"n": 1}, {"n": 3}]
+
     @given(records=JSON_RECORDS, data=st.data())
     def test_plain_log_cut_anywhere_loads_whole_lines(self, records, data):
         import tempfile
@@ -581,9 +594,10 @@ class TestJsonlLogFormat:
             with open(path, "wb") as fh:
                 fh.write(raw[:cut])
             got = read_jsonl(path)
-        # The records whose newline lies before the cut; a cut right on
-        # a newline leaves that record's text whole, and it loads too.
-        assert got == records[:raw[:cut + 1].count(b"\n")]
+        # Exactly the records whose newline lies before the cut; a cut
+        # right on a newline leaves that record's text whole, but it was
+        # never acknowledged, so it does not load.
+        assert got == records[:raw[:cut].count(b"\n")]
 
     @given(records=JSON_RECORDS, data=st.data())
     def test_gzip_log_cut_anywhere_loads_a_prefix(self, records, data):

@@ -22,6 +22,7 @@ from repro.network.config import mesh_config
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MemorySink, TraceBus
 from repro.serve import JobStore, fold_events, job_records
+from repro.serve.cache import ResultCache
 from repro.sim import runner
 from repro.sim.parallel import parallel_sweep
 from repro.sim.runner import run_simulation
@@ -287,3 +288,61 @@ def test_job_log_torn_anywhere_folds_the_acknowledged_events(first, more,
         acked = acked[:raw[:cut].count(b"\n")]
         acked += [store.append(ev, job, **fields) for ev, job, fields in more]
         assert store.recover() == fold_events(acked)
+
+
+INDEX_ENTRY = st.tuples(
+    st.text("0123456789abcdef", min_size=64, max_size=64),
+    st.one_of(st.none(), JOB_IDS),
+    st.one_of(st.none(), SECONDS),
+)
+
+
+@given(entries=st.lists(INDEX_ENTRY, min_size=2, max_size=20,
+                        unique_by=lambda entry: entry[0]),
+       data=st.data())
+def test_cache_index_torn_anywhere_keeps_the_acknowledged_entries(entries,
+                                                                 data):
+    """``cache/index.jsonl`` torn at any byte, then appended to.
+
+    Every entry names a published object. The entries whose newline
+    made it to disk were acknowledged; at least one ``record`` follows
+    the tear. The index must read back exactly the acknowledged entries
+    right after the tear and after the appends, and ``reconcile`` must
+    re-index each object whose line the tear took, so every published
+    object ends up indexed exactly once.
+    """
+    import tempfile
+
+    def build(staging):
+        with open(os.path.join(staging, "summary.json"), "w") as fh:
+            json.dump({}, fh)
+
+    split = data.draw(st.integers(1, len(entries) - 1), label="split")
+    with tempfile.TemporaryDirectory() as root:
+        cache = ResultCache(root)
+        for spec_hash, _job, _t in entries:
+            cache.publish(spec_hash, build)
+        for spec_hash, job, t in entries[:split]:
+            cache.record(spec_hash, job_id=job, t=t)
+        written = cache.read_index()
+        # The lines the appends after the tear must add, from an
+        # untorn log.
+        later = ResultCache(os.path.join(root, "later"))
+        for spec_hash, job, t in entries[split:]:
+            later.record(spec_hash, job_id=job, t=t)
+        with open(cache.index_path, "rb") as fh:
+            raw = fh.read()
+        # Anywhere, or right on a newline: whole JSON, unacknowledged.
+        on_newline = [i for i, byte in enumerate(raw) if byte == ord("\n")]
+        cut = data.draw(st.integers(0, len(raw))
+                        | st.sampled_from(on_newline), label="cut")
+        with open(cache.index_path, "r+b") as fh:
+            fh.truncate(cut)
+        acked = written[:raw[:cut].count(b"\n")]
+        assert cache.read_index() == acked
+        for spec_hash, job, t in entries[split:]:
+            cache.record(spec_hash, job_id=job, t=t)
+        assert cache.read_index() == acked + later.read_index()
+        cache.reconcile()
+        hashes = [entry["hash"] for entry in cache.read_index()]
+        assert sorted(hashes) == sorted(h for h, _job, _t in entries)

@@ -1,11 +1,11 @@
 """Crash/restart tests for the sharded runtime (repro.parallel).
 
 Each scenario injects a real failure — SIGKILL mid-window, SIGKILL in
-the middle of publishing an exchange file, a wedged (silently stalled)
-worker, a SIGKILLed coordinator, a graceful SIGTERM drain — and then
-asserts the two recovery invariants: published exchange files are
-immutable (no window is ever published twice), and the completed run
-is bit-identical to an uninterrupted single-process run.
+the middle of publishing an exchange file, a wedged worker that stops
+beating (caught by lease expiry), a SIGKILLed or SIGTERMed coordinator
+— and then asserts the two recovery invariants: published exchange
+files are immutable (no window is ever published twice), and the
+completed run is bit-identical to an uninterrupted single-process run.
 """
 
 import hashlib
@@ -21,8 +21,6 @@ import pytest
 
 from repro.network.config import NetworkConfig
 from repro.parallel import shard_run, single_process_run
-from repro.parallel.worker import drain_flag_path
-from repro.obs.artifacts import atomic_write
 
 SMALL = dict(warmup=20, measure=60, drain=400)
 
@@ -124,27 +122,28 @@ class TestWorkerCrashes:
         start = time.monotonic()
         run = run_sharded(tmp_path / "s", config, seed=1,
                           chaos={1: {"wedge_at_window": 6}},
-                          window_timeout=1.5)
+                          lease_timeout=1.5)
         elapsed = time.monotonic() - start
         assert run.status == "done"
         assert run.restarts >= 1
         assert run.result == expected
         assert run.digest_root == expected_root
-        # Detection is bounded by the barrier watchdog, not the (15s)
-        # lease: the whole run, including recovery, beats one lease.
+        # Detection is bounded by the lease: the whole run, including
+        # recovery, beats the default (15 s) one.
         assert elapsed < 15
         events = [json.loads(line) for line in
                   (tmp_path / "s" / "journal.jsonl").read_text().splitlines()]
         reasons = [e.get("reason") for e in events
                    if e["event"] == "restart"]
-        assert "wedged" in reasons
+        assert "lease_expired" in reasons
 
     def test_sigkill_while_blocked_in_the_wake_wait(self, tmp_path):
         """Shard 1 wedges, so shard 0 ends up blocked in select() on its
         wake pipe; SIGKILL it there. The pipe belongs to the coordinator
         and outlives the reader: attempt 2 of shard 0 inherits the same
-        fds, blocks on them again, and is released once the watchdog has
-        restarted shard 1 — no re-wiring, same bits."""
+        fds, blocks on them again, and is released once shard 1's lease
+        has expired and it has been restarted — no re-wiring, same
+        bits."""
         config = config_for()
         expected, expected_root = oracle(config, seed=1)
         out = tmp_path / "s"
@@ -153,7 +152,7 @@ class TestWorkerCrashes:
         def target():
             box["run"] = run_sharded(out, config, seed=1,
                                      chaos={1: {"wedge_at_window": 6}},
-                                     window_timeout=3.0)
+                                     lease_timeout=3.0)
 
         runner = threading.Thread(target=target)
         runner.start()
@@ -183,7 +182,27 @@ class TestWorkerCrashes:
                     if e["event"] == "restart"]
         assert len(restarts) == 2
         assert restarts[0][0] == 0 and "hard death" in restarts[0][1]
-        assert restarts[1] == (1, "wedged")
+        assert restarts[1] == (1, "lease_expired")
+
+    def test_stale_heartbeats_of_a_killed_run_are_not_a_lease(self,
+                                                             tmp_path):
+        """A rerun numbers its attempts from 1 again, so it finds the
+        killed run's heartbeat files at its own attempts' paths. Their
+        old mtimes must not expire the new attempts' leases."""
+        config = config_for()
+        expected, expected_root = oracle(config, seed=1)
+        out = tmp_path / "s"
+        (out / "hb").mkdir(parents=True)
+        an_hour_ago = time.time() - 3600
+        for shard in range(2):
+            for attempt in (1, 2, 3, 4):
+                stale = out / "hb" / f"s{shard}.a{attempt}.hb.json"
+                stale.write_text('{"state": "running"}')
+                os.utime(stale, (an_hour_ago, an_hour_ago))
+        run = run_sharded(out, config, seed=1)
+        assert run.restarts == 0
+        assert run.result == expected
+        assert run.digest_root == expected_root
 
     def test_unrecoverable_shard_raises_after_max_restarts(self, tmp_path):
         from repro.parallel import ShardRunError
@@ -197,61 +216,6 @@ class TestWorkerCrashes:
             run_sharded(tmp_path / "s", config, seed=1,
                         chaos={0: {"sigkill_at_cycle": 5}},
                         max_restarts=0)
-
-
-class TestGracefulDrain:
-    def test_sigterm_drain_then_resume_matches_uninterrupted(self, tmp_path):
-        """Flag-file drain (what the coordinator's SIGTERM handler
-        writes) checkpoints mid-run; the resumed run must finish
-        bit-identical to a run that was never interrupted."""
-        config = config_for()
-        expected, expected_root = oracle(config, seed=1, warmup=200,
-                                         measure=600)
-        out = tmp_path / "s"
-        box = {}
-
-        def target():
-            box["run"] = run_sharded(out, config, seed=1,
-                                     warmup=200, measure=600)
-
-        worker = threading.Thread(target=target)
-        worker.start()
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline and not exchange_files(out):
-            time.sleep(0.005)
-        flag = drain_flag_path(str(out))
-        with atomic_write(flag) as fh:
-            fh.write("drain\n")
-        worker.join(timeout=90)
-        assert not worker.is_alive()
-        assert box["run"].status == "drained"
-        events = [json.loads(line) for line in
-                  (out / "journal.jsonl").read_text().splitlines()]
-        assert {"drain_begin", "drain_complete"} <= \
-            {e["event"] for e in events}
-        # Published windows survive the drain/resume cycle untouched.
-        parked = exchange_files(out)
-        resumed = run_sharded(out, config, seed=1, warmup=200, measure=600)
-        assert resumed.status == "done"
-        assert resumed.result == expected
-        assert resumed.digest_root == expected_root
-        final = exchange_files(out)
-        for path, digest in parked.items():
-            assert final[path] == digest
-
-    def test_drain_before_any_window_still_resumes(self, tmp_path):
-        config = config_for()
-        expected, expected_root = oracle(config, seed=2)
-        out = tmp_path / "s"
-        os.makedirs(os.path.dirname(drain_flag_path(str(out))))
-        with atomic_write(drain_flag_path(str(out))) as fh:
-            fh.write("drain\n")
-        # A pre-existing flag belongs to a previous invocation and is
-        # cleared at startup, so this run completes normally.
-        run = run_sharded(out, config, seed=2)
-        assert run.status == "done"
-        assert run.result == expected
-        assert run.digest_root == expected_root
 
 
 class TestCoordinatorCrash:
@@ -294,19 +258,20 @@ class TestCoordinatorCrash:
         assert rerun.returncode == 0, stderr
         assert "bit-identical" in stdout
 
-    def test_sigterm_exits_5_and_resume_completes(self, tmp_path):
+    def test_sigterm_kills_the_run_and_rerun_resumes(self, tmp_path):
+        """SIGTERM is a crash like any other: the coordinator dies at
+        once, and a rerun on the same directory finishes the run."""
         out = tmp_path / "s"
         proc = self.spawn(out)
         try:
             self.wait_for_exchange(out)
-            proc.terminate()  # SIGTERM: graceful drain
-            stdout, _stderr = proc.communicate(timeout=60)
+            proc.terminate()
+            proc.communicate(timeout=30)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
-        assert proc.returncode == 5
-        assert "resume with the same --out-dir" in stdout
+        assert proc.returncode == -signal.SIGTERM
         rerun = self.spawn(out, "--check-single")
         stdout, stderr = rerun.communicate(timeout=110)
         assert rerun.returncode == 0, stderr
