@@ -659,8 +659,6 @@ def cmd_serve(args, out):
         spec_for,
         submit_spec,
     )
-    from repro.serve.backoff import RetryPolicy
-
     if args.status:
         status = scan_service(args.root)
         if args.json:
@@ -711,15 +709,11 @@ def cmd_serve(args, out):
             out.write(f"{job_id}\n")
         return 0
 
-    policy = RetryPolicy(base=args.retry_base) if args.retry_base \
-        else None
     service = ExperimentService(
         args.root,
         workers=args.workers,
         max_retries=args.max_retries,
         lease_timeout=args.lease_timeout,
-        heartbeat_every=args.heartbeat_every,
-        **({"retry_policy": policy} if policy else {}),
     )
     try:
         service.recover()
@@ -887,10 +881,6 @@ def build_parser():
     p.add_argument("--lease-timeout", type=float, default=30.0,
                    help="seconds without a heartbeat before a worker is "
                         "presumed dead and its job re-queued")
-    p.add_argument("--retry-base", type=float, default=None,
-                   help="base seconds of the retry backoff schedule")
-    p.add_argument("--heartbeat-every", type=int, default=1000,
-                   help="worker heartbeat period in simulated cycles")
     p.add_argument("--poll", type=float, default=0.05,
                    help="scheduler poll period in seconds")
     p.add_argument("--once", action="store_true",

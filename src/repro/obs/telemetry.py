@@ -12,10 +12,14 @@ Two independent outputs, both optional:
 
 - ``path`` — an append-only JSONL heartbeat file. Every record is
   written with :func:`repro.obs.trace.append_jsonl` (fsynced), so
-  another process can trust what it reads (``repro serve``'s lease
-  check reads the file's age with :func:`repro.proc.file_age`) even if
-  this process is later SIGKILLed; :func:`repro.obs.trace.read_jsonl`
-  reads it back and discards a torn final line.
+  another process can trust what it reads even if this process is
+  later SIGKILLed; :func:`repro.obs.trace.read_jsonl` reads it back
+  and discards a torn final line.
+
+This is a user-facing progress stream (``repro run --progress`` /
+``--heartbeat``), not a lease: supervised attempts (``repro serve``
+jobs, shard workers) beat a :class:`repro.proc.Heartbeat`, throttled
+on wall time, instead.
 - ``console`` — a text stream (normally ``sys.stderr``) that gets a
   single carriage-return-rewritten progress line per heartbeat, so
   ``repro run --progress --json`` keeps machine-readable stdout clean.
@@ -67,20 +71,19 @@ class RunTelemetry:
     ``every`` is the sampling period in cycles. ``total_cycles`` is the
     planned phase schedule (warmup + measure + drain); the drain may end
     early on quiescence, so progress/ETA treat it as an upper bound.
-    ``label``/``rate`` identify the run in every record. The runner
+    ``rate`` identifies the run in every record. The runner
     calls :meth:`begin`, :meth:`on_cycle` once per
     simulated cycle, and :meth:`finish`.
     """
 
-    def __init__(self, path=None, every=1000, console=None, label="",
-                 rate=None, total_cycles=None, clock=time.monotonic,
+    def __init__(self, path=None, every=1000, console=None, rate=None,
+                 total_cycles=None, clock=time.monotonic,
                  walltime=time.time):
         if every < 1:
             raise ValueError("every must be >= 1")
         self.path = path
         self.every = every
         self.console = console
-        self.label = label
         self.rate = rate
         self.total_cycles = total_cycles
         self.records_written = 0
@@ -112,7 +115,6 @@ class RunTelemetry:
                 "t": self._walltime(),
                 "cycle": start_cycle,
                 "total_cycles": self.total_cycles,
-                "label": self.label,
                 "rate": self.rate,
                 "pid": os.getpid(),
                 "host": socket.gethostname(),
@@ -149,7 +151,6 @@ class RunTelemetry:
             "wall_seconds": elapsed,
             "cycles_per_sec": cycles / elapsed if elapsed > 0 else 0.0,
             "rss_kb": rss_kb(),
-            "label": self.label,
             "rate": self.rate,
         }
         if result is not None:
@@ -188,7 +189,6 @@ class RunTelemetry:
             "progress": progress,
             "eta_sec": eta,
             "rss_kb": rss_kb(),
-            "label": self.label,
             "rate": self.rate,
             "pid": os.getpid(),
         }

@@ -9,12 +9,14 @@ state lives in the run directory, so a killed coordinator (or a worker
 SIGKILLed mid-window) resumes by re-invoking ``shard_run`` with the
 same ``out_dir``.
 
-Liveness works as in repro.serve: a worker holds a lease via its
-heartbeat file's mtime, and a worker that dies, fails, or stops
-beating for ``lease_timeout`` is confirmed-killed and restarted from
-its newest checkpoint, up to ``max_restarts`` times. A worker blocked
-on a peer's exchange file keeps beating while it waits, so only the
-peer's lease runs out. There is no graceful stop: SIGTERM or Ctrl-C
+Each shard attempt is one supervised attempt of :mod:`repro.proc`, the
+primitive repro.serve's jobs use too: one spawn, one heartbeat lease,
+one reap verdict. A worker that dies, fails, or stops beating for
+``lease_timeout`` is confirmed-killed; the coordinator's own policy is
+to restart it from its newest checkpoint, up to ``max_restarts`` times,
+and to accept an ``ok`` outcome only with a valid final payload. A
+worker blocked on a peer's exchange file keeps beating while it waits,
+so only the peer's lease runs out. There is no graceful stop: SIGTERM or Ctrl-C
 kills the run, and rerunning on the same ``out_dir`` is the one way
 to resume.
 
@@ -43,15 +45,12 @@ from repro.parallel.worker import (
     CKPT_DIR,
     CKPT_SCHEMA,
     FINAL_DIR,
-    HB_DIR,
     _FINAL_MAGIC,
     final_path,
-    heartbeat_path,
     load_payload_gz,
-    outcome_path,
     run_shard_worker,
 )
-from repro.proc import confirmed_kill, file_age, read_outcome, wait_for_exit
+from repro.proc import confirmed_kill, spawn_attempt, wait_for_exit
 from repro.traffic.injection import FixedLength
 
 _RUN_MAGIC = "repro-shard-run"
@@ -168,7 +167,7 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
         import tempfile
 
         out_dir = tempfile.mkdtemp(prefix="repro-shard-")
-    for sub in (CKPT_DIR, FINAL_DIR, HB_DIR):
+    for sub in (CKPT_DIR, FINAL_DIR):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
     for i in range(shards):
         os.makedirs(os.path.join(out_dir, EXCH_DIR, f"s{i}"), exist_ok=True)
@@ -231,16 +230,13 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
             "wake_fd": wake[i][0],
             "peer_wake_fds": [w for j, (_r, w) in enumerate(wake) if j != i],
         }
-        proc = ctx.Process(
-            target=run_shard_worker,
-            args=(out_dir, config_dict, run_spec, i, attempts[i], options),
-            daemon=True,
+        handles[i] = spawn_attempt(
+            ctx, out_dir, f"s{i}", attempts[i], run_shard_worker,
+            (out_dir, config_dict, run_spec, i, attempts[i], options),
         )
-        proc.start()
-        handles[i] = {"proc": proc, "attempt": attempts[i],
-                      "spawned": time.monotonic()}
         append_jsonl(journal, {"t": time.time(), "event": "spawn", "shard": i,
-                               "attempt": attempts[i], "pid": proc.pid})
+                               "attempt": attempts[i],
+                               "pid": handles[i].pid})
 
     def restart(i, reason):
         nonlocal restarts_total
@@ -250,9 +246,8 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
                                "reason": reason})
         if attempts[i] > max_restarts:
             for other in pending:
-                proc = handles.get(other, {}).get("proc")
-                if proc is not None and proc.is_alive():
-                    confirmed_kill(proc, grace=grace)
+                if other in handles and handles[other].alive():
+                    confirmed_kill(handles[other].process, grace=grace)
             raise ShardRunError(
                 f"shard {i} exceeded max_restarts={max_restarts} "
                 f"(last failure: {reason})"
@@ -268,43 +263,32 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
             spawn(i)
         while pending:
             for i in sorted(pending):
-                info = handles[i]
-                proc = info["proc"]
-                if not proc.is_alive():
-                    proc.join()
-                    out = read_outcome(
-                        outcome_path(out_dir, i, info["attempt"])
-                    )
-                    if out is not None and out.get("ok"):
-                        payload = _load_final(out_dir, i, expected_hash)
-                        if payload is not None:
-                            finals[i] = payload
-                            pending.discard(i)
-                            append_jsonl(journal, {
-                                "t": time.time(), "event": "finalized",
-                                "shard": i, "attempt": info["attempt"],
-                                "cycle": out.get("cycle")})
-                            continue
-                        reason = "ok outcome but final payload missing"
-                    elif out is not None:
-                        reason = out.get("error", "worker error")
-                    else:
-                        reason = f"hard death (exit code {proc.exitcode})"
-                    restart(i, reason)
+                handle = handles[i]
+                verdict = handle.reap(lease_timeout, grace=grace)
+                if verdict is None:
                     continue
-                # Lease: time since the attempt's last beat, counted
-                # from its spawn. A rerun numbers attempts from 1 again,
-                # so a killed run's file may sit at this attempt's path
-                # with an mtime older than the spawn.
-                age = time.monotonic() - info["spawned"]
-                hb_age = file_age(heartbeat_path(out_dir, i, info["attempt"]))
-                if hb_age is not None:
-                    age = min(age, hb_age)
-                if age > lease_timeout:
-                    confirmed_kill(proc, grace=grace)
-                    restart(i, "lease_expired")
+                kind, out = verdict
+                if kind == "outcome" and out.get("ok"):
+                    payload = _load_final(out_dir, i, expected_hash)
+                    if payload is not None:
+                        finals[i] = payload
+                        pending.discard(i)
+                        append_jsonl(journal, {
+                            "t": time.time(), "event": "finalized",
+                            "shard": i, "attempt": handle.attempt,
+                            "cycle": out.get("cycle")})
+                        continue
+                    reason = "ok outcome but final payload missing"
+                elif kind == "outcome":
+                    reason = out.get("error", "worker error")
+                elif kind == "died":
+                    code = handle.process.exitcode
+                    reason = f"hard death (exit code {code})"
+                else:
+                    reason = "lease_expired"
+                restart(i, reason)
             if pending:
-                wait_for_exit([handles[i]["proc"] for i in pending], poll)
+                wait_for_exit([handles[i].process for i in pending], poll)
     finally:
         for fd in wake_fds:
             os.close(fd)

@@ -30,13 +30,16 @@ There is no graceful stop: SIGTERM/SIGINT kill a worker like any
 other crash, and a later run on the same directory resumes from the
 shard's newest checkpoint bit-identically.
 
+Each attempt of a shard is one supervised attempt of :mod:`repro.proc`
+named ``s<shard>``: :func:`run_shard_worker` enters through
+:func:`~repro.proc.run_attempt` and beats a :class:`~repro.proc.Heartbeat`.
 Everything a resume reads (exchange files, checkpoints, finals,
 outcomes) is fsynced before it becomes visible; the heartbeat, a lease
-whose only meaning is its mtime, is not (see :class:`Heartbeat`). The
-lease must outlast the longest beat-free section — building the
-network, loading and restoring a checkpoint, capturing the
-window-start state, encoding and gzipping a checkpoint or the final
-payload — so the worker beats between them.
+whose only meaning is its mtime, is not. The lease must outlast the
+longest beat-free section — building the network, loading and
+restoring a checkpoint, capturing the window-start state, encoding and
+gzipping a checkpoint or the final payload — so the worker beats
+between them.
 """
 
 import gzip
@@ -64,14 +67,13 @@ from repro.parallel.exchange import (
     wake_peers,
 )
 from repro.parallel.partition import ShardPlan
-from repro.proc import die_with_parent, write_outcome
+from repro.proc import Heartbeat, attempt_paths, run_attempt, write_outcome
 from repro.stats import StatsCollector
 from repro.traffic.injection import BernoulliInjector
 from repro.traffic.patterns import build_pattern
 
 CKPT_DIR = "ckpt"
 FINAL_DIR = "final"
-HB_DIR = "hb"
 
 CKPT_SCHEMA = 1
 _CKPT_MAGIC = "repro-shard-checkpoint"
@@ -91,14 +93,6 @@ def checkpoint_path(root, shard, window_index):
 
 def final_path(root, shard):
     return os.path.join(root, FINAL_DIR, f"s{shard}.json.gz")
-
-
-def heartbeat_path(root, shard, attempt):
-    return os.path.join(root, HB_DIR, f"s{shard}.a{attempt}.hb.json")
-
-
-def outcome_path(root, shard, attempt):
-    return os.path.join(root, HB_DIR, f"s{shard}.a{attempt}.out.json")
 
 
 def window_schedule(main_cycles, drain_cycles, window):
@@ -174,34 +168,6 @@ class ShardStatsCollector(StatsCollector):
         self.eject_keys = [list(key) for key in state.get("eject_keys", [])]
 
 
-class Heartbeat:
-    """Atomic single-file heartbeat: mtime is the lease, the JSON body
-    (state, window, cycle, awaiting, pid) tells a person reading the
-    run directory where the attempt is.
-
-    Published by rename without an fsync — nothing reads a lease after
-    a host crash, and the rename alone keeps readers from seeing a
-    partial file — and throttled to ``min_interval``, so a per-window
-    beat costs an in-memory field update, not a disk write.
-    """
-
-    def __init__(self, path, shard, attempt, min_interval=0.2):
-        self.path = path
-        self.min_interval = min_interval
-        self._last = 0.0
-        self._fields = {"shard": shard, "attempt": attempt,
-                        "pid": os.getpid()}
-
-    def beat(self, force=False, **fields):
-        self._fields.update(fields)
-        now = time.monotonic()
-        if not force and now - self._last < self.min_interval:
-            return
-        self._last = now
-        with atomic_write(self.path, fsync=False) as fh:
-            json.dump(dict(self._fields, t=time.time()), fh)
-
-
 class _ShardWorker:
     def __init__(self, root, config, run_spec, shard, attempt, options,
                  heartbeat=None):
@@ -224,7 +190,8 @@ class _ShardWorker:
         self.chaos = dict(options.get("chaos") or {}) if attempt == 1 else {}
         self.hash = config_hash(config, run_spec)
         self.hb = heartbeat or Heartbeat(
-            heartbeat_path(root, shard, attempt), shard, attempt)
+            attempt_paths(root, f"s{shard}", attempt)[0], f"s{shard}",
+            attempt)
         self.timers = {"step_seconds": 0.0, "wait_seconds": 0.0,
                        "publish_seconds": 0.0, "checkpoint_seconds": 0.0}
         # Wake pipes inherited from the coordinator through fork; absent
@@ -526,7 +493,7 @@ class _ShardWorker:
         save_payload_gz(final_path(self.root, self.shard), payload,
                         self.hb.beat)
         write_outcome(
-            outcome_path(self.root, self.shard, self.attempt),
+            attempt_paths(self.root, f"s{self.shard}", self.attempt)[1],
             ok=True, shard=self.shard, attempt=self.attempt,
             cycle=position, drained=drained, timers=self.timers,
         )
@@ -576,37 +543,16 @@ def run_shard_worker(root, config_dict, run_spec, shard, attempt, options,
                      hard_exit=True):
     """Process entry point for one shard worker (multiprocessing target).
 
-    ``hard_exit`` uses ``os._exit`` so a forked worker never runs the
-    parent's atexit machinery; tests pass False to run in-process.
+    One :func:`~repro.proc.run_attempt` named ``s<shard>``; returns
+    ``EXIT_OK`` or ``EXIT_FAILED`` when ``hard_exit`` is False (tests
+    run a worker in-process that way).
     """
     from repro.network.config import NetworkConfig
 
-    die_with_parent()
-    # The fork inherits the coordinator's signal handlers; restore the
-    # defaults, as serve's workers do: SIGTERM/SIGINT end the attempt
-    # like any crash, and a rerun resumes from the newest checkpoint.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-    config = NetworkConfig.from_dict(config_dict)
-    hb = Heartbeat(heartbeat_path(root, shard, attempt), shard, attempt)
-    hb.beat(force=True, state="constructing")
-    try:
-        worker = _ShardWorker(root, config, run_spec, shard, attempt,
-                              options, heartbeat=hb)
-        code = worker.run()
-    except BaseException as exc:  # noqa: BLE001 - the outcome file is the report
-        import traceback
+    def body(heartbeat, _out_path):
+        config = NetworkConfig.from_dict(config_dict)
+        _ShardWorker(root, config, run_spec, shard, attempt, options,
+                     heartbeat=heartbeat).run()
 
-        write_outcome(
-            outcome_path(root, shard, attempt),
-            ok=False, shard=shard, attempt=attempt,
-            error=f"{type(exc).__name__}: {exc}",
-            traceback=traceback.format_exc(),
-        )
-        code = EXIT_FAILED
-    # The throttle can swallow every beat of a short attempt; the forced
-    # last one says how it ended instead of "constructing" forever.
-    hb.beat(force=True, state="done" if code == EXIT_OK else "failed")
-    if hard_exit:
-        os._exit(code)
-    return code
+    ok = run_attempt(root, f"s{shard}", attempt, body, hard_exit=hard_exit)
+    return EXIT_OK if ok else EXIT_FAILED

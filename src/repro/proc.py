@@ -1,26 +1,39 @@
-"""Process-supervision primitives shared by repro.serve and repro.parallel.
+"""One supervised attempt: the process primitive of repro.serve and
+repro.parallel.
 
-Extracted from ``repro.serve.supervisor`` so any subsystem that runs
-supervised child processes — the experiment service's job workers, the
-sharded-simulation shard workers — uses one implementation of the
-file-based signalling pattern:
+A supervisor — the experiment service running a job, the shard
+coordinator running a shard — forks one process per *attempt* and talks
+to it only through two files under ``<root>/hb/``, named by
+:func:`attempt_paths`; there is no pipe or queue to lose when either
+side is SIGKILLed:
 
-- **PDEATHSIG** (:func:`die_with_parent`): children die with their
-  supervisor instead of orphaning (Linux, best effort).
-- **Confirmed kill** (:func:`confirmed_kill`): SIGTERM → grace →
-  SIGKILL → join, so a lease/window is only re-queued after its worker
-  is provably gone and two attempts never overlap.
-- **Atomic outcomes** (:func:`write_outcome` / :func:`read_outcome`):
-  the child's last act is one ``atomic_write`` of a JSON dict; present
-  and ``ok`` means success, present and not ``ok`` carries the
-  diagnostic, absent after process exit means the child died hard.
-- **Liveness probes** (:func:`alive_pid`, :func:`file_age`): a
-  heartbeat file's mtime age is the lease signal, for serve attempts
-  (fsynced JSONL heartbeats) and shard workers alike. A shard lease
-  needs to be fresh, not durable — nothing reads it after a host
-  crash — so shard heartbeats are renamed into place without an fsync.
-- **Event-driven reaping** (:func:`wait_for_exit`): supervisors sleep
-  on their workers' process sentinels, not on a timer.
+- ``<name>.a<N>.hb.json`` — the :class:`Heartbeat`. Its mtime is the
+  lease; its small JSON body tells a person reading the directory where
+  the attempt is. A lease needs to be fresh, not durable (nothing reads
+  it after a host crash), so it is renamed into place without an fsync.
+- ``<name>.a<N>.out.json`` — the outcome (:func:`write_outcome`), the
+  child's last act, written with ``atomic_write``: present and ``ok``
+  means success, present and not ``ok`` carries the diagnostic, absent
+  after the process exited means the child died hard.
+
+The attempt number in both names keeps a straggling old attempt from
+being mistaken for the current one.
+
+Parent side: :func:`spawn_attempt` forks and returns an :class:`Attempt`
+handle. Its :meth:`~Attempt.reap` is the one verdict: outcome present,
+died without an outcome, or lease expired under the one rule
+(:meth:`~Attempt.lease_age`), in which case the process is
+:func:`confirmed_kill`-ed so two attempts of one unit never overlap.
+Child side: :func:`run_attempt` is the one entry wrapper
+(:func:`die_with_parent`, default SIGTERM/SIGINT, any exception turned
+into a not-``ok`` outcome, ``os._exit`` when forked). Each supervisor
+keeps only its policy: serve its journal, retries, dead-lettering and
+cache; the coordinator its restart-from-checkpoint. Supervisors sleep
+on their attempts' process sentinels (:func:`wait_for_exit`), not on a
+timer.
+
+The lease must exceed the attempt's longest beat-free section (DESIGN.md
+§11 has the measured ones).
 """
 
 import errno
@@ -29,6 +42,16 @@ import os
 import signal
 import sys
 import time
+
+from repro.obs.artifacts import atomic_write
+
+HB_DIR = "hb"
+
+
+def attempt_paths(root, name, attempt):
+    """``(heartbeat, outcome)`` paths of attempt ``attempt`` of ``name``."""
+    stem = os.path.join(root, HB_DIR, f"{name}.a{attempt}")
+    return stem + ".hb.json", stem + ".out.json"
 
 
 def die_with_parent():
@@ -101,8 +124,6 @@ def read_outcome(path):
 
 def write_outcome(path, **fields):
     """Atomically (and durably) publish a worker outcome file."""
-    from repro.obs.artifacts import atomic_write
-
     with atomic_write(path) as fh:
         json.dump(fields, fh, separators=(",", ":"))
         fh.write("\n")
@@ -134,3 +155,151 @@ def wait_for_exit(processes, timeout):
     from multiprocessing.connection import wait
 
     wait(sentinels, timeout=timeout)
+
+
+class Heartbeat:
+    """Atomic single-file heartbeat: mtime is the lease, the JSON body
+    (name, attempt, pid, plus whatever the attempt reports — state,
+    window, cycle, awaiting) tells a person reading the run directory
+    where the attempt is.
+
+    Published by rename without an fsync — nothing reads a lease after
+    a host crash, and the rename alone keeps readers from seeing a
+    partial file — and throttled to ``min_interval``, so a per-cycle
+    beat costs an in-memory field update, not a disk write.
+    """
+
+    def __init__(self, path, name, attempt, min_interval=0.2):
+        self.path = path
+        self.min_interval = min_interval
+        self._last = 0.0
+        self._fields = {"name": name, "attempt": attempt,
+                        "pid": os.getpid()}
+
+    def beat(self, force=False, **fields):
+        self._fields.update(fields)
+        now = time.monotonic()
+        if not force and now - self._last < self.min_interval:
+            return
+        self._last = now
+        with atomic_write(self.path, fsync=False) as fh:
+            json.dump(dict(self._fields, t=time.time()), fh)
+
+
+class Attempt:
+    """Supervisor-side handle of one forked attempt."""
+
+    def __init__(self, process, root, name, attempt, spawned):
+        self.process = process
+        self.name = name
+        self.attempt = attempt
+        self.hb_path, self.out_path = attempt_paths(root, name, attempt)
+        #: Wall-clock spawn time: the lease counts from here until the
+        #: first beat.
+        self.spawned = spawned
+
+    @property
+    def pid(self):
+        return self.process.pid
+
+    def alive(self):
+        return self.process.is_alive()
+
+    def outcome(self):
+        return read_outcome(self.out_path)
+
+    def lease_age(self, now=None):
+        """Seconds since the later of the attempt's spawn and its last
+        beat: the one lease rule.
+
+        ``now`` is wall-clock (``time.time``) seconds, the domain of
+        heartbeat mtimes. Counting from the spawn covers an attempt that
+        wedges before its first beat, and a heartbeat file older than
+        the spawn (left at the same path by a killed run, whose attempts
+        were numbered from 1 too) is not a lease.
+        """
+        now = time.time() if now is None else now
+        age = now - self.spawned
+        beat = file_age(self.hb_path, now=now)
+        return age if beat is None else min(age, beat)
+
+    def reap(self, lease_timeout, now=None, grace=2.0):
+        """The attempt's verdict, or None while it is running and beating.
+
+        ``("outcome", dict)`` — the outcome file is present;
+        ``("died", None)`` — the process exited without one (its exit
+        code is ``process.exitcode``); ``("expired", None)`` — no beat
+        for ``lease_timeout`` seconds, and the process is confirmed
+        killed. The process is joined in every case.
+        """
+        # Liveness first: a process already dead here wrote whatever
+        # outcome it ever will, so the read below cannot miss one.
+        alive = self.alive()
+        outcome = self.outcome()
+        if outcome is not None:
+            # The outcome is the attempt's last act; let it finish exiting.
+            self.process.join()
+            return "outcome", outcome
+        if not alive:
+            self.process.join()
+            return "died", None
+        if self.lease_age(now) > lease_timeout:
+            confirmed_kill(self.process, grace=grace)
+            return "expired", None
+        return None
+
+
+def spawn_attempt(mp_context, root, name, attempt, target, args,
+                  spawned=None):
+    """Fork ``target(*args)`` as attempt ``attempt`` of ``name``; returns
+    its :class:`Attempt`. ``target`` calls :func:`run_attempt`."""
+    process = mp_context.Process(
+        target=target, args=args, name=f"repro-{name}-a{attempt}",
+        daemon=True,
+    )
+    process.start()
+    return Attempt(process, root, name, attempt,
+                   time.time() if spawned is None else spawned)
+
+
+def run_attempt(root, name, attempt, body, hard_exit=True):
+    """Child-side entry of one attempt: ``body(heartbeat, outcome_path)``.
+
+    Arms :func:`die_with_parent` and restores the default SIGTERM/SIGINT
+    (a fork inherits the supervisor's handlers; a signal ends the
+    attempt like any crash). Beats before ``body`` runs and once more,
+    forced, after it, naming how the attempt ended (``done`` or
+    ``failed``). An exception from ``body`` becomes a not-``ok`` outcome;
+    ``body`` writes its own ``ok`` one. Returns True on success.
+
+    ``hard_exit`` ends the process with ``os._exit``: a forked attempt
+    has nothing of its own to finalize, and interpreter teardown would
+    walk the copy-on-write heap inherited from the supervisor — CPU
+    stolen from sibling attempts on small hosts. Tests pass False to run
+    an attempt in-process.
+    """
+    die_with_parent()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    started = time.monotonic()
+    hb_path, out_path = attempt_paths(root, name, attempt)
+    os.makedirs(os.path.dirname(hb_path), exist_ok=True)
+    heartbeat = Heartbeat(hb_path, name, attempt)
+    heartbeat.beat(force=True, state="constructing")
+    try:
+        body(heartbeat, out_path)
+        ok = True
+    except Exception as exc:
+        import traceback
+
+        write_outcome(out_path, ok=False,
+                      error=f"{type(exc).__name__}: {exc}",
+                      traceback=traceback.format_exc(),
+                      wall_time=time.monotonic() - started)
+        ok = False
+    # The throttle can swallow every beat of a short attempt; the forced
+    # last one says how it ended instead of "constructing" forever.
+    heartbeat.beat(force=True, state="done" if ok else "failed")
+    if hard_exit:
+        os._exit(0 if ok else 1)
+    return ok

@@ -44,12 +44,12 @@ import time
 
 from repro.obs.artifacts import atomic_write
 from repro.obs.metrics import MetricsRegistry
-from repro.proc import alive_pid, confirmed_kill, file_age, wait_for_exit
+from repro.proc import alive_pid, spawn_attempt, wait_for_exit
 from repro.serve.backoff import DEFAULT_RETRY_POLICY
 from repro.serve.cache import ResultCache
 from repro.serve.spec import JobSpec, new_job_id
 from repro.serve.store import ACTIVE_STATES, JobStore
-from repro.serve.supervisor import start_worker
+from repro.serve.supervisor import run_job_worker
 
 LOCK = "serve.lock"
 STATUS = "status.json"
@@ -68,32 +68,25 @@ class ExperimentService:
     """Supervised worker pool + durable queue over one root directory.
 
     ``workers`` caps concurrent worker processes; ``lease_timeout`` is
-    the heartbeat-staleness deadline (seconds) after which a worker is
-    presumed wedged/dead, killed, and its job re-queued;
+    the heartbeat-staleness deadline (seconds, see
+    :meth:`repro.proc.Attempt.lease_age`) after which a worker is
+    presumed wedged/dead, killed, and its job retried; it must exceed
+    an attempt's longest beat-free section (DESIGN.md §11);
     ``max_retries`` bounds re-execution attempts beyond the first
     before a job is dead-lettered. ``clock``/``walltime`` are
     injectable for tests (monotonic vs wall-clock domains).
     """
 
     def __init__(self, root, workers=2, max_retries=3, lease_timeout=30.0,
-                 retry_policy=DEFAULT_RETRY_POLICY, heartbeat_every=1000,
-                 mp_context=None, metrics=None, clock=time.monotonic,
-                 walltime=time.time, priority_aging=0.0):
+                 retry_policy=DEFAULT_RETRY_POLICY, mp_context=None,
+                 metrics=None, clock=time.monotonic, walltime=time.time):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if priority_aging < 0:
-            raise ValueError("priority_aging must be >= 0")
         self.root = os.path.abspath(root)
         self.workers = workers
         self.max_retries = max_retries
         self.lease_timeout = lease_timeout
         self.retry_policy = retry_policy
-        self.heartbeat_every = heartbeat_every
-        #: Fair-share aging: queued jobs gain this many priority points
-        #: per second of wait, so a stream of high-priority submissions
-        #: cannot starve older low-priority work. 0 disables aging
-        #: (strict static priority, the historical behavior).
-        self.priority_aging = priority_aging
         if mp_context is None:
             import multiprocessing
 
@@ -110,7 +103,7 @@ class ExperimentService:
         self.store = JobStore(self.root)
         self.cache = ResultCache(self.root)
         self.jobs = {}
-        self._handles = {}  # job_id -> WorkerHandle
+        self._handles = {}  # job_id -> repro.proc.Attempt
         self._inflight = set()  # spec hashes currently simulating
         self._indexed = set()  # hashes with a cache index line
         self.draining = False
@@ -287,43 +280,27 @@ class ExperimentService:
     def _reap(self):
         """Collect finished workers; expire stale leases."""
         changed = 0
-        for job_id in list(self._handles):
-            handle = self._handles[job_id]
-            outcome = handle.outcome()
-            if outcome is not None:
-                # Outcome is the worker's last act; let the process
-                # finish exiting before accounting.
-                handle.process.join()
-                del self._handles[job_id]
+        for job_id, handle in list(self._handles.items()):
+            verdict = handle.reap(self.lease_timeout, now=self.walltime())
+            if verdict is None:
+                continue
+            del self._handles[job_id]
+            kind, outcome = verdict
+            if kind == "outcome":
                 self._settle(job_id, handle, outcome)
-                changed += 1
-            elif not handle.alive():
-                handle.process.join()
-                del self._handles[job_id]
+            elif kind == "died":
                 self._fail(job_id, handle,
                            f"worker pid {handle.pid} died without an "
                            f"outcome (exit code "
                            f"{handle.process.exitcode})")
-                changed += 1
-            elif self._lease_age(handle) > self.lease_timeout:
-                confirmed_kill(handle.process)
-                del self._handles[job_id]
+            else:
                 self.c_expired.inc()
                 self._fail(job_id, handle,
                            f"lease expired: no heartbeat for "
                            f"{self.lease_timeout:g}s (worker pid "
                            f"{handle.pid} killed)")
-                changed += 1
+            changed += 1
         return changed
-
-    def _lease_age(self, handle):
-        """Seconds since the worker last proved liveness."""
-        age = file_age(handle.hb_path, now=self.walltime())
-        if age is None:
-            # No heartbeat yet: count from lease start (covers workers
-            # that wedge before opening their stream).
-            age = self.walltime() - handle.started
-        return age
 
     def _settle(self, job_id, handle, outcome):
         rec = self.jobs[job_id]
@@ -375,17 +352,6 @@ class ExperimentService:
         rec.worker = None
         self.c_retries.inc()
 
-    def _effective_priority(self, rec, now):
-        """Static priority plus queue-wait aging (fair share).
-
-        Aging is computed from the durable ``submitted_t``, so it
-        survives restarts and is identical after a journal replay.
-        """
-        if not self.priority_aging or rec.submitted_t is None:
-            return float(rec.priority)
-        waited = max(0.0, now - rec.submitted_t)
-        return rec.priority + self.priority_aging * waited
-
     def _launch(self):
         """Lease eligible jobs onto free workers (cache hits are free)."""
         changed = 0
@@ -394,8 +360,7 @@ class ExperimentService:
             (rec for rec in self.jobs.values()
              if rec.state in ("submitted", "retry")
              and rec.not_before <= now),
-            key=lambda r: (-self._effective_priority(r, now),
-                           r.submitted_t or 0.0, r.job_id),
+            key=lambda r: (-r.priority, r.submitted_t or 0.0, r.job_id),
         )
         for rec in eligible:
             if self.draining:
@@ -432,13 +397,11 @@ class ExperimentService:
                               t=now)
             rec.state = "leased"
             rec.attempts = attempt
-            spec = JobSpec.from_dict(rec.spec)
-            handle = start_worker(
-                self.root, rec.job_id, attempt, spec, self.mp,
-                heartbeat_every=self.heartbeat_every,
-                spec_hash=rec.hash,
+            handle = spawn_attempt(
+                self.mp, self.root, rec.job_id, attempt, run_job_worker,
+                (self.root, rec.job_id, attempt, rec.spec, True),
+                spawned=now,
             )
-            handle.started = now
             self._handles[rec.job_id] = handle
             if rec.hash:
                 self._inflight.add(rec.hash)
@@ -535,10 +498,10 @@ class ExperimentService:
             ) - by_state.get("running", 0) - by_state.get("leased", 0),
             "workers": [
                 {
-                    "job": h.job_id,
+                    "job": h.name,
                     "pid": h.pid,
                     "attempt": h.attempt,
-                    "lease_age_sec": self._lease_age(h),
+                    "lease_age_sec": h.lease_age(now),
                 }
                 for h in self._handles.values()
             ],

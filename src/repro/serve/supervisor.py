@@ -1,49 +1,22 @@
-"""Worker processes and their supervision primitives.
+"""The serve attempt: what one leased job runs in its worker process.
 
-Each leased job runs in its own ``multiprocessing.Process`` executing
-:func:`run_job_worker`. The worker communicates with the scheduler via
-two files under ``<root>/hb/`` — there is no pipe or queue to lose when
-either side is SIGKILLed:
-
-- ``<job>.a<N>.hb.jsonl`` — a :class:`~repro.obs.telemetry.RunTelemetry`
-  heartbeat stream (fsynced per record). Its mtime age is the lease
-  liveness signal: a worker that stops touching it past the lease
-  deadline is presumed wedged or dead and gets killed + re-queued.
-- ``<job>.a<N>.out.json`` — the outcome, written atomically
-  (``atomic_write``) as the worker's last act. Present and ``ok`` means
-  the result is in the cache; present and not ``ok`` carries the
-  failure diagnostic; absent after process exit means the worker died
-  hard (SIGKILL, OOM) and the scheduler synthesises the diagnostic.
-
-Both filenames carry the attempt number so a straggling old attempt
-(e.g. an orphan from a previous server) can never be mistaken for — or
-corrupt the signals of — the current one. Workers arm ``PR_SET_PDEATHSIG``
-(Linux, best effort) so they die with the server instead of orphaning;
-even without it, the worst an orphan can do is publish a correct result
-into the content-addressed cache.
+Each leased job runs as one supervised attempt of :mod:`repro.proc`
+(:func:`~repro.proc.spawn_attempt` in the service,
+:func:`~repro.proc.run_attempt` here), named by its job id: its
+heartbeat and outcome files are ``<root>/hb/<job>.a<N>.hb.json`` and
+``<job>.a<N>.out.json``. The simulation beats through
+``run_simulation``'s per-cycle ``telemetry`` hook, throttled on wall
+time, so a job slower than any fixed number of cycles per lease still
+holds its lease. Present and ``ok``, the outcome means the result is in
+the content-addressed cache; even an orphaned worker can at worst
+publish a correct result there.
 """
 
 import os
 import signal
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
 
-from repro.proc import die_with_parent, read_outcome, write_outcome
-
-HB_DIR = "hb"
-
-
-def heartbeat_path(root, job_id, attempt):
-    return os.path.join(root, HB_DIR, f"{job_id}.a{attempt}.hb.jsonl")
-
-
-def outcome_path(root, job_id, attempt):
-    return os.path.join(root, HB_DIR, f"{job_id}.a{attempt}.out.json")
-
-
-def _describe(exc):
-    return f"{type(exc).__name__}: {exc}"
+from repro.proc import run_attempt, write_outcome
 
 
 def _apply_chaos(chaos, attempt):
@@ -51,9 +24,9 @@ def _apply_chaos(chaos, attempt):
 
     ``sigkill_attempts=N`` makes attempts 1..N SIGKILL themselves
     before doing any work (hard worker death). ``sleep``/
-    ``sleep_attempts`` wedge the worker before it heartbeats (lease
-    expiry). ``kill_at``/``kill_attempts`` abort the simulation at a
-    cycle via SimulationKilled (soft failure → retry path).
+    ``sleep_attempts`` wedge the worker before its simulation beats
+    (lease expiry). ``kill_at``/``kill_attempts`` abort the simulation
+    at a cycle via SimulationKilled (soft failure → retry path).
     """
     if attempt <= int(chaos.get("sigkill_attempts", 0)):
         os.kill(os.getpid(), signal.SIGKILL)
@@ -64,55 +37,53 @@ def _apply_chaos(chaos, attempt):
     return None
 
 
-def run_job_worker(root, job_id, attempt, spec_dict, heartbeat_every=1000,
-                   hard_exit=False):
+class _LeaseBeats:
+    """``run_simulation``'s telemetry hook as lease beats: every cycle
+    offers one, and the heartbeat's wall-time throttle decides which
+    reach the disk."""
+
+    def __init__(self, heartbeat):
+        self.heartbeat = heartbeat
+
+    def begin(self, **_ignored):
+        self.heartbeat.beat(state="running")
+
+    def on_cycle(self, cycle, phase):
+        self.heartbeat.beat(cycle=cycle, phase=phase)
+
+    def finish(self, status, cycle=None, result=None):
+        # Forced: the artifact write and cache publish that follow start
+        # on a fresh lease.
+        self.heartbeat.beat(force=True, state=status, cycle=cycle)
+
+
+def run_job_worker(root, job_id, attempt, spec_dict, hard_exit=False):
     """Process entry point: simulate one job and publish its result.
 
     Runs the spec's simulation, writes the artifact directory into the
     content-addressed cache (atomic publish; losing a publish race to a
     concurrent identical spec is a success), then drops the outcome
-    file. Exceptions become a not-``ok`` outcome — the scheduler turns
-    that into retry/dead-letter; a missing outcome means we died hard.
-
-    ``hard_exit`` (set by :func:`start_worker`) ends the process with
-    ``os._exit`` once the outcome is durably on disk: a forked worker
-    has nothing of its own to finalize, and full interpreter teardown
-    would walk the copy-on-write heap inherited from the server —
-    measurable CPU stolen from sibling simulations on small hosts.
+    file. An exception becomes a not-``ok`` outcome, which the service
+    turns into retry/dead-letter; a missing outcome means the worker
+    died hard. The service forks it with ``hard_exit=True``.
     """
-    from repro.serve.spec import JobSpec
+    def body(heartbeat, out_path):
+        _run_attempt(root, attempt, spec_dict, heartbeat, out_path)
 
-    die_with_parent()
-    # The forked child inherits the server's signal handlers; restore
-    # defaults so a drain-initiating SIGTERM to the server is not
-    # misinterpreted inside workers.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-
-    spec = JobSpec.from_dict(spec_dict)
-    os.makedirs(os.path.join(root, HB_DIR), exist_ok=True)
-    out_path = outcome_path(root, job_id, attempt)
-    started = time.monotonic()
-    try:
-        _run_attempt(root, job_id, attempt, spec, out_path, started,
-                     heartbeat_every)
-    except Exception as exc:
-        write_outcome(out_path, ok=False, error=_describe(exc),
-                      wall_time=time.monotonic() - started)
-    if hard_exit:
-        os._exit(0)
+    run_attempt(root, job_id, attempt, body, hard_exit=hard_exit)
 
 
-def _run_attempt(root, job_id, attempt, spec, out_path, started,
-                 heartbeat_every):
+def _run_attempt(root, attempt, spec_dict, heartbeat, out_path):
     from repro.checkpoint import lengths_from_spec
     from repro.network.config import NetworkConfig
     from repro.obs.artifacts import write_run_artifacts
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.telemetry import RunTelemetry
     from repro.serve.cache import ResultCache
+    from repro.serve.spec import JobSpec
     from repro.sim.runner import run_simulation
 
+    started = time.monotonic()
+    spec = JobSpec.from_dict(spec_dict)
     kill_at = _apply_chaos(spec.chaos, attempt)
     spec_hash = spec.spec_hash()
     cache = ResultCache(root)
@@ -123,12 +94,6 @@ def _run_attempt(root, job_id, attempt, spec, out_path, started,
                       wall_time=time.monotonic() - started)
         return
     config = NetworkConfig.from_dict(spec.config)
-    telemetry = RunTelemetry(
-        path=heartbeat_path(root, job_id, attempt),
-        every=heartbeat_every,
-        label=spec.label or job_id,
-        rate=spec.rate,
-    )
     watchdog = None
     if spec.watchdog_window is not None:
         from repro.faults.watchdog import HangWatchdog
@@ -144,7 +109,7 @@ def _run_attempt(root, job_id, attempt, spec, out_path, started,
         measure=spec.measure,
         drain=spec.drain,
         metrics=registry,
-        telemetry=telemetry,
+        telemetry=_LeaseBeats(heartbeat),
         watchdog=watchdog,
         kill_at=kill_at,
     )
@@ -160,54 +125,3 @@ def _run_attempt(root, job_id, attempt, spec, out_path, started,
     write_outcome(out_path, ok=True, hash=spec_hash, cached=not fresh,
                   artifact=cache.relative_entry(spec_hash),
                   wall_time=time.monotonic() - started)
-
-
-# ---------------------------------------------------------------------------
-# scheduler-side handles
-
-
-@dataclass
-class WorkerHandle:
-    """Scheduler-side view of one in-flight attempt."""
-
-    job_id: str
-    attempt: int
-    process: Any
-    hb_path: str
-    out_path: str
-    #: Wall-clock lease start (time.time domain, matching heartbeat
-    #: mtimes); grace before the first heartbeat counts from here.
-    started: float = field(default_factory=time.time)
-    spec_hash: Optional[str] = None
-
-    @property
-    def pid(self):
-        return self.process.pid
-
-    def alive(self):
-        return self.process.is_alive()
-
-    def outcome(self):
-        return read_outcome(self.out_path)
-
-
-def start_worker(root, job_id, attempt, spec, mp_context,
-                 heartbeat_every=1000, spec_hash=None):
-    """Fork one worker for an attempt; returns its WorkerHandle."""
-    os.makedirs(os.path.join(root, HB_DIR), exist_ok=True)
-    process = mp_context.Process(
-        target=run_job_worker,
-        args=(root, job_id, attempt, spec.to_dict()),
-        kwargs={"heartbeat_every": heartbeat_every, "hard_exit": True},
-        name=f"repro-serve-{job_id}-a{attempt}",
-        daemon=True,
-    )
-    process.start()
-    return WorkerHandle(
-        job_id=job_id,
-        attempt=attempt,
-        process=process,
-        hb_path=heartbeat_path(root, job_id, attempt),
-        out_path=outcome_path(root, job_id, attempt),
-        spec_hash=spec_hash,
-    )

@@ -20,6 +20,7 @@ from repro.checkpoint import SimulationKilled, load_checkpoint
 from repro.network import flit as flitmod
 from repro.network.config import mesh_config
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import RunTelemetry
 from repro.obs.trace import MemorySink, TraceBus
 from repro.serve import JobStore, fold_events, job_records
 from repro.serve.cache import ResultCache
@@ -262,31 +263,56 @@ JOB_EVENT = st.one_of(
 )
 
 
+def tear(path, data):
+    """Kill the log's writer mid-append: cut ``path`` at a drawn byte,
+    anywhere or right on a record's newline (whole JSON, but never
+    acknowledged). Returns how many records stay acknowledged: those
+    whose newline precedes the cut."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    anywhere = st.integers(0, len(raw))
+    on_newline = [i for i, byte in enumerate(raw) if byte == ord("\n")]
+    if on_newline:
+        anywhere = anywhere | st.sampled_from(on_newline)
+    cut = data.draw(anywhere, label="cut")
+    with open(path, "r+b") as fh:
+        fh.truncate(cut)
+    return raw[:cut].count(b"\n")
+
+
+#: One or two crashes per example: crash, recover, append, (crash
+#: again, recover, append).
+TEARS = st.integers(1, 2)
+
+
 @given(first=st.lists(JOB_EVENT, max_size=20),
        more=st.lists(JOB_EVENT, min_size=1, max_size=20), data=st.data())
 def test_job_log_torn_anywhere_folds_the_acknowledged_events(first, more,
                                                              data):
-    """A sweep's ``jobs.jsonl`` torn at any byte, then appended to.
+    """A sweep's ``jobs.jsonl`` torn at any byte, then appended to, once
+    or twice.
 
-    The tear is a writer killed mid-append: the events whose newline
-    made it to disk were acknowledged, the torn one was not. At least
-    one event is appended after the tear, which cuts the torn bytes
-    off; those events are acknowledged too, so recovery must fold
-    exactly the acknowledged events.
+    A tear is a writer killed mid-append: the events whose newline
+    made it to disk were acknowledged, the torn one was not. Recovery
+    must fold exactly the acknowledged events. At least one event is
+    appended after each tear, which cuts the torn bytes off; those
+    events are acknowledged too.
     """
     import tempfile
 
+    batches = [more]
+    if data.draw(TEARS, label="tears") == 2:
+        batches.append(data.draw(st.lists(JOB_EVENT, min_size=1,
+                                          max_size=20), label="more2"))
     with tempfile.TemporaryDirectory() as root:
         store = JobStore(root)
         open(store.path, "ab").close()
         acked = [store.append(ev, job, **fields) for ev, job, fields in first]
-        with open(store.path, "rb") as fh:
-            raw = fh.read()
-        cut = data.draw(st.integers(0, len(raw)), label="cut")
-        with open(store.path, "r+b") as fh:
-            fh.truncate(cut)
-        acked = acked[:raw[:cut].count(b"\n")]
-        acked += [store.append(ev, job, **fields) for ev, job, fields in more]
+        for batch in batches:
+            acked = acked[:tear(store.path, data)]
+            assert store.recover() == fold_events(acked)
+            acked += [store.append(ev, job, **fields)
+                      for ev, job, fields in batch]
         assert store.recover() == fold_events(acked)
 
 
@@ -302,14 +328,15 @@ INDEX_ENTRY = st.tuples(
        data=st.data())
 def test_cache_index_torn_anywhere_keeps_the_acknowledged_entries(entries,
                                                                  data):
-    """``cache/index.jsonl`` torn at any byte, then appended to.
+    """``cache/index.jsonl`` torn at any byte, then appended to, once or
+    twice.
 
     Every entry names a published object. The entries whose newline
     made it to disk were acknowledged; at least one ``record`` follows
-    the tear. The index must read back exactly the acknowledged entries
-    right after the tear and after the appends, and ``reconcile`` must
-    re-index each object whose line the tear took, so every published
-    object ends up indexed exactly once.
+    each tear. The index must read back exactly the acknowledged
+    entries right after each tear and after the appends, and
+    ``reconcile`` must re-index each object whose line a tear took, so
+    every published object ends up indexed exactly once.
     """
     import tempfile
 
@@ -317,32 +344,97 @@ def test_cache_index_torn_anywhere_keeps_the_acknowledged_entries(entries,
         with open(os.path.join(staging, "summary.json"), "w") as fh:
             json.dump({}, fh)
 
-    split = data.draw(st.integers(1, len(entries) - 1), label="split")
+    tears = data.draw(st.integers(1, min(2, len(entries) - 1)),
+                      label="tears")
+    splits = sorted(data.draw(
+        st.lists(st.integers(1, len(entries) - 1), min_size=tears,
+                 max_size=tears, unique=True), label="splits"))
     with tempfile.TemporaryDirectory() as root:
         cache = ResultCache(root)
         for spec_hash, _job, _t in entries:
             cache.publish(spec_hash, build)
-        for spec_hash, job, t in entries[:split]:
+        for spec_hash, job, t in entries[:splits[0]]:
             cache.record(spec_hash, job_id=job, t=t)
-        written = cache.read_index()
-        # The lines the appends after the tear must add, from an
+        acked = cache.read_index()
+        # The lines the appends after the tears must add, from an
         # untorn log.
         later = ResultCache(os.path.join(root, "later"))
-        for spec_hash, job, t in entries[split:]:
+        for spec_hash, job, t in entries[splits[0]:]:
             later.record(spec_hash, job_id=job, t=t)
-        with open(cache.index_path, "rb") as fh:
-            raw = fh.read()
-        # Anywhere, or right on a newline: whole JSON, unacknowledged.
-        on_newline = [i for i, byte in enumerate(raw) if byte == ord("\n")]
-        cut = data.draw(st.integers(0, len(raw))
-                        | st.sampled_from(on_newline), label="cut")
-        with open(cache.index_path, "r+b") as fh:
-            fh.truncate(cut)
-        acked = written[:raw[:cut].count(b"\n")]
-        assert cache.read_index() == acked
-        for spec_hash, job, t in entries[split:]:
-            cache.record(spec_hash, job_id=job, t=t)
-        assert cache.read_index() == acked + later.read_index()
+        later_lines = later.read_index()
+        bounds = splits + [len(entries)]
+        for a, b in zip(bounds, bounds[1:]):
+            acked = acked[:tear(cache.index_path, data)]
+            assert cache.read_index() == acked
+            for spec_hash, job, t in entries[a:b]:
+                cache.record(spec_hash, job_id=job, t=t)
+            acked += later_lines[a - splits[0]:b - splits[0]]
+            assert cache.read_index() == acked
         cache.reconcile()
         hashes = [entry["hash"] for entry in cache.read_index()]
         assert sorted(hashes) == sorted(h for h, _job, _t in entries)
+
+
+class _Clock:
+    """Deterministic monotonic clock: each read is 1 ms later."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 0.001
+        return self.now
+
+
+class _Recording(RunTelemetry):
+    """RunTelemetry that remembers every record it appended."""
+
+    def __init__(self, emitted, **kwargs):
+        super().__init__(**kwargs)
+        self.emitted = emitted
+
+    def _emit(self, record):
+        super()._emit(record)
+        self.emitted.append(record)
+
+
+#: A run's heartbeat stream: (heartbeat period, cycles, how it ended).
+TELEMETRY_RUN = st.tuples(st.integers(1, 4), st.integers(0, 12),
+                          st.sampled_from(["done", "killed", "failed"]))
+
+
+@given(runs=st.lists(TELEMETRY_RUN, min_size=2, max_size=3),
+       data=st.data())
+def test_run_heartbeats_torn_anywhere_keep_the_acknowledged_records(runs,
+                                                                    data):
+    """A ``repro run --heartbeat`` JSONL stream torn at any byte, then
+    appended to by the next run on the same path, once or twice.
+
+    Each run appends a start record, a heartbeat every ``every``
+    cycles and a finish record. The records whose newline made it to
+    disk were acknowledged; ``read_jsonl`` must return exactly those
+    after each tear and, after the next run appends, those plus every
+    record the next run wrote.
+    """
+    import tempfile
+
+    from repro.obs.trace import read_jsonl
+
+    def run(path, every, cycles, status, start, acked):
+        tele = _Recording(acked, path=path, every=every, rate=0.25,
+                          clock=_Clock(), walltime=_Clock())
+        tele.begin(total_cycles=start + cycles, start_cycle=start)
+        for cycle in range(start + 1, start + cycles + 1):
+            tele.on_cycle(cycle, "main")
+        tele.finish(status, cycle=start + cycles)
+        return start + cycles
+
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "run.hb.jsonl")
+        acked = []
+        cycle = run(path, *runs[0], 0, acked)
+        for every, cycles, status in runs[1:]:
+            del acked[tear(path, data):]
+            assert read_jsonl(path) == acked
+            cycle = run(path, every, cycles, status, cycle, acked)
+            assert read_jsonl(path) == acked

@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro import proc
 from repro.checkpoint import canonical_run_spec
 from repro.network.config import NetworkConfig
 from repro.parallel import ShardRunError, shard_run
@@ -169,10 +170,10 @@ def run_worker_here(root, monkeypatch, measure=180, window=2,
     Returns ``(exit_code, windows_published)``. PDEATHSIG is not armed
     on the test runner and its signal handlers are put back.
     """
-    for sub in (worker_mod.CKPT_DIR, worker_mod.FINAL_DIR, worker_mod.HB_DIR,
+    for sub in (worker_mod.CKPT_DIR, worker_mod.FINAL_DIR, proc.HB_DIR,
                 os.path.join(EXCH_DIR, "s0")):
         os.makedirs(os.path.join(root, sub))
-    monkeypatch.setattr(worker_mod, "die_with_parent", lambda: None)
+    monkeypatch.setattr(proc, "die_with_parent", lambda: None)
     config = config_for()
     run_spec = canonical_run_spec("uniform", 0.25, FixedLength(1), 20,
                                   measure, 400)
@@ -224,7 +225,7 @@ class TestFsyncBudget:
         assert len(hb_writes) < windows / 4
         # The final beat is not throttled: however fast the worker ran,
         # the lease file ends up saying how the attempt ended.
-        with open(worker_mod.heartbeat_path(root, 0, 1)) as fh:
+        with open(proc.attempt_paths(root, "s0", 1)[0]) as fh:
             assert json.load(fh)["state"] == "done"
 
     def test_full_peer_pipe_does_not_stop_the_worker(self, tmp_path,
@@ -240,7 +241,7 @@ class TestFsyncBudget:
         """No fsync, but still tmp + rename: a concurrent reader sees a
         complete record or the previous one, never a torn file."""
         path = str(tmp_path / "s0.a1.hb.json")
-        hb = worker_mod.Heartbeat(path, 0, 1)
+        hb = proc.Heartbeat(path, 0, 1)
         hb.beat(force=True, n=-1)
         done = threading.Event()
         seen, torn = [], []
@@ -273,7 +274,7 @@ class TestFinalHeartbeat:
     """The last beat is forced and names how the attempt ended."""
 
     def final_state(self, root):
-        with open(worker_mod.heartbeat_path(root, 0, 1)) as fh:
+        with open(proc.attempt_paths(root, "s0", 1)[0]) as fh:
             return json.load(fh)["state"]
 
     def test_failed_attempt_says_so(self, tmp_path, monkeypatch):

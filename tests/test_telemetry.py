@@ -33,8 +33,8 @@ class TestRunTelemetry:
 
     def test_heartbeat_records(self, tmp_path):
         path = tmp_path / "run.hb.jsonl"
-        tele = RunTelemetry(path=str(path), every=10, label="m4",
-                            rate=0.25, clock=FakeClock())
+        tele = RunTelemetry(path=str(path), every=10, rate=0.25,
+                            clock=FakeClock())
         tele.begin(total_cycles=40)
         for cycle in range(1, 41):
             tele.on_cycle(cycle, "measure")
@@ -47,7 +47,7 @@ class TestRunTelemetry:
         beats = [r for r in records if r["ev"] == "heartbeat"]
         assert [b["cycle"] for b in beats] == [10, 20, 30, 40]
         first = beats[0]
-        assert first["label"] == "m4"
+        assert "label" not in first
         assert first["rate"] == 0.25
         assert first["total_cycles"] == 40
         assert first["phase"] == "measure"
