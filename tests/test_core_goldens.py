@@ -13,7 +13,10 @@ The cases are the equivalence matrix (3 seeds x 4 configs at k=4, the
 k=8 chained run, the threshold-8 run), one run per same-VC / same-input
 chaining config (k=4 same-VC; k=4 same-input with bimodal 1/5-flit
 packets and threshold 8; the Section 4.7 ablation, same-input without PC
-priorities; the radix-10 FBFly 2x2 c=8 with a PIM PC allocator) and the
+priorities; the radix-10 FBFly 2x2 c=8 with a PIM PC allocator), one
+k=4 any-input run per router mode the oracle inherits from production
+(AGE starvation control with bimodal 1/5-flit packets at rate 0.8;
+pseudo-circuit release; split and speculative VC allocation) and the
 faulted 8x8 CLI run of the CI job. Regenerate — only for an intentional
 behaviour change, and say so in the change description — with::
 
@@ -89,6 +92,18 @@ def cases():
         fbfly_config(fbfly_rows=2, fbfly_cols=2, fbfly_concentration=8,
                      seed=1, chaining="same_input", pc_allocator="pim"),
         RUN)
+    # Router modes the oracle reuses from production (_forced_releases,
+    # _competing_waiter, _split_vc_allocation): only a golden sees them.
+    out["k4-any_input-age2-bimodal-s1"] = (
+        mesh_config(mesh_k=4, seed=1, chaining="any_input", age_period=2),
+        dict(RUN, rate=0.8, lengths=BimodalLength(1, 5)))
+    out["k4-any_input-pseudo_circuit-s1"] = (
+        mesh_config(mesh_k=4, seed=1, chaining="any_input",
+                    pseudo_circuit_release=True), RUN)
+    for mode in ("split", "speculative"):
+        out[f"k4-any_input-{mode}_va-s1"] = (
+            mesh_config(mesh_k=4, seed=1, chaining="any_input",
+                        vc_allocation=mode), RUN)
     return out
 
 
