@@ -8,7 +8,8 @@ owns the cycle-by-cycle mechanics; this module owns the policy:
 - which (input, VC) pairs may chain onto a given connection
   (:class:`ChainingScheme`, Section 2.3);
 - the two PC priority classes (definite vs. speculative requests,
-  Section 2.4);
+  Section 2.4) — the router keeps its candidates as plain tuples, a
+  speculative one flagged with the same-cycle events it needs;
 - the counters behind Figure 11 (:class:`ChainStats`).
 """
 
@@ -117,37 +118,6 @@ class ChainStats:
         for name, value, help_text in counters:
             registry.counter(name, help=help_text).inc(value)
         return registry
-
-
-class PCCandidate:
-    """A waiting packet that may chain onto a releasing connection.
-
-    ``speculative`` marks the lower priority class (Section 2.4): the
-    chain is only valid if this cycle's switch allocation produces the
-    event named in ``requires``:
-
-    - ``("sa_tail", output)`` — a connectionless tail flit must win SA
-      for ``output`` this cycle, forming the connection to chain onto;
-    - ``("own_release", input)`` — the candidate's own input port is
-      part of another connection that must release this cycle.
-
-    ``flit`` is the candidate's head (or parked body) flit; validation
-    checks the flit itself rather than a buffer position because the
-    departing tail ahead of it shifts positions within the cycle.
-    """
-
-    __slots__ = ("input_port", "vc", "output_port", "priority", "flit",
-                 "speculative", "requires")
-
-    def __init__(self, input_port, vc, output_port, priority, flit,
-                 speculative=False, requires=()):
-        self.input_port = input_port
-        self.vc = vc
-        self.output_port = output_port
-        self.priority = priority
-        self.flit = flit
-        self.speculative = speculative
-        self.requires = requires
 
 
 def scheme_admits(scheme, cand_input, cand_vc, holder_input, holder_vc):

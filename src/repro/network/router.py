@@ -44,9 +44,13 @@ How the phases find their work (DESIGN.md §8 has the reasons):
   exact by every queue mutation. Loops walk its set bits in ascending
   VC order (the ``mask & -mask`` idiom), which is the order request
   dicts, PC candidates and trace events depend on.
-- the SA scan visits every occupied VC front once and hands the PC
-  collector (one walk for every chaining scheme) and the end-of-cycle
-  counters what it saw.
+- the SA scan visits every occupied VC front once; its one fronts list
+  feeds the PC collector (one walk for every chaining scheme) and the
+  end-of-cycle wait counters.
+- PC candidates are ``(vc, flit, priority, flags)`` tuples in one table
+  keyed by (input, output); ``flags`` names the same-cycle events a
+  speculative candidate needs, and the commit reads only the granted
+  pair's bucket.
 - channel queues are resolved once (``_rx``/``_tx``) and driven
   directly; for plain XY DOR the look-ahead route is memoised per
   (downstream router, destination) until fault injection attaches.
@@ -62,7 +66,6 @@ from repro.core.chaining import (
     PC_PRIORITY_SPECULATIVE,
     ChainingScheme,
     ChainStats,
-    PCCandidate,
     scheme_admits,
 )
 from repro.core.starvation import StarvationControl, StarvationMode
@@ -79,9 +82,21 @@ _NONSPECULATIVE_BOOST = 1_000_000
 _NO_INHIBITS = frozenset()
 
 
+#: PC candidate flags: the same-cycle events a speculative candidate
+#: (Section 2.4) depends on. A candidate with no flag is definite.
+_OWN_RELEASE = 1  # the input's connection to another output releases
+_FRONT_DEPARTS = 2  # the tail in front of it wins SA
+_SA_TAIL = 4  # a connectionless tail wins SA for the candidate's output
+
+#: ``alloc_counters`` keys per allocator role.
+_COUNTER_KEYS = {
+    role: (role + "_requests", role + "_grants") for role in ("sa", "pc", "vc")
+}
+
+
 def _pc_candidate_order(c):
     """Definite class first, then higher packet priority (stable sort)."""
-    return (c.speculative, -c.priority)
+    return (c[3] != 0, -c[2])
 
 
 def _lap(prof, phase, t0):
@@ -419,14 +434,14 @@ class Router:
             conn_in_start = conn_out_start = self._none_row
             released_inputs = inhibited = _NO_INHIBITS
             departed_vcs = set()
-        sa_requests, sa_contrib, forming_tails, scan, waiters = \
+        sa_requests, sa_contrib, forming_tails, fronts = \
             self._scan_fronts(conn_in_start, conn_out_start)
         if prof is not None:
             t0 = _lap(prof, "sa_collect", t0)
         pc_grants = {}
         if self._chain_enabled and (releasing or forming_tails):
-            candidates, matrix = self._collect_pc(
-                scan, conn_in_start, releasing, forming_tails,
+            table, matrix = self._collect_pc(
+                fronts, conn_in_start, releasing, forming_tails,
                 released_inputs, inhibited, sa_requests,
             )
             if matrix:
@@ -443,7 +458,7 @@ class Router:
             t0 = _lap(prof, "sa", t0)
         if pc_grants:
             self._commit_pc(
-                cycle, pc_grants, candidates, sa_grants, sa_winner_vc,
+                cycle, pc_grants, table, sa_grants, sa_winner_vc,
                 sa_tail_outputs, releasing,
             )
         if prof is not None:
@@ -452,7 +467,7 @@ class Router:
             self._split_vc_allocation(cycle)
         if prof is not None:
             t0 = _lap(prof, "vc_alloc", t0)
-        self._end_of_cycle(waiters, departed_vcs)
+        self._end_of_cycle(fronts, departed_vcs)
         if prof is not None:
             _lap(prof, "end", t0)
 
@@ -475,8 +490,9 @@ class Router:
                 perf_counter() - t0,
             )
         counters = self.alloc_counters
-        counters[role + "_requests"] += len(requests)
-        counters[role + "_grants"] += len(grants)
+        requests_key, grants_key = _COUNTER_KEYS[role]
+        counters[requests_key] += len(requests)
+        counters[grants_key] += len(grants)
         return grants
 
     # --- 0. fault pre-pass (only when fault injection is attached) -------
@@ -614,28 +630,30 @@ class Router:
         is only reused when nobody else wants the output.
         """
         holder = self.conn_out[output]
-        for p in range(self.radix):
-            for v, vcobj in enumerate(self.in_vcs[p]):
-                if (p, v) == holder:
-                    continue
-                if vcobj.front() is not None and vcobj.front_out_port() == output:
+        for p, mask in enumerate(self._occ_mask):
+            vcs = self.in_vcs[p]
+            while mask:
+                v = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                if (p, v) != holder and vcs[v].front_out_port() == output:
                     return True
         return False
 
     def _higher_priority_waiter(self, output, holder_prio):
         """Any waiting head flit routed to ``output`` beating the holder?"""
         starv = self.starvation
-        for p in range(self.radix):
-            for v, vcobj in enumerate(self.in_vcs[p]):
-                flit = vcobj.front()
-                if flit is None:
-                    continue
-                port = vcobj.front_out_port()
-                if port != output:
-                    continue
-                if self.conn_out[output] == (p, v):
-                    continue  # the holder itself
-                prio = starv.packet_priority(flit.packet.priority, vcobj.wait_cycles)
+        holder = self.conn_out[output]
+        for p, mask in enumerate(self._occ_mask):
+            vcs = self.in_vcs[p]
+            while mask:
+                v = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                vcobj = vcs[v]
+                if vcobj.front_out_port() != output or (p, v) == holder:
+                    continue  # another output, or the holder itself
+                prio = starv.packet_priority(
+                    vcobj.queue[0].packet.priority, vcobj.wait_cycles
+                )
                 if prio > holder_prio:
                     return True
         return False
@@ -664,11 +682,10 @@ class Router:
     def _stream_connections(self, cycle, releasing, released_inputs, inhibited):
         """Send one flit on every usable held connection.
 
-        Returns the set of VCs that sent a flit, encoded ``p * V + v``
-        (the encoding :meth:`_commit_sa` and :meth:`_end_of_cycle` use).
+        Returns the set of input VC objects that sent a flit (the set
+        :meth:`_commit_sa` adds to and :meth:`_end_of_cycle` reads).
         """
         departed_vcs = set()
-        num_vcs = self._num_vcs
         conn_out = self.conn_out
         in_vcs = self.in_vcs
         credits = self.credits
@@ -690,7 +707,7 @@ class Router:
                 self._release(cycle, o, released_inputs, "no_credit")
                 continue
             flit = self._send_flit(cycle, vcobj, p, v, o, w)
-            departed_vcs.add(p * num_vcs + v)
+            departed_vcs.add(vcobj)
             if flit.is_tail:
                 if (
                     self._chain_enabled
@@ -785,23 +802,20 @@ class Router:
     def _scan_fronts(self, conn_in_start, conn_out_start):
         """Visit every occupied VC front once, in (port, VC) order.
 
-        Returns ``(sa_requests, sa_contrib, forming_tails, scan,
-        waiters)``: the OR-reduced SA request matrix, the per-(input,
-        output) contributing ``(vc, priority)`` lists, the SA-bidding
-        tails per output, the ``(p, v, vcobj, flit, active, o, connected)``
-        fronts the PC collector reuses (chaining only; VCs of connected
-        inputs included, since the PC pass considers them once
-        released), and the ``(p * V + v, vcobj, flit)`` fronts whose wait
-        counters the end of the cycle bumps unless they departed.
+        Returns ``(sa_requests, sa_contrib, forming_tails, fronts)``:
+        the OR-reduced SA request matrix, the per-(input, output)
+        contributing ``(vc, priority)`` lists, the SA-bidding tails per
+        output, and the ``(p, v, vcobj, flit, active, o, connected)``
+        fronts that the PC collector walks (VCs of connected inputs
+        included, since the PC pass considers them once released) and
+        whose wait counters the end of the cycle bumps unless they
+        departed.
         """
         sa_requests = {}
         sa_contrib = {}
         forming_tails = {}
-        scan = []
-        append_scan = scan.append
-        waiters = []
-        append_wait = waiters.append
-        num_vcs = self._num_vcs
+        fronts = []
+        append_front = fronts.append
         starv = self.starvation
         age_mode = self._age_mode
         in_vcs = self.in_vcs
@@ -811,7 +825,6 @@ class Router:
         class_vcs = self._class_vcs
         split_plain = self.split_va and not self.speculative_va
         speculative = self.speculative_va
-        chain_enabled = self._chain_enabled
         fv = self.faults
         for p in range(self.radix):
             mask = occ[p]
@@ -819,7 +832,6 @@ class Router:
                 continue
             connected = conn_in_start[p] is not None
             vcs = in_vcs[p]
-            pbase = p * num_vcs
             while mask:
                 v = (mask & -mask).bit_length() - 1
                 mask &= mask - 1
@@ -840,12 +852,10 @@ class Router:
                     raise AssertionError(
                         "body flit at VC front without state"
                     )
-                if chain_enabled:
-                    append_scan((p, v, vcobj, flit, active, o, connected))
                 # Every front reaching here is a head or has an active
                 # packet (the end-of-cycle wait condition), and commits
                 # only mutate VCs they record in departed_vcs.
-                append_wait((pbase + v, vcobj, flit))
+                append_front((p, v, vcobj, flit, active, o, connected))
                 if connected:
                     continue  # inputs connected at cycle start sit out of SA
                 if active is not None:
@@ -900,7 +910,7 @@ class Router:
                         forming_tails[o] = [(p, v)]
                     else:
                         tails.append((p, v))
-        return sa_requests, sa_contrib, forming_tails, scan, waiters
+        return sa_requests, sa_contrib, forming_tails, fronts
 
     def _free_out_vc(self, output, vc_class):
         """Lowest-numbered free output VC of the class with a credit."""
@@ -914,29 +924,30 @@ class Router:
     # --- 4. packet-chaining candidates ----------------------------------
 
     def _collect_pc(
-        self, scan, conn_in_start, releasing, forming_tails,
+        self, fronts, conn_in_start, releasing, forming_tails,
         released_inputs, inhibited, sa_requests,
     ):
-        """PC candidates and their OR-reduced request matrix.
+        """PC candidate table and its OR-reduced request matrix.
 
         One walk over the SA scan's fronts serves every chaining scheme
-        and builds the matrix in the same pass. Candidate order — the
-        scan's (input, VC) order, a front flit's target before the
-        behind-the-tail target — decides priority ties in
-        :meth:`_commit_pc` and the matrix's insertion order. The scheme
-        (Section 2.3) is a filter: a candidate onto a releasing
+        and builds both in the same pass. The table maps an (input,
+        output) pair to its ``(vc, flit, priority, flags)`` candidates in
+        walk order — the scan's (input, VC) order, a front flit's target
+        before the behind-the-tail target — which decides priority ties
+        in :meth:`_commit_pc`, as it decides the matrix's insertion
+        order. ``flags`` names the events a speculative candidate needs
+        (``_SA_TAIL``: a tail forming the candidate's own output). The
+        scheme (Section 2.3) is a filter: a candidate onto a releasing
         connection must be admitted by its holder (``scheme_admits``),
         and one onto a forming connection by some SA-bidding tail
         forming it — for a front flit, a tail other than its own. Under
         ANY_INPUT every holder admits every candidate, so only the
         own-tail test is left.
         """
-        candidates = []
-        add = candidates.append
+        table = {}
         matrix = {}
         scheme = self.scheme
         filtered = scheme is not ChainingScheme.ANY_INPUT
-        chainable = set(releasing) | set(forming_tails)
         if filtered:
             # Same-VC / same-input chaining only takes packets from an
             # input holding or forming a chainable connection; the
@@ -945,7 +956,7 @@ class Router:
             inputs.update(
                 hp for tails in forming_tails.values() for hp, _ in tails
             )
-            scan = [entry for entry in scan if entry[0] in inputs]
+            fronts = [entry for entry in fronts if entry[0] in inputs]
         definite_base = PC_PRIORITY_DEFINITE * PC_CLASS_STRIDE
         speculative_base = PC_PRIORITY_SPECULATIVE * PC_CLASS_STRIDE
         prio_cap = PC_CLASS_STRIDE - 1
@@ -955,11 +966,11 @@ class Router:
         credits = self.credits
         out_vc_busy = self.out_vc_busy
         class_vcs = self._class_vcs
-        for entry in scan:
+        for entry in fronts:
             o_front = entry[5]
             if o_front is None:
                 continue
-            if o_front in chainable:
+            if o_front in releasing or o_front in forming_tails:
                 p, v, vcobj, flit, active, _, connected = entry
                 if connected and not (
                     p in released_inputs and ("in", p) not in inhibited
@@ -985,11 +996,12 @@ class Router:
                         # use is chaining onto a connection formed by a
                         # *different* tail this cycle.
                         break
-                    requires = ()
-                    if connected and conn_in_start[p] != o:
-                        # Chaining depends on the release of the input's
-                        # old connection: the speculative class.
-                        requires = (("own_release",),)
+                    # Chaining that depends on the release of the input's
+                    # old connection is in the speculative class.
+                    flags = (
+                        _OWN_RELEASE if connected and conn_in_start[p] != o
+                        else 0
+                    )
                     holder = releasing.get(o)
                     if holder is not None:
                         if filtered and not scheme_admits(
@@ -1009,7 +1021,7 @@ class Router:
                         elif len(tails) == 1 and tails[0][0] == p \
                                 and tails[0][1] == v:
                             break  # its own tail is the only former
-                        requires = requires + (("sa_tail", o),)
+                        flags |= _SA_TAIL
                         age = 0  # the connection forms this cycle
                     else:
                         break
@@ -1032,56 +1044,46 @@ class Router:
                         else:
                             break
                     prio = flit.packet.priority
-                    add(PCCandidate(
-                        input_port=p,
-                        vc=v,
-                        output_port=o,
-                        priority=prio,
-                        flit=flit,
-                        speculative=bool(requires),
-                        requires=requires,
-                    ))
-                    base = speculative_base if requires else definite_base
+                    cand = (v, flit, prio, flags)
                     if prio > prio_cap:
                         prio = prio_cap
                     elif prio < 0:
                         prio = 0
-                    prio += base
+                    prio += speculative_base if flags else definite_base
                     pair = (p, o)
-                    existing = matrix.get(pair)
-                    if existing is None or prio > existing:
+                    bucket = table.get(pair)
+                    if bucket is None:
+                        table[pair] = [cand]
                         matrix[pair] = prio
+                    else:
+                        bucket.append(cand)
+                        if prio > matrix[pair]:
+                            matrix[pair] = prio
                     break
             else:
                 flit = entry[3]
                 if not flit.is_tail:
                     continue
-                vcobj = entry[2]
-                q = vcobj.queue
+                q = entry[2].queue
                 if len(q) < 2:
                     continue
-                nxt = q[1]
-                if not nxt.is_head:
+                behind = q[1]
+                if not behind.is_head:
                     continue
-                if nxt.out_port not in chainable:
+                o = behind.out_port
+                if o not in releasing and o not in forming_tails:
                     continue
                 p = entry[0]
-                connected = entry[6]
-                if connected and not (
-                    p in released_inputs and ("in", p) not in inhibited
-                ):
-                    continue
                 if (p, o_front) not in sa_requests:
                     continue
                 v = entry[1]
-                behind = nxt
             # --- behind-the-tail candidate --------------------------------
+            # Its front bids SA, so its input was unconnected at cycle
+            # start (connected inputs sit out of SA): no own release.
             if behind is None:
                 continue
             o = behind.out_port
-            requires = (("front_departs",),)
-            if connected and conn_in_start[p] != o:
-                requires = (("own_release",), ("front_departs",))
+            flags = _FRONT_DEPARTS
             holder = releasing.get(o)
             if holder is not None:
                 if filtered and not scheme_admits(
@@ -1095,7 +1097,7 @@ class Router:
                     for hp, hv in forming_tails[o]
                 ):
                     continue
-                requires = requires + (("sa_tail", o),)
+                flags |= _SA_TAIL
                 age = 0
             else:
                 continue
@@ -1111,31 +1113,28 @@ class Router:
             else:
                 continue
             prio = behind.packet.priority
-            add(PCCandidate(
-                input_port=p,
-                vc=v,
-                output_port=o,
-                priority=prio,
-                flit=behind,
-                speculative=True,
-                requires=requires,
-            ))
+            cand = (v, behind, prio, flags)
             if prio > prio_cap:
                 prio = prio_cap
             elif prio < 0:
                 prio = 0
             prio += speculative_base
             pair = (p, o)
-            existing = matrix.get(pair)
-            if existing is None or prio > existing:
+            bucket = table.get(pair)
+            if bucket is None:
+                table[pair] = [cand]
                 matrix[pair] = prio
+            else:
+                bucket.append(cand)
+                if prio > matrix[pair]:
+                    matrix[pair] = prio
         if matrix and not self._pc_priorities:
             # Section 4.7 ablation: collapse the two PC classes
             # (packet-level priorities remain).
             matrix = {
                 pair: prio % PC_CLASS_STRIDE for pair, prio in matrix.items()
             }
-        return candidates, matrix
+        return table, matrix
 
     # --- 5. switch-allocation commit ------------------------------------
 
@@ -1208,7 +1207,7 @@ class Router:
                     pid=flit.packet.pid, in_port=p, vc=v, out_vc=w,
                 )
             self._send_flit(cycle, vcobj, p, v, o, w)
-            departed_vcs.add(p * num_vcs + v)
+            departed_vcs.add(vcobj)
             sa_winner_vc[p] = v
             if flit.is_tail:
                 # Connection forms and releases in the same cycle; a
@@ -1228,7 +1227,7 @@ class Router:
     # --- 6. packet-chaining commit / conflict detection ------------------
 
     def _commit_pc(
-        self, cycle, pc_grants, candidates, sa_grants, sa_winner_vc,
+        self, cycle, pc_grants, table, sa_grants, sa_winner_vc,
         sa_tail_outputs, releasing,
     ):
         in_vcs = self.in_vcs
@@ -1243,22 +1242,20 @@ class Router:
         tr = self.trace
         tr_active = tr.active
         router_id = self.router_id
+        tail_holders = set(sa_tail_outputs.values())
         for p, o in pc_grants.items():
             # The candidates behind the port-level grant, definite class
             # first (stable sort: insertion order breaks ties).
-            matches = [
-                c for c in candidates
-                if c.input_port == p and c.output_port == o
-            ]
-            if len(matches) > 1:
-                matches.sort(key=_pc_candidate_order)
+            bucket = table[(p, o)]
+            if len(bucket) > 1:
+                bucket.sort(key=_pc_candidate_order)
             chosen = None
             w = None
-            for cand in matches:
-                v = cand.vc
+            for cand in bucket:
+                v, flit, _, flags = cand
                 vcobj = in_vcs[p][v]
                 q = vcobj.queue
-                if not q or q[0] is not cand.flit:
+                if not q or q[0] is not flit:
                     continue  # buffer moved unexpectedly
                 # Conflict detection: SA granted the same input. The
                 # only compatible case is the candidate directly behind
@@ -1266,35 +1263,20 @@ class Router:
                 # 2.4's lower-priority behind-the-head requests exist
                 # exactly to enable it).
                 if p in sa_grants and not (
-                    sa_winner_vc.get(p) == v
-                    and any(
-                        pv == (p, v) for pv in sa_tail_outputs.values()
-                    )
+                    sa_winner_vc.get(p) == v and (p, v) in tail_holders
                 ):
                     continue
-                ok = True
-                for req in cand.requires:
-                    kind = req[0]
-                    if kind == "own_release":
-                        continue  # release happened during streaming
-                    if kind == "front_departs":
-                        if sa_winner_vc.get(p) != v:
-                            ok = False
-                            break
-                        continue
-                    if kind == "sa_tail":
-                        # Scheme filter against the actual connection
-                        # former.
-                        winner = sa_tail_outputs.get(req[1])
-                        if winner is None or not scheme_admits(
-                            scheme, p, v, winner[0], winner[1]
-                        ):
-                            ok = False
-                            break
-                        continue
-                    raise AssertionError(f"unknown PC requirement {req!r}")
-                if not ok:
+                # _OWN_RELEASE needs no check: the collector only admits
+                # inputs whose connection released while streaming.
+                if flags & _FRONT_DEPARTS and sa_winner_vc.get(p) != v:
                     continue
+                if flags & _SA_TAIL:
+                    # Scheme filter against the actual connection former.
+                    winner = sa_tail_outputs.get(o)
+                    if winner is None or not scheme_admits(
+                        scheme, p, v, winner[0], winner[1]
+                    ):
+                        continue
                 # Re-check an output VC is available *now* (tails freed
                 # VCs and SA winners claimed VCs during this cycle).
                 if vcobj.active_packet is not None:
@@ -1306,7 +1288,7 @@ class Router:
                 else:
                     busy = out_vc_busy[o]
                     creds = credits[o]
-                    for w in class_vcs[cand.flit.vc_class]:
+                    for w in class_vcs[flit.vc_class]:
                         if not busy[w] and creds[w] > 0:
                             break
                     else:
@@ -1320,15 +1302,15 @@ class Router:
                     chain_stats.speculation_failures += 1
                 continue
             # Establish the chain.
-            v = chosen.vc
+            v, flit, _, flags = chosen
             vcobj = in_vcs[p][v]
             if vcobj.active_packet is None:
-                vcobj.start_packet(chosen.flit.packet, o, w)
+                vcobj.start_packet(flit.packet, o, w)
                 out_vc_busy[o][w] = True
                 if tr_active:
                     tr.emit(
                         "vc_alloc", cycle, router=router_id, port=o,
-                        vc=w, pid=chosen.flit.packet.pid,
+                        vc=w, pid=flit.packet.pid,
                     )
             conn_in[p] = o
             conn_out[o] = (p, v)
@@ -1347,9 +1329,9 @@ class Router:
             if tr_active:
                 tr.emit(
                     "pc_chain", cycle, router=router_id, port=o,
-                    pid=chosen.flit.packet.pid, in_port=p, vc=v,
+                    pid=flit.packet.pid, in_port=p, vc=v,
                     same_input=same_input, same_vc=same_vc,
-                    speculative=chosen.speculative,
+                    speculative=flags != 0,
                 )
 
     def _split_vc_allocation(self, cycle):
@@ -1368,13 +1350,15 @@ class Router:
         V = self.config.num_vcs
         requests = {}
         requesters = {}
-        for p in range(self.radix):
-            for v, vcobj in enumerate(self.in_vcs[p]):
-                flit = vcobj.front()
-                if flit is None or not flit.is_head:
-                    continue
-                if vcobj.active_packet is not None:
-                    continue  # already allocated (or mid-packet)
+        for p, mask in enumerate(self._occ_mask):
+            vcs = self.in_vcs[p]
+            while mask:
+                v = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                vcobj = vcs[v]
+                flit = vcobj.queue[0]
+                if not flit.is_head or vcobj.active_packet is not None:
+                    continue  # mid-packet, or already allocated
                 w = self._free_out_vc(flit.out_port, flit.vc_class)
                 if w is None:
                     continue
@@ -1397,7 +1381,7 @@ class Router:
 
     # --- 7. end of cycle --------------------------------------------------
 
-    def _end_of_cycle(self, waiters, departed_vcs):
+    def _end_of_cycle(self, fronts, departed_vcs):
         """Age held connections; bump the wait and blocked counters of
         every front the SA scan saw that did not send a flit."""
         conn_out = self.conn_out
@@ -1405,16 +1389,11 @@ class Router:
         for o in range(self.radix):
             if conn_out[o] is not None:
                 conn_age[o] += 1
-        if departed_vcs:
-            for enc, vcobj, flit in waiters:
-                if enc in departed_vcs:
-                    continue
+        for entry in fronts:
+            vcobj = entry[2]
+            if vcobj not in departed_vcs:
                 vcobj.wait_cycles += 1
-                flit.packet.blocked_cycles += 1
-        else:
-            for _, vcobj, flit in waiters:
-                vcobj.wait_cycles += 1
-                flit.packet.blocked_cycles += 1
+                entry[3].packet.blocked_cycles += 1
         if self._chain_enabled:
             self.chain_stats.cycles += 1
 

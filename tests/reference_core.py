@@ -15,9 +15,16 @@ phase (streaming, flit send, SA collection, PC collection with its
 request builder, SA and PC commit, end of cycle), the terminals'
 injection/ejection loops and the network cycle loop. What it inherits
 from the production classes, and therefore cannot check: construction,
-checkpoint layout, the fault pre-pass, starvation releases, split VC
-allocation and all network wiring — ``test_core_goldens.py`` pins
-those against checked-in outputs instead.
+checkpoint layout, the fault pre-pass, starvation releases, the
+pseudo-circuit release test, split VC allocation and all network
+wiring — ``test_core_goldens.py`` pins those against checked-in outputs
+instead.
+
+The oracle keeps its own PC candidate type, :class:`PCCandidate`, whose
+``requires`` tuples name the events a speculative chain needs; the
+production router keeps ``(vc, flit, priority, flags)`` tuples per
+(input, output) instead, and the collector property in
+``test_fastcore_equivalence.py`` compares the two formats.
 
 Use :func:`reference_core` to build and step networks on the oracle::
 
@@ -33,12 +40,44 @@ from repro.core.chaining import (
     PC_PRIORITY_DEFINITE,
     PC_PRIORITY_SPECULATIVE,
     ChainingScheme,
-    PCCandidate,
     scheme_admits,
 )
 from repro.network.network import Network
 from repro.network.router import _NONSPECULATIVE_BOOST, Router
 from repro.network.terminal import Sink, Source
+
+
+class PCCandidate:
+    """A waiting packet that may chain onto a releasing connection.
+
+    ``speculative`` marks the lower priority class (Section 2.4): the
+    chain is only valid if this cycle's switch allocation produces the
+    event named in ``requires``:
+
+    - ``("sa_tail", output)`` — a connectionless tail flit must win SA
+      for ``output`` this cycle, forming the connection to chain onto;
+    - ``("own_release",)`` — the candidate's own input port is part of
+      another connection that must release this cycle;
+    - ``("front_departs",)`` — the tail in front of the candidate must
+      win SA this cycle.
+
+    ``flit`` is the candidate's head (or parked body) flit; validation
+    checks the flit itself rather than a buffer position because the
+    departing tail ahead of it shifts positions within the cycle.
+    """
+
+    __slots__ = ("input_port", "vc", "output_port", "priority", "flit",
+                 "speculative", "requires")
+
+    def __init__(self, input_port, vc, output_port, priority, flit,
+                 speculative=False, requires=()):
+        self.input_port = input_port
+        self.vc = vc
+        self.output_port = output_port
+        self.priority = priority
+        self.flit = flit
+        self.speculative = speculative
+        self.requires = requires
 
 
 class PCRequestBuilder:

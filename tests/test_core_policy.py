@@ -8,13 +8,12 @@ from repro.core.chaining import (
     PC_PRIORITY_SPECULATIVE,
     ChainStats,
     ChainingScheme,
-    PCCandidate,
     scheme_admits,
 )
 from repro.core.cost_model import AllocatorCostModel
 from repro.core.starvation import StarvationControl, StarvationMode
 
-from tests.reference_core import PCRequestBuilder
+from tests.reference_core import PCCandidate, PCRequestBuilder
 
 
 class TestChainingScheme:

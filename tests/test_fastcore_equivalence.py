@@ -32,7 +32,12 @@ from repro.faults import (
 from repro.network import flit as flitmod
 from repro.network.config import NetworkConfig, mesh_config
 from repro.network.network import Network, build_network
-from repro.network.router import Router
+from repro.network.router import (
+    _FRONT_DEPARTS,
+    _OWN_RELEASE,
+    _SA_TAIL,
+    Router,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MemorySink, TraceBus
 from repro.sim.runner import run_simulation
@@ -307,13 +312,34 @@ def test_generated_faulted_runs_are_bit_identical(scenario):
     assert fast[2] == ref[2]  # full trace-event stream
 
 
-def _candidate_fields(c):
-    return (c.input_port, c.vc, c.output_port, c.priority, c.flit,
-            c.requires)
+#: The oracle's requirement tags as the production router's flags.
+_REQUIREMENT_FLAGS = {
+    "own_release": _OWN_RELEASE,
+    "front_departs": _FRONT_DEPARTS,
+    "sa_tail": _SA_TAIL,
+}
+
+
+def _oracle_table(candidates):
+    """The oracle's candidates in the production format: ``(vc, flit,
+    priority, flags)`` tuples grouped by (input, output), in order."""
+    table = {}
+    for c in candidates:
+        flags = 0
+        for req in c.requires:
+            if req[0] == "sa_tail":
+                # Production's flag has no payload: the tail it waits
+                # for always forms the candidate's own output.
+                assert req[1:] == (c.output_port,)
+            flags |= _REQUIREMENT_FLAGS[req[0]]
+        assert c.speculative == (flags != 0)
+        table.setdefault((c.input_port, c.output_port), []).append(
+            (c.vc, c.flit, c.priority, flags))
+    return table
 
 
 class _CheckedCollectorRouter(Router):
-    """The production router, its PC collector checked on every
+    """The production router, its PC candidate table checked on every
     router-cycle against the oracle's collector on the same arguments.
 
     A candidate difference the PC allocator happens to mask (a grant
@@ -328,24 +354,25 @@ class _CheckedCollectorRouter(Router):
     #: Router-cycles checked with at least one candidate.
     checked = 0
 
-    def _collect_pc(self, scan, conn_in_start, releasing, forming_tails,
+    def _collect_pc(self, fronts, conn_in_start, releasing, forming_tails,
                     released_inputs, inhibited, sa_requests):
-        candidates, matrix = super()._collect_pc(
-            scan, conn_in_start, releasing, forming_tails,
+        table, matrix = super()._collect_pc(
+            fronts, conn_in_start, releasing, forming_tails,
             released_inputs, inhibited, sa_requests,
         )
         builder = self._collect_pc_candidates(
             conn_in_start, releasing, forming_tails, released_inputs,
             inhibited, sa_requests,
         )
-        assert list(map(_candidate_fields, candidates)) == \
-            list(map(_candidate_fields, builder.candidates))
-        # Insertion order too: PIM's grants depend on it.
+        # Insertion order too, of the pairs and within each bucket:
+        # priority ties and PIM's grants depend on it.
+        assert list(table.items()) == \
+            list(_oracle_table(builder.candidates).items())
         assert list(matrix.items()) == \
             list(self._pc_request_matrix(builder).items())
-        if candidates:
+        if table:
             type(self).checked += 1
-        return candidates, matrix
+        return table, matrix
 
 
 #: Pinned: a loaded radix-10 router, where holder inputs >= 8 occur and
