@@ -4,9 +4,9 @@ The DigestRecorder (``--digest`` / ``--digest-every``) hashes the whole
 network's canonical ``state_dict`` state every N cycles. Two guarantees
 back its "leave it on in CI" positioning:
 
-- off by default is free: an unattached recorder costs one ``is None``
-  check per cycle (inside the baseline measured here), and attaching
-  one never perturbs simulation results — digesting is read-only;
+- off by default is free: a run without probes pays one due-cycle
+  compare per cycle (inside the baseline measured here), and attaching
+  a recorder never perturbs simulation results — digesting is read-only;
 - at the default 64-cycle stride the whole-run wall-clock overhead
   stays under 5% of the digest-free baseline.
 
@@ -49,7 +49,7 @@ def timed_run(digest_every):
     result = run_simulation(
         cfg, rate=0.6, warmup=CYCLES["warmup"], measure=CYCLES["measure"],
         drain=0,
-        digest=DigestRecorder(every=digest_every) if digest_every else None,
+        probes=[DigestRecorder(every=digest_every)] if digest_every else (),
     )
     return time.perf_counter() - start, result
 

@@ -8,10 +8,10 @@ sinks, and a bus with an in-memory sink actually collecting — and
 asserts the no-sink configuration stays within 5% of the baseline
 (DESIGN.md's disabled-by-default guarantee).
 
-The network-state sampler makes the analogous promise: an unattached
-network pays one ``is None`` check per cycle (inside the baseline), and
-an attached sampler at the default 100-cycle period stays within 5% of
-the unsampled baseline while never perturbing simulation results.
+The network-state sampler makes the analogous promise: a run without
+probes pays one due-cycle compare per cycle (inside the baseline), and
+a sampler probe at the default 100-cycle period stays within 5% of the
+unsampled baseline while never perturbing simulation results.
 """
 
 import time
@@ -31,7 +31,8 @@ def timed_run(trace, sampler=None, telemetry=None):
     start = time.perf_counter()
     result = run_simulation(
         cfg, rate=0.6, warmup=CYCLES["warmup"], measure=CYCLES["measure"],
-        drain=0, trace=trace, sampler=sampler, telemetry=telemetry,
+        drain=0, trace=trace,
+        probes=[p for p in (sampler, telemetry) if p is not None],
     )
     return time.perf_counter() - start, result
 
@@ -149,7 +150,7 @@ def test_telemetry_overhead(benchmark, report, tmp_path):
     rep.line()
     rep.line("guarantee: fsynced heartbeats at the default 1000-cycle "
              "period stay within 5% of the untelemetered baseline "
-             "(on_cycle is one compare between heartbeats)")
+             "(between heartbeats a cycle pays the run's due-cycle compare)")
     rep.save()
 
     assert tele_time <= base_time * 1.05, (

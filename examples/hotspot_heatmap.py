@@ -26,7 +26,7 @@ SAMPLE_PERIOD = 100
 def run(chaining):
     config = mesh_config(chaining=chaining)
     net = Network(config)
-    sampler = net.attach_sampler(NetworkSampler(period=SAMPLE_PERIOD))
+    sampler = NetworkSampler(period=SAMPLE_PERIOD)
     rng = random.Random(4)
     pattern = Hotspot(net.num_terminals, hotspots=(0, 63), fraction=0.2)
     injector = BernoulliInjector(
@@ -34,7 +34,7 @@ def run(chaining):
     )
     net.stats.set_window(0, CYCLES)
     result = SimulationRun(net, injector, warmup=0, measure=CYCLES,
-                           drain=0).execute()
+                           drain=0, probes=[sampler]).execute()
     return net, sampler, result
 
 

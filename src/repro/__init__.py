@@ -14,6 +14,11 @@ Quickstart::
     cfg = mesh_config(chaining=ChainingScheme.SAME_INPUT)
     result = run_simulation(cfg, pattern="uniform", rate=0.4, packet_length=1)
     print(result.avg_throughput, result.packet_latency.mean)
+
+Samplers, the hang watchdog, heartbeats, state digests, checkpoints and
+the kill switch are run probes, passed as one list (``run_simulation(cfg,
+probes=[NetworkSampler(), Checkpointer("ck.json.gz")])``; see
+:class:`repro.sim.runner.Probe`).
 """
 
 from repro.checkpoint import (

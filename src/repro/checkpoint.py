@@ -22,8 +22,8 @@ tests/test_resume_equivalence.py enforce this).
 Deliberately excluded from snapshots (see DESIGN.md):
 
 - fault injection and the reliable transport — refused, not dropped;
-- observers (trace, profiler, sampler, invariants, watchdog) — they
-  re-attach to a restored run the same way they attach to a fresh one;
+- observers (trace, profiler, invariants, the run's probes) — they
+  attach to a restored run after the restore, as to a fresh one;
 - wall-clock timing (``SimResult.timing``) — not deterministic anyway.
 """
 
@@ -77,7 +77,7 @@ class CheckpointError(RuntimeError):
 
 
 class SimulationKilled(RuntimeError):
-    """Raised by the chaos kill switch (``run_simulation(kill_at=...)``).
+    """Raised by the chaos kill switch (:class:`repro.sim.runner.KillAt`).
 
     Used by the resume-equivalence tests and the CI smoke job to
     simulate a crash at an arbitrary cycle; the run dies *after* the
@@ -87,6 +87,15 @@ class SimulationKilled(RuntimeError):
     def __init__(self, cycle):
         super().__init__(f"simulation killed at cycle {cycle}")
         self.cycle = cycle
+
+
+def refuse_unsnapshotable(faults, transport):
+    """Refuse checkpoint/resume of a run with faults or a transport."""
+    if faults is not None or transport is not None:
+        raise CheckpointError(
+            "checkpoint/resume does not support fault injection or a "
+            "reliable transport (their state is not snapshotable)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +295,15 @@ def canonical_run_spec(pattern, rate, lengths, warmup, measure, drain):
     resume verification, and the experiment service's content-addressed
     result cache (``repro.serve``) — so a cache entry produced by the
     service is keyed identically to a checkpoint of the same
-    experiment. ``lengths`` may be a distribution object or an
-    already-serialized spec dict.
+    experiment. ``lengths`` may be a distribution object, an
+    already-serialized spec dict, or None (a distribution with no spec).
     """
+    if lengths is not None and not isinstance(lengths, dict):
+        lengths = lengths_spec(lengths)
     return {
         "pattern": pattern,
         "rate": rate,
-        "lengths": lengths if isinstance(lengths, dict) else lengths_spec(lengths),
+        "lengths": lengths,
         "warmup": warmup,
         "measure": measure,
         "drain": drain,
@@ -375,33 +386,41 @@ def load_checkpoint(path):
 
 
 class Checkpointer:
-    """Periodic checkpoint writer attached to a running simulation.
+    """Run probe (``repro.sim.runner.Probe``): periodic checkpoints.
 
-    ``maybe_save`` fires every ``every`` cycles (and is cheap
-    otherwise); ``save`` can be called directly for a final checkpoint.
-    Writes are atomic, so a crash mid-save leaves the previous
-    checkpoint intact.
+    Saves after every cycle that is a multiple of ``every`` (default
+    1000), with the config and run spec read from the run; ``save`` can
+    be called directly for a final checkpoint. Writes are atomic, so a
+    crash mid-save leaves the previous checkpoint intact.
     """
 
-    def __init__(self, path, every, config, run_spec):
+    def __init__(self, path, every=None):
         if every is not None and every < 1:
             raise ValueError(f"checkpoint interval must be >= 1, got {every}")
         self.path = os.fspath(path)
         self.every = every or 1000
-        self.config = config
-        self.run_spec = run_spec
         #: Cycle of the last checkpoint written, or None.
         self.last_cycle = None
         #: Checkpoints written so far.
         self.saves = 0
 
-    def maybe_save(self, run):
+    def start(self, run):
+        refuse_unsnapshotable(run.network.faults, run.network.transport)
+        lengths_spec(run.injector.lengths)  # refuses lengths with no spec
         cycle = run.network.cycle
-        if cycle > 0 and cycle % self.every == 0 and cycle != self.last_cycle:
-            self.save(run)
+        self.due = cycle - cycle % self.every + self.every
+
+    def on_cycle(self, run):
+        self.save(run)
+        self.due = run.network.cycle + self.every
+
+    def finish(self, run, status, result):
+        pass
 
     def save(self, run):
-        save_checkpoint(self.path, capture_run(run, self.config, self.run_spec))
+        save_checkpoint(
+            self.path, capture_run(run, run.network.config, run.spec)
+        )
         self.last_cycle = run.network.cycle
         self.saves += 1
 

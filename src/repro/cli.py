@@ -36,7 +36,7 @@ import argparse
 import json
 import sys
 
-from repro.checkpoint import CheckpointError, SimulationKilled
+from repro.checkpoint import CheckpointError, Checkpointer, SimulationKilled
 from repro.core.cost_model import AllocatorCostModel
 from repro.faults import (
     FaultController,
@@ -69,7 +69,7 @@ from repro.obs import (
     write_sweep_manifest,
 )
 from repro.obs.artifacts import rate_subdir
-from repro.sim.runner import run_simulation
+from repro.sim.runner import KillAt, run_simulation
 from repro.sim.sweep import find_saturation
 from repro.traffic import BimodalLength, FixedLength
 
@@ -164,7 +164,7 @@ def _add_recorder_args(parser, sampling=True):
 
 
 def _obs_from(args):
-    """Build (bus, profiler, metrics, sampler, telemetry) from CLI flags."""
+    """Build (bus, profiler, metrics) from CLI flags."""
     bus = None
     if args.trace:
         filt = TraceFilter.parse(args.trace_filter) if args.trace_filter else None
@@ -176,19 +176,36 @@ def _obs_from(args):
         if (args.metrics or args.json or args.artifacts)
         else None
     )
-    sampler = (
-        NetworkSampler(period=args.sample_period)
-        if (args.samples or args.artifacts)
-        else None
-    )
-    telemetry = None
+    return bus, profiler, registry
+
+
+def _probes_from(args):
+    """Build (probes in firing order, sampler, digest recorder) from
+    the run flags; the output reads the sampler and the recorder."""
+    sampler = watchdog = telemetry = digester = None
+    if args.samples or args.artifacts:
+        sampler = NetworkSampler(period=args.sample_period)
+    if args.watchdog:
+        watchdog = HangWatchdog(
+            window=args.watchdog, dump_path=args.watchdog_dump
+        )
     if args.progress or args.heartbeat:
         telemetry = RunTelemetry(
             path=args.heartbeat, every=args.heartbeat_every,
             console=sys.stderr if args.progress else None,
             rate=args.rate,
         )
-    return bus, profiler, registry, sampler, telemetry
+    if args.digest:
+        from repro.obs.digest import DigestRecorder
+
+        digester = DigestRecorder(every=args.digest_every, path=args.digest)
+    probes = [p for p in (sampler, watchdog, telemetry, digester)
+              if p is not None]
+    if args.checkpoint:
+        probes.append(Checkpointer(args.checkpoint, args.checkpoint_every))
+    if args.kill_at is not None:
+        probes.append(KillAt(args.kill_at))
+    return probes, sampler, digester
 
 
 def _add_fault_args(parser):
@@ -215,7 +232,7 @@ def _add_fault_args(parser):
 
 
 def _faults_from(args):
-    """Build (controller, transport, invariants, watchdog) from flags."""
+    """Build (controller, transport, invariants) from flags."""
     controller = None
     if args.faults:
         controller = FaultController(FaultPlan.load(args.faults))
@@ -229,12 +246,7 @@ def _faults_from(args):
         checker = InvariantChecker(
             period=args.invariant_period, mode=args.invariants
         )
-    watchdog = None
-    if args.watchdog:
-        watchdog = HangWatchdog(
-            window=args.watchdog, dump_path=args.watchdog_dump
-        )
-    return controller, transport, checker, watchdog
+    return controller, transport, checker
 
 
 def _print_fault_summary(result, out):
@@ -350,27 +362,18 @@ def _print_alloc_efficiency(registry, out):
 
 
 def cmd_run(args, out):
-    bus, profiler, registry, sampler, telemetry = _obs_from(args)
+    bus, profiler, registry = _obs_from(args)
     config = _config_from(args)
-    controller, transport, checker, watchdog = _faults_from(args)
-    digester = None
-    if args.digest:
-        from repro.obs.digest import DigestRecorder
-
-        digester = DigestRecorder(every=args.digest_every, path=args.digest)
+    controller, transport, checker = _faults_from(args)
+    probes, sampler, digester = _probes_from(args)
     try:
         result = run_simulation(
             config, pattern=args.pattern, rate=args.rate,
             lengths=_lengths_from(args), warmup=args.warmup,
             measure=args.measure, drain=args.drain,
-            trace=bus, profiler=profiler, metrics=registry, sampler=sampler,
-            telemetry=telemetry,
+            trace=bus, profiler=profiler, metrics=registry,
             faults=controller, transport=transport, invariants=checker,
-            watchdog=watchdog,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            resume_from=args.resume, kill_at=args.kill_at,
-            digest=digester,
+            resume_from=args.resume, probes=probes,
         )
     except SimulationKilled as exc:
         _finish_obs(args, bus, profiler)

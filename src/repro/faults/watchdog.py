@@ -1,8 +1,9 @@
 """Deadlock/livelock watchdog with diagnostic dumps.
 
-A :class:`HangWatchdog` attaches to a network and watches two progress
-signals: flits *moving* (switched by any router or consumed by any
-sink) and flits *ejecting*. With flits in flight,
+A :class:`HangWatchdog` is a run probe (``run_simulation(probes=[...])``,
+see :class:`repro.sim.runner.Probe`) that every ``check_period`` cycles
+reads two progress signals: flits *moving* (switched by any router or
+consumed by any sink) and flits *ejecting*. With flits in flight,
 
 - no movement for ``window`` cycles is a **deadlock** — every flit in
   the network is stuck behind a dependency cycle or exhausted
@@ -14,7 +15,7 @@ sink) and flits *ejecting*. With flits in flight,
 On detection the watchdog assembles a diagnostic bundle — the
 held-connection table (exactly the state packet chaining manipulates),
 per-router buffer occupancy, the longest-waiting VC fronts, the
-sampler's buffered-flits heatmap when a sampler is attached, the most
+sampler's buffered-flits heatmap when the run has a sampler, the most
 recent trace events when tracing is on, and the fault summary when a
 controller is bound — writes it to ``dump_path`` (JSON) if given, and
 raises :class:`WatchdogError` (``strict`` mode) or records the bundle
@@ -22,7 +23,9 @@ and disarms (``report`` mode).
 """
 
 import json
+import math
 
+from repro.obs.sampler import NetworkSampler
 from repro.obs.trace import NULL_TRACE, RingSink
 
 
@@ -59,33 +62,35 @@ class HangWatchdog:
         self.ring_capacity = ring_capacity
         self.network = None
         self.hangs = []  # bundles recorded in report mode
+        self._sampler = None
         self._ring = None
-        self._armed = True
-        self._next_cycle = 0
         self._last_moved = -1
         self._last_ejected = -1
         self._moved_cycle = 0
         self._ejected_cycle = 0
 
-    def bind(self, network):
-        self.network = network
-        self._next_cycle = network.cycle
+    # --- run probe ----------------------------------------------------------
+
+    def start(self, run):
+        """Checks start with the run's first cycle (after any restore)."""
+        self.network = network = run.network
+        self.due = network.cycle + 1
         self._moved_cycle = network.cycle
         self._ejected_cycle = network.cycle
+        self._sampler = next(
+            (p for p in run.probes if isinstance(p, NetworkSampler)), None
+        )
         # Keep a bounded tail of trace events for the diagnostic bundle
         # when the run is traced at all (never touch the shared
         # NULL_TRACE: it must stay inert).
         if network.trace is not NULL_TRACE:
             self._ring = RingSink(self.ring_capacity)
             network.trace.attach(self._ring)
-        return self
 
-    # --- per-cycle hook ---------------------------------------------------
-
-    def maybe_check(self, cycle):
-        if cycle < self._next_cycle or not self._armed:
-            return
-        self._next_cycle = cycle + self.check_period
+    def on_cycle(self, run):
+        """Check the cycle just stepped; the next one ``check_period`` on."""
+        cycle = run.network.cycle - 1
+        self.due = run.network.cycle + self.check_period
         net = self.network
         moved = sum(sum(r.port_flits) for r in net.routers)
         ejected = sum(k.flits_consumed for k in net.sinks)
@@ -117,7 +122,7 @@ class HangWatchdog:
         if self.mode == "strict":
             raise WatchdogError(bundle)
         self.hangs.append(bundle)
-        self._armed = False  # one report per run
+        self.due = math.inf  # one report per run
 
     def diagnose(self, kind, cycle, in_flight, last_progress):
         """Assemble the diagnostic bundle (JSON-serializable)."""
@@ -148,9 +153,9 @@ class HangWatchdog:
                     })
         waiters.sort(key=lambda w: w["wait_cycles"], reverse=True)
         heatmap = None
-        if net.sampler is not None and net.sampler.samples:
+        if self._sampler is not None and self._sampler.samples:
             try:
-                heatmap = net.sampler.heatmap("buffered", reduce="last")
+                heatmap = self._sampler.heatmap("buffered", reduce="last")
             except TypeError:
                 heatmap = None  # non-grid topology
         bundle = {
@@ -171,6 +176,9 @@ class HangWatchdog:
         if net.faults is not None:
             bundle["faults"] = net.faults.summary()
         return bundle
+
+    def finish(self, run, status, result):
+        pass
 
     def summary(self):
         return {

@@ -55,9 +55,6 @@ class Network:
         #: branch per emission site.
         self.trace = trace if trace is not None else NULL_TRACE
         self.profiler = None
-        #: Optional periodic state sampler (obs.sampler). None costs one
-        #: branch per cycle.
-        self.sampler = None
         self.cycle = 0
 
         router_cls = type(self).ROUTER_CLS
@@ -76,7 +73,6 @@ class Network:
         self.faults = None
         self.transport = None
         self.invariants = None
-        self.watchdog = None
         #: The routers/sources/sinks actually stepped each cycle.
         #: Aliases of the full lists until a router dies (retire_router)
         #: or a shard mask is applied, so the common path has no
@@ -162,24 +158,6 @@ class Network:
             router.profiler = profiler
         return profiler
 
-    def detach_profiler(self):
-        """Stop profiling; returns the detached profiler (or None).
-
-        The profiler keeps its accumulated epochs, so it can be
-        re-attached later (or to another network) and continue
-        accumulating — only cycles executed while attached are counted.
-        """
-        profiler = self.profiler
-        self.profiler = None
-        for router in self.routers:
-            router.profiler = None
-        return profiler
-
-    def attach_sampler(self, sampler):
-        """Enable periodic network-state snapshots (obs.sampler)."""
-        self.sampler = sampler
-        return sampler.bind(self)
-
     def attach_faults(self, controller):
         """Arm a FaultController against this network.
 
@@ -202,11 +180,6 @@ class Network:
         """Enable the periodic runtime invariant checker."""
         self.invariants = checker
         return checker.bind(self)
-
-    def attach_watchdog(self, watchdog):
-        """Enable deadlock/livelock detection."""
-        self.watchdog = watchdog
-        return watchdog.bind(self)
 
     def retire_router(self, router_id):
         """Stop simulating a dead router and silence its sources.
@@ -285,12 +258,8 @@ class Network:
             router.step(now)
         if self.transport is not None:
             self.transport.step(now)
-        if self.sampler is not None:
-            self.sampler.maybe_sample(now)
         if self.invariants is not None:
             self.invariants.maybe_check(now)
-        if self.watchdog is not None:
-            self.watchdog.maybe_check(now)
         self.cycle += 1
         if self.profiler is not None:
             self.profiler.end_cycle()
@@ -312,8 +281,8 @@ class Network:
         state (pending faults, retransmission queues, per-flow sequence
         windows) is not snapshotable yet, and silently dropping it would
         resume a different experiment. Observers (trace, profiler,
-        sampler, invariants, watchdog) are deliberately excluded — they
-        re-attach to a restored run exactly as to a fresh one.
+        invariants, the run's probes) are deliberately excluded — they
+        attach to a restored run exactly as to a fresh one.
         """
         from repro.checkpoint import CheckpointError
         from repro.core.serialization import rng_state_to_json

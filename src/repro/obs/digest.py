@@ -32,8 +32,8 @@ unequal root, and diff :func:`network_states` of both sides at that
 cycle.
 
 :class:`DigestRecorder` streams records as JSONL alongside the
-existing telemetry/trace streams (``.gz`` paths compress) and is wired
-into the runner via ``run_simulation(digest=DigestRecorder(...))``.
+existing telemetry/trace streams (``.gz`` paths compress) and is a run
+probe: ``run_simulation(probes=[DigestRecorder(...)])``.
 
 Periodic records hash *simulation* state only (routers, terminals,
 RNGs, injector): the StatsCollector is a derived observer whose every
@@ -170,11 +170,11 @@ def state_diff(a, b, limit=None):
 class DigestRecorder:
     """Periodic digest taker + JSONL stream + rolling run fingerprint.
 
-    Attach via ``run_simulation(digest=DigestRecorder(...))``; the
-    runner calls :meth:`on_cycle` after every simulated cycle and
-    :meth:`finish` once the run completes (which takes a final digest
-    even off the stride, so the fingerprint always covers the end
-    state).
+    A run probe (see :class:`repro.sim.runner.Probe`): :meth:`start`
+    writes the header, :meth:`on_cycle` takes a digest after every
+    cycle that is a multiple of ``every``, and :meth:`finish` of a
+    completed run takes a final digest even off the stride, so the
+    fingerprint always covers the end state.
     """
 
     def __init__(self, every=64, path=None, keep=None):
@@ -187,35 +187,46 @@ class DigestRecorder:
         self.records = deque(maxlen=keep)
         self._rolling = hashlib.sha256()
         self.digests_taken = 0
-        self.last_cycle = None
         self._closed = False
 
-    def write_header(self, config=None, run_spec=None):
-        """Stream a header record (config identity for later replay)."""
-        header = {"kind": "header", "schema": DIGEST_SCHEMA,
-                  "every": self.every, "observers": "final-only"}
-        if config is not None:
-            header["config"] = config.to_dict()
-        if run_spec is not None:
-            header["run_spec"] = run_spec
-        self._write(header)
-        return header
+    # --- run probe ----------------------------------------------------
 
-    def on_cycle(self, network, injector, cycle):
-        """Cheap per-cycle hook: digests only on the ``every`` stride."""
-        if cycle % self.every == 0:
-            self.record(network, injector, cycle)
+    def start(self, run):
+        """Stream the header record (config identity for later replay)."""
+        header = {"kind": "header", "schema": DIGEST_SCHEMA,
+                  "every": self.every, "observers": "final-only",
+                  "config": run.network.config.to_dict()}
+        if run.spec is not None:
+            header["run_spec"] = run.spec
+        self._write(header)
+        cycle = run.network.cycle
+        self.due = cycle - cycle % self.every + self.every
+
+    def on_cycle(self, run):
+        cycle = run.network.cycle
+        self.record(run.network, run.injector, cycle)
+        self.due = cycle + self.every
+
+    def finish(self, run, status, result):
+        """Completed run: final digest (off-stride included) + trailer."""
+        if status == "done":
+            self.record(run.network, run.injector, run.network.cycle,
+                        final=True)
+            self._write({
+                "kind": "fingerprint",
+                "fingerprint": self.fingerprint,
+                "digests": self.digests_taken,
+            })
+        self.close()
 
     def record(self, network, injector, cycle, final=False):
-        """Take one digest now; returns the record (or None if dup).
+        """Take one digest now; returns the record.
 
         Periodic records hash simulation state only; the ``final``
         record also covers observers (stats). A final record on a
         stride cycle is taken anyway — it carries the observer
         coverage the periodic record at the same cycle skipped.
         """
-        if cycle == self.last_cycle and not final:
-            return None  # on_cycle landing on an already-taken cycle
         snapshot = digest_network(network, injector, observers=final)
         record = {
             "kind": "digest",
@@ -228,7 +239,6 @@ class DigestRecorder:
         self.records.append(record)
         self._rolling.update(f"{cycle}:{snapshot['root']}\n".encode("ascii"))
         self._write(record)
-        self.last_cycle = cycle
         self.digests_taken += 1
         return record
 
@@ -236,16 +246,6 @@ class DigestRecorder:
     def fingerprint(self):
         """Whole-run fingerprint: rolling hash over all records so far."""
         return self._rolling.hexdigest()
-
-    def finish(self, network, injector):
-        """Final digest (off-stride included) + fingerprint trailer."""
-        self.record(network, injector, network.cycle, final=True)
-        self._write({
-            "kind": "fingerprint",
-            "fingerprint": self.fingerprint,
-            "digests": self.digests_taken,
-        })
-        self.close()
 
     def _write(self, obj):
         if self._fh is not None:

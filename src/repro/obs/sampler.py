@@ -1,7 +1,7 @@
 """Periodic network-state sampling: occupancy, credits, link utilization.
 
-A :class:`NetworkSampler` attaches to a
-:class:`~repro.network.network.Network` and, every ``period`` cycles,
+A :class:`NetworkSampler` is a run probe (``run_simulation(probes=[...])``,
+see :class:`repro.sim.runner.Probe`) that, every ``period`` cycles,
 records a snapshot of the whole network's congestion state:
 
 - per-router **buffer occupancy** (flits sitting in input VCs) — the
@@ -21,9 +21,10 @@ and yield the package's link-utilization views: per-link flits/cycle,
 the hottest links, and ASCII heatmaps for mesh/torus-style ``k x k``
 grids.
 
-Cost model: unattached networks pay one ``is None`` check per cycle;
-an attached sampler pays one method call per cycle plus the snapshot
-every ``period`` cycles (see ``benchmarks/test_obs_overhead.py``).
+Cost model: the run calls the sampler only on its sampling cycles, so
+an attached sampler costs the snapshot every ``period`` cycles (see
+``benchmarks/test_obs_overhead.py``). It runs between cycles, outside
+the :class:`~repro.obs.profiler.PhaseProfiler`'s cycle.
 """
 
 import json
@@ -57,21 +58,23 @@ class NetworkSampler:
         self.samples = deque()
         self.dropped = 0
         self.network = None
-        self._next_cycle = 0
         self._last_port_flits = None
 
-    def bind(self, network):
-        """Called by ``Network.attach_sampler``; snapshots start at 0."""
-        self.network = network
-        self._next_cycle = network.cycle
-        self._last_port_flits = [list(r.port_flits) for r in network.routers]
-        return self
+    # --- run probe ----------------------------------------------------------
 
-    def maybe_sample(self, cycle):
-        """Per-cycle hook from ``Network.step``; snapshots on period."""
-        if cycle >= self._next_cycle:
-            self._snapshot(cycle)
-            self._next_cycle = cycle + self.period
+    def start(self, run):
+        """Samples start with the run's first cycle (after any restore)."""
+        self.network = net = run.network
+        self.due = net.cycle + 1
+        self._last_port_flits = [list(r.port_flits) for r in net.routers]
+
+    def on_cycle(self, run):
+        """Snapshot the cycle just stepped; the next one ``period`` on."""
+        self._snapshot(run.network.cycle - 1)
+        self.due = run.network.cycle + self.period
+
+    def finish(self, run, status, result):
+        pass
 
     def _snapshot(self, cycle):
         net = self.network

@@ -1,12 +1,12 @@
 """Host-performance run telemetry: heartbeats, progress, ETA.
 
-A :class:`RunTelemetry` rides along with one simulation (attached via
-``run_simulation(telemetry=...)``) and periodically reports how the run
-is doing *on the host*: simulated cycle reached, instantaneous and
-average wall-clock cycles/sec, fraction of the phase schedule
-completed, an ETA, resident-set memory, and — when a
-:class:`~repro.obs.profiler.PhaseProfiler` is also attached — the
-per-phase wall-time split so far.
+A :class:`RunTelemetry` rides along with one simulation as a run probe
+(``run_simulation(probes=[...])``, see :class:`repro.sim.runner.Probe`)
+and periodically reports how the run is doing *on the host*: simulated
+cycle reached, instantaneous and average wall-clock cycles/sec,
+fraction of the phase schedule completed, an ETA, resident-set memory,
+and — when a :class:`~repro.obs.profiler.PhaseProfiler` is also
+attached — the per-phase wall-time split so far.
 
 Two independent outputs, both optional:
 
@@ -24,10 +24,9 @@ on wall time, instead.
   single carriage-return-rewritten progress line per heartbeat, so
   ``repro run --progress --json`` keeps machine-readable stdout clean.
 
-Overhead: the hot path pays one attribute load and an integer compare
-per cycle between heartbeats (``on_cycle`` returns immediately until
-the next sampling cycle), matching the trace bus's disabled-by-default
-budget; ``benchmarks/test_obs_overhead.py`` holds it under 5%.
+Overhead: the run calls it only on heartbeat cycles, so a cycle between
+heartbeats costs the run's one due-cycle compare;
+``benchmarks/test_obs_overhead.py`` holds it under 5%.
 """
 
 import os
@@ -69,23 +68,20 @@ class RunTelemetry:
     """Heartbeat emitter for one simulation run.
 
     ``every`` is the sampling period in cycles. ``total_cycles`` is the
-    planned phase schedule (warmup + measure + drain); the drain may end
-    early on quiescence, so progress/ETA treat it as an upper bound.
-    ``rate`` identifies the run in every record. The runner
-    calls :meth:`begin`, :meth:`on_cycle` once per
-    simulated cycle, and :meth:`finish`.
+    run's planned phase schedule (warmup + measure + drain); the drain
+    may end early on quiescence, so progress/ETA treat it as an upper
+    bound. ``rate`` identifies the run in every record.
     """
 
     def __init__(self, path=None, every=1000, console=None, rate=None,
-                 total_cycles=None, clock=time.monotonic,
-                 walltime=time.time):
+                 clock=time.monotonic, walltime=time.time):
         if every < 1:
             raise ValueError("every must be >= 1")
         self.path = path
         self.every = every
         self.console = console
         self.rate = rate
-        self.total_cycles = total_cycles
+        self.total_cycles = None
         self.records_written = 0
         self._clock = clock
         self._walltime = walltime
@@ -94,21 +90,20 @@ class RunTelemetry:
         self._start_cycle = 0
         self._last_time = None
         self._last_cycle = 0
-        self._next_cycle = every
         self._finished = False
         self._console_dirty = False
 
-    # --- lifecycle (called by the runner) -----------------------------
+    # --- run probe ----------------------------------------------------
 
-    def begin(self, total_cycles=None, profiler=None, start_cycle=0):
+    def start(self, run):
         """Emit the ``start`` record."""
-        if total_cycles is not None:
-            self.total_cycles = total_cycles
-        self._profiler = profiler
+        self.total_cycles = run.warmup + run.measure + run.drain
+        self._profiler = run.network.profiler
+        start_cycle = run.network.cycle
         now = self._clock()
         self._start_time = self._last_time = now
         self._start_cycle = self._last_cycle = start_cycle
-        self._next_cycle = start_cycle + self.every
+        self.due = start_cycle + self.every
         self._emit(
             {
                 "ev": "start",
@@ -121,14 +116,13 @@ class RunTelemetry:
             }
         )
 
-    def on_cycle(self, cycle, phase):
-        """Hot-path hook: emit a heartbeat every ``every`` cycles."""
-        if cycle < self._next_cycle:
-            return
-        self._next_cycle = cycle + self.every
-        self._heartbeat(cycle, phase)
+    def on_cycle(self, run):
+        """Emit a heartbeat; the next one ``every`` cycles on."""
+        cycle = run.network.cycle
+        self.due = cycle + self.every
+        self._heartbeat(cycle, run.phase)
 
-    def finish(self, status="done", cycle=None, result=None):
+    def finish(self, run, status, result):
         """Emit the terminal record.
 
         ``status`` is ``"done"`` for a clean finish, or a short reason
@@ -139,8 +133,7 @@ class RunTelemetry:
         self._finished = True
         now = self._clock()
         elapsed = (now - self._start_time) if self._start_time else 0.0
-        if cycle is None:
-            cycle = self._last_cycle
+        cycle = run.network.cycle
         cycles = cycle - self._start_cycle
         record = {
             "ev": "finish",

@@ -4,12 +4,11 @@ Each leased job runs as one supervised attempt of :mod:`repro.proc`
 (:func:`~repro.proc.spawn_attempt` in the service,
 :func:`~repro.proc.run_attempt` here), named by its job id: its
 heartbeat and outcome files are ``<root>/hb/<job>.a<N>.hb.json`` and
-``<job>.a<N>.out.json``. The simulation beats through
-``run_simulation``'s per-cycle ``telemetry`` hook, throttled on wall
-time, so a job slower than any fixed number of cycles per lease still
-holds its lease. Present and ``ok``, the outcome means the result is in
-the content-addressed cache; even an orphaned worker can at worst
-publish a correct result there.
+``<job>.a<N>.out.json``. The simulation beats through a run probe due
+every cycle, throttled on wall time, so a job slower than any fixed
+number of cycles per lease still holds its lease. Present and ``ok``,
+the outcome means the result is in the content-addressed cache; even
+an orphaned worker can at worst publish a correct result there.
 """
 
 import os
@@ -38,23 +37,27 @@ def _apply_chaos(chaos, attempt):
 
 
 class _LeaseBeats:
-    """``run_simulation``'s telemetry hook as lease beats: every cycle
-    offers one, and the heartbeat's wall-time throttle decides which
-    reach the disk."""
+    """A run probe (``repro.sim.runner.Probe``) due every cycle: each
+    cycle offers one lease beat, and the heartbeat's wall-time throttle
+    decides which reach the disk."""
 
     def __init__(self, heartbeat):
         self.heartbeat = heartbeat
 
-    def begin(self, **_ignored):
+    def start(self, run):
         self.heartbeat.beat(state="running")
+        self.due = run.network.cycle + 1
 
-    def on_cycle(self, cycle, phase):
-        self.heartbeat.beat(cycle=cycle, phase=phase)
+    def on_cycle(self, run):
+        cycle = run.network.cycle
+        self.due = cycle + 1
+        self.heartbeat.beat(cycle=cycle, phase=run.phase)
 
-    def finish(self, status, cycle=None, result=None):
+    def finish(self, run, status, result):
         # Forced: the artifact write and cache publish that follow start
         # on a fresh lease.
-        self.heartbeat.beat(force=True, state=status, cycle=cycle)
+        self.heartbeat.beat(force=True, state=status,
+                            cycle=run.network.cycle)
 
 
 def run_job_worker(root, job_id, attempt, spec_dict, hard_exit=False):
@@ -80,7 +83,7 @@ def _run_attempt(root, attempt, spec_dict, heartbeat, out_path):
     from repro.obs.metrics import MetricsRegistry
     from repro.serve.cache import ResultCache
     from repro.serve.spec import JobSpec
-    from repro.sim.runner import run_simulation
+    from repro.sim.runner import KillAt, run_simulation
 
     started = time.monotonic()
     spec = JobSpec.from_dict(spec_dict)
@@ -94,11 +97,14 @@ def _run_attempt(root, attempt, spec_dict, heartbeat, out_path):
                       wall_time=time.monotonic() - started)
         return
     config = NetworkConfig.from_dict(spec.config)
-    watchdog = None
+    probes = []
     if spec.watchdog_window is not None:
         from repro.faults.watchdog import HangWatchdog
 
-        watchdog = HangWatchdog(window=spec.watchdog_window)
+        probes.append(HangWatchdog(window=spec.watchdog_window))
+    probes.append(_LeaseBeats(heartbeat))
+    if kill_at is not None:
+        probes.append(KillAt(kill_at))
     registry = MetricsRegistry()
     result = run_simulation(
         config,
@@ -109,9 +115,7 @@ def _run_attempt(root, attempt, spec_dict, heartbeat, out_path):
         measure=spec.measure,
         drain=spec.drain,
         metrics=registry,
-        telemetry=_LeaseBeats(heartbeat),
-        watchdog=watchdog,
-        kill_at=kill_at,
+        probes=probes,
     )
 
     def build(staging):

@@ -3,25 +3,30 @@
 The driver is resumable: a :class:`SimulationRun` tracks which phase it
 is in (``init`` → ``main`` → ``drain`` → ``done``) and how many drain
 cycles have run, so a run restored from a checkpoint continues exactly
-where the snapshot was taken. ``run_simulation`` wires the checkpoint
-machinery through: ``checkpoint_path``/``checkpoint_every`` write
-periodic snapshots, ``resume_from`` restores one (refused on config
-mismatch), and ``kill_at`` is the chaos switch that aborts the run at a
-given cycle so tests and CI can prove kill/resume equivalence.
+where the snapshot was taken. ``run_simulation(resume_from=...)``
+restores one (refused on config mismatch).
+
+Everything that watches the run between cycles is a *probe* (see
+:class:`Probe`): the network sampler, the hang watchdog, heartbeat
+telemetry, state digests, periodic checkpoints
+(:class:`~repro.checkpoint.Checkpointer`) and the chaos kill switch
+(:class:`KillAt`). The run keeps the earliest cycle any probe is due
+at, so a cycle with no probe due pays one compare.
 """
 
 import dataclasses
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.checkpoint import (
-    Checkpointer,
     CheckpointError,
     SimulationKilled,
     canonical_run_spec,
     lengths_spec,
     load_checkpoint,
+    refuse_unsnapshotable,
     restore_run,
     verify_resumable,
 )
@@ -29,6 +34,40 @@ from repro.network.network import Network, build_network
 from repro.stats.summary import summarize
 from repro.traffic.injection import BernoulliInjector, FixedLength
 from repro.traffic.patterns import build_pattern
+
+
+class Probe:
+    """A between-cycles observer of a :class:`SimulationRun` (no-op base).
+
+    Any object with these members is a probe. ``due`` is the first
+    post-step ``network.cycle`` at which the run calls :meth:`on_cycle`,
+    which sets the next ``due`` (``math.inf`` disarms); :meth:`start`
+    runs once, after any restore, and sets the first. :meth:`finish`
+    gets ``done`` and the SimResult, or ``killed``/``failed`` and None.
+    """
+
+    due = math.inf
+
+    def start(self, run):
+        pass
+
+    def on_cycle(self, run):
+        pass
+
+    def finish(self, run, status, result):
+        pass
+
+
+class KillAt(Probe):
+    """The chaos kill switch: raises
+    :class:`~repro.checkpoint.SimulationKilled` once cycle ``cycle`` has
+    completed (on a run resumed past it, after its first cycle)."""
+
+    def __init__(self, cycle):
+        self.due = cycle
+
+    def on_cycle(self, run):
+        raise SimulationKilled(run.network.cycle)
 
 
 @dataclass
@@ -42,35 +81,32 @@ class SimulationRun:
     drain: int
     #: Optional MetricsRegistry to publish end-of-run metrics into.
     metrics: Optional[Any] = None
-    #: Optional RunTelemetry emitting heartbeats (obs.telemetry).
-    telemetry: Optional[Any] = None
-    #: Optional DigestRecorder taking periodic state digests (obs.digest).
-    digest: Optional[Any] = None
+    #: Probes fired between cycles (see :class:`Probe`), in firing order.
+    probes: list = field(default_factory=list)
+    #: The run spec (pattern, rate, lengths, phases) checkpoints and
+    #: digest headers record; set by ``run_simulation``.
+    spec: Optional[dict] = None
     #: Resumable progress: the current phase and drain cycles executed.
     #: Restored from checkpoints; do not touch mid-run.
     phase: str = "init"
     drain_cycles_done: int = 0
+    #: Earliest ``due`` over the probes (``inf`` until they start).
+    _next_due: float = field(default=math.inf, init=False, repr=False)
 
-    def execute(self, checkpointer=None, kill_at=None):
-        if self.telemetry is not None:
-            self.telemetry.begin(
-                total_cycles=self.warmup + self.measure + self.drain,
-                profiler=self.network.profiler,
-                start_cycle=self.network.cycle,
-            )
+    def execute(self):
         try:
-            result = self._execute(checkpointer, kill_at)
+            for probe in self.probes:
+                probe.start(self)
+            self._next_due = min((p.due for p in self.probes),
+                                 default=math.inf)
+            result = self._execute()
         except BaseException as exc:
-            if self.telemetry is not None:
-                status = (
-                    "killed" if isinstance(exc, SimulationKilled) else "failed"
-                )
-                self.telemetry.finish(status, cycle=self.network.cycle)
+            killed = isinstance(exc, SimulationKilled)
+            for probe in self.probes:
+                probe.finish(self, "killed" if killed else "failed", None)
             raise
-        if self.telemetry is not None:
-            self.telemetry.finish(
-                "done", cycle=self.network.cycle, result=result
-            )
+        for probe in self.probes:
+            probe.finish(self, "done", result)
         return result
 
     def prepare(self):
@@ -87,13 +123,14 @@ class SimulationRun:
             )
             self.phase = "main"
 
-    def step_cycle(self, checkpointer=None, kill_at=None):
+    def step_cycle(self):
         """Advance the run by at most one simulated cycle.
 
         Returns True while the run has more cycles to execute, False
         once it reaches ``done`` — so ``while run.step_cycle(): pass``
         is exactly the phase schedule :meth:`_execute` runs, and a
         caller can stop a run at any cycle to inspect its state.
+        Probes fire only once :meth:`execute` has started them.
         """
         net, inj = self.network, self.injector
         if self.phase == "init":
@@ -111,7 +148,8 @@ class SimulationRun:
                 for packet in inj.generate(net.cycle):
                     net.inject(packet)
                 net.step()
-                self._after_cycle(checkpointer, kill_at)
+                if net.cycle >= self._next_due:
+                    self._fire_probes()
                 return True
         if self.phase == "drain":
             if self.drain_cycles_done >= self.drain or self._quiescent(net):
@@ -119,20 +157,26 @@ class SimulationRun:
                 return False
             net.step()
             self.drain_cycles_done += 1
-            self._after_cycle(checkpointer, kill_at)
+            if net.cycle >= self._next_due:
+                self._fire_probes()
             return True
         return False
 
-    def _execute(self, checkpointer=None, kill_at=None):
+    def _fire_probes(self):
+        """Run the due probes in list order, after ``net.cycle`` advanced
+        (so a resumed run re-executes exactly the cycles a kill lost)."""
+        cycle = self.network.cycle
+        for probe in self.probes:
+            if probe.due <= cycle:
+                probe.on_cycle(self)
+        self._next_due = min(p.due for p in self.probes)
+
+    def _execute(self):
         net, inj = self.network, self.injector
         self.prepare()
         stats = net.stats
-        while self.step_cycle(checkpointer, kill_at):
+        while self.step_cycle():
             pass
-        if self.digest is not None:
-            # Final digest (even off-stride) + fingerprint trailer, so
-            # the stream always covers the end state of the run.
-            self.digest.finish(net, inj)
         # Report whether the drain actually completed: a False here on a
         # drain-requested run means the drain budget expired with flits
         # still in flight (expect censored latency samples).
@@ -163,25 +207,9 @@ class SimulationRun:
         return summarize(
             stats, inj.rate, net.chain_stats(), net.cycle,
             drained=drained, drain_cycles=self.drain_cycles_done,
-            timing=timing, faults=self._fault_summary(net),
+            timing=timing, faults=self._fault_summary(),
             warnings=warnings,
         )
-
-    def _after_cycle(self, checkpointer, kill_at):
-        """Post-cycle hooks: periodic checkpoints, then the chaos switch.
-
-        Checkpoints are taken *between* cycles (``net.cycle`` already
-        advanced), so a resumed run re-executes exactly the cycles the
-        killed run lost.
-        """
-        if self.telemetry is not None:
-            self.telemetry.on_cycle(self.network.cycle, self.phase)
-        if self.digest is not None:
-            self.digest.on_cycle(self.network, self.injector, self.network.cycle)
-        if checkpointer is not None:
-            checkpointer.maybe_save(self)
-        if kill_at is not None and self.network.cycle >= kill_at:
-            raise SimulationKilled(self.network.cycle)
 
     @staticmethod
     def _quiescent(net):
@@ -197,8 +225,10 @@ class SimulationRun:
             return net.transport.idle() and net.backlog() == 0
         return True
 
-    @staticmethod
-    def _fault_summary(net):
+    def _fault_summary(self):
+        from repro.faults.watchdog import HangWatchdog
+
+        net = self.network
         parts = {}
         if net.faults is not None:
             parts["injection"] = net.faults.summary()
@@ -206,8 +236,9 @@ class SimulationRun:
             parts["transport"] = net.transport.summary()
         if net.invariants is not None:
             parts["invariants"] = net.invariants.summary()
-        if net.watchdog is not None:
-            parts["watchdog"] = net.watchdog.summary()
+        for probe in self.probes:
+            if isinstance(probe, HangWatchdog):
+                parts["watchdog"] = probe.summary()
         return parts or None
 
 
@@ -224,17 +255,11 @@ def run_simulation(
     trace=None,
     profiler=None,
     metrics=None,
-    sampler=None,
-    telemetry=None,
     faults=None,
     transport=None,
     invariants=None,
-    watchdog=None,
-    checkpoint_path=None,
-    checkpoint_every=None,
     resume_from=None,
-    kill_at=None,
-    digest=None,
+    probes=(),
 ):
     """Build and execute one simulation; returns a :class:`SimResult`.
 
@@ -246,72 +271,46 @@ def run_simulation(
     Observability (all optional, all zero-overhead when omitted):
     ``trace`` is a :class:`~repro.obs.trace.TraceBus` to emit events
     into, ``profiler`` a :class:`~repro.obs.profiler.PhaseProfiler` to
-    attach (its summary lands in ``SimResult.timing``), ``metrics``
+    attach (its summary lands in ``SimResult.timing``) and ``metrics``
     a :class:`~repro.obs.metrics.MetricsRegistry` the finished run
-    publishes into, ``sampler`` a
-    :class:`~repro.obs.sampler.NetworkSampler` snapshotting network
-    state every N cycles, and ``telemetry`` a
-    :class:`~repro.obs.telemetry.RunTelemetry` emitting host-side
-    progress heartbeats (cycles/sec, ETA, RSS) while the run executes.
+    publishes into.
 
     Robustness (repro.faults; likewise optional and free when omitted):
     ``faults`` is a :class:`~repro.faults.plan.FaultPlan` or a
     :class:`~repro.faults.controller.FaultController` to inject,
     ``transport`` a :class:`~repro.faults.reliability.ReliableTransport`
-    for end-to-end delivery, ``invariants`` an
-    :class:`~repro.faults.invariants.InvariantChecker`, and
-    ``watchdog`` a :class:`~repro.faults.watchdog.HangWatchdog`. Their
-    summaries land in ``SimResult.faults``.
+    for end-to-end delivery and ``invariants`` an
+    :class:`~repro.faults.invariants.InvariantChecker`. Their summaries
+    land in ``SimResult.faults``.
 
-    Checkpoint/restore (repro.checkpoint): ``checkpoint_path`` writes a
-    snapshot every ``checkpoint_every`` cycles (default 1000; ``.gz``
-    paths compress); ``resume_from`` restores a checkpoint file (or an
-    already-loaded payload dict) and continues — ``config`` and the
-    run arguments must describe the same experiment as the killed run,
-    enforced via the embedded config hash. ``kill_at`` aborts the run
-    by raising :class:`~repro.checkpoint.SimulationKilled` once the
-    given cycle completes (chaos testing). Checkpointing is refused
-    when ``faults`` or ``transport`` are attached (their state is not
+    ``probes`` (see :class:`Probe`) fire in list order; the CLI's is a
+    :class:`~repro.obs.sampler.NetworkSampler`, a
+    :class:`~repro.faults.watchdog.HangWatchdog` (its summary lands in
+    ``SimResult.faults``), a :class:`~repro.obs.telemetry.RunTelemetry`,
+    a :class:`~repro.obs.digest.DigestRecorder`, a
+    :class:`~repro.checkpoint.Checkpointer` and a :class:`KillAt`.
+
+    ``resume_from`` restores a checkpoint file (or an already-loaded
+    payload dict) and continues — ``config`` and the run arguments
+    must describe the same experiment as the killed run, enforced via
+    the embedded config hash. Checkpoints and resumes are refused when
+    ``faults`` or ``transport`` are attached (their state is not
     snapshotable).
-
-    State digests (repro.obs.digest): ``digest`` attaches a
-    :class:`~repro.obs.digest.DigestRecorder`. The finished run's
-    whole-run fingerprint is the recorder's ``fingerprint``.
     """
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
     dist = lengths if lengths is not None else FixedLength(packet_length)
-    checkpointing = checkpoint_path is not None or resume_from is not None
-    run_spec = None
-    if checkpointing:
-        if faults is not None or transport is not None:
-            raise CheckpointError(
-                "checkpoint/resume does not support fault injection or a "
-                "reliable transport (their state is not snapshotable)"
-            )
-        run_spec = canonical_run_spec(pattern, rate, dist, warmup, measure,
-                                      drain)
-    if digest is not None:
-        # Header is informational (identifies the experiment a stream
-        # belongs to); lengths outside the checkpointable set are
-        # recorded as None rather than refused.
-        try:
-            header_lengths = lengths_spec(dist)
-        except CheckpointError:
-            header_lengths = None
-        digest.write_header(config, run_spec or {
-            "pattern": pattern,
-            "rate": rate,
-            "lengths": header_lengths,
-            "warmup": warmup,
-            "measure": measure,
-            "drain": drain,
-        })
+    if resume_from is not None:
+        refuse_unsnapshotable(faults, transport)
+    try:
+        spec_lengths = lengths_spec(dist)
+    except CheckpointError:  # no JSON spec: a Checkpointer refuses it
+        spec_lengths = None
+    spec = canonical_run_spec(pattern, rate, spec_lengths, warmup, measure,
+                              drain)
     net = build_network(config, trace=trace)
     if profiler is not None:
         net.attach_profiler(profiler)
-    if sampler is not None:
-        net.attach_sampler(sampler)
     if faults is not None:
         from repro.faults import FaultController, FaultPlan
 
@@ -320,28 +319,21 @@ def run_simulation(
         net.attach_faults(faults)
     if transport is not None:
         net.attach_transport(transport)
-    if invariants is not None:
-        net.attach_invariants(invariants)
-    if watchdog is not None:
-        net.attach_watchdog(watchdog)
     traffic_rng = random.Random(config.seed + 0x5EED)
     pat = build_pattern(pattern, net.num_terminals, traffic_rng)
     injector = BernoulliInjector(net.num_terminals, pat, rate, dist, traffic_rng)
     run = SimulationRun(net, injector, warmup, measure, drain,
-                        metrics=metrics, telemetry=telemetry,
-                        digest=digest)
+                        metrics=metrics, probes=list(probes), spec=spec)
     if resume_from is not None:
         payload = (
             resume_from
             if isinstance(resume_from, dict)
             else load_checkpoint(resume_from)
         )
-        verify_resumable(payload, config, run_spec)
+        verify_resumable(payload, config, spec)
         restore_run(run, payload)
-    checkpointer = None
-    if checkpoint_path is not None:
-        checkpointer = Checkpointer(
-            checkpoint_path, checkpoint_every, config, run_spec
-        )
-    return run.execute(checkpointer=checkpointer, kill_at=kill_at)
-
+    if invariants is not None:
+        # After the restore: the checker holds the credit lists that
+        # load_state replaces.
+        net.attach_invariants(invariants)
+    return run.execute()

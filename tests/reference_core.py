@@ -806,12 +806,8 @@ def reference_step(self):
         router.step(now)
     if self.transport is not None:
         self.transport.step(now)
-    if self.sampler is not None:
-        self.sampler.maybe_sample(now)
     if self.invariants is not None:
         self.invariants.maybe_check(now)
-    if self.watchdog is not None:
-        self.watchdog.maybe_check(now)
     self.cycle += 1
     if self.profiler is not None:
         self.profiler.end_cycle()

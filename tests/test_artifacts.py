@@ -26,7 +26,7 @@ def _record_run(directory, rate=0.3, seed=7, with_sampler=False, **cfg_kw):
     sampler = NetworkSampler(period=100) if with_sampler else None
     result = run_simulation(
         cfg, rate=rate, warmup=50, measure=200, drain=500,
-        metrics=registry, sampler=sampler,
+        metrics=registry, probes=[sampler] if with_sampler else (),
     )
     write_run_artifacts(
         str(directory), cfg, result, registry=registry,

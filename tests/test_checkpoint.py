@@ -224,10 +224,10 @@ class TestCaptureRestore:
     def test_run_simulation_refuses_checkpoint_with_faults(self, tmp_path):
         from repro.faults import FaultPlan
 
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="fault injection"):
             run_simulation(
                 mesh_config(mesh_k=4), faults=FaultPlan(seed=1),
-                checkpoint_path=str(tmp_path / "ck.json"), **RUN
+                probes=[Checkpointer(str(tmp_path / "ck.json"))], **RUN
             )
 
 
@@ -288,27 +288,22 @@ class TestCheckpointFiles:
         verify_resumable(payload, cfg, spec)  # matching: no raise
 
     def test_checkpointer_interval_validation(self, tmp_path):
-        cfg = mesh_config(mesh_k=4)
         with pytest.raises(ValueError):
-            Checkpointer(str(tmp_path / "ck.json"), 0, cfg, {})
-        ck = Checkpointer(str(tmp_path / "ck.json"), None, cfg, {})
+            Checkpointer(str(tmp_path / "ck.json"), 0)
+        ck = Checkpointer(str(tmp_path / "ck.json"), None)
         assert ck.every == 1000
 
     def test_checkpointer_fires_on_schedule_once_per_cycle(self, tmp_path):
         _fresh_pids()
         cfg = mesh_config(mesh_k=4, seed=3)
-        run = _build_run(cfg)
-        ck = Checkpointer(str(tmp_path / "ck.json"), 50, cfg, {})
-        net, inj = run.network, run.injector
-        net.stats.set_window(100, 300)
-        for _ in range(120):
-            for packet in inj.generate(net.cycle):
-                net.inject(packet)
-            net.step()
-            ck.maybe_save(run)
-            ck.maybe_save(run)  # double call at one cycle: one save
+        run = _build_run(cfg, warmup=100, measure=20, drain=0)
+        ck = Checkpointer(str(tmp_path / "ck.json"), 50)
+        run.probes.append(ck)
+        run.execute()
+        assert run.network.cycle == 120
         assert ck.saves == 2  # cycles 50 and 100
         assert ck.last_cycle == 100
+        assert ck.due == 150
 
     def test_checkpoint_with_legacy_backend_key_resumes(self):
         """A checkpoint written while the config still had a ``backend``

@@ -112,7 +112,8 @@ def run_outputs(config, run):
     flitmod.set_next_packet_id(0)
     registry = MetricsRegistry()
     recorder = DigestRecorder(every=64)
-    result = run_simulation(config, metrics=registry, digest=recorder, **run)
+    result = run_simulation(config, metrics=registry, probes=[recorder],
+                            **run)
     return {
         "result_sha256": _sha256(result.to_dict()),
         "metrics_sha256": _sha256(registry.to_dict()),

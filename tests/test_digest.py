@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from repro.checkpoint import SimulationKilled, load_checkpoint
+from repro.checkpoint import Checkpointer, SimulationKilled, load_checkpoint
 from repro.network import flit as flitmod
 from repro.network.config import mesh_config
 from repro.network.network import build_network
@@ -31,7 +31,7 @@ from repro.obs.digest import (
     read_digest_stream,
     state_diff,
 )
-from repro.sim.runner import SimulationRun, run_simulation
+from repro.sim.runner import KillAt, SimulationRun, run_simulation
 from repro.traffic.injection import BernoulliInjector, FixedLength
 from repro.traffic.patterns import build_pattern
 
@@ -43,7 +43,7 @@ RUN = dict(pattern="uniform", rate=0.3, warmup=100, measure=300, drain=200)
 def _run_with_digest(config, path=None, every=32, **overrides):
     flitmod.set_next_packet_id(0)
     recorder = DigestRecorder(every=every, path=path)
-    run_simulation(config, digest=recorder, **{**RUN, **overrides})
+    run_simulation(config, probes=[recorder], **{**RUN, **overrides})
     return recorder
 
 
@@ -108,13 +108,13 @@ class TestFingerprintStability:
         ck = str(tmp_path / "ck.json.gz")
         flitmod.set_next_packet_id(0)
         with pytest.raises(SimulationKilled):
-            run_simulation(_config(), checkpoint_path=ck,
-                           checkpoint_every=50, kill_at=220, **RUN)
+            run_simulation(_config(),
+                           probes=[Checkpointer(ck, 50), KillAt(220)], **RUN)
         ck_cycle = load_checkpoint(ck)["cycle"]
 
         flitmod.set_next_packet_id(0)
         recorder = DigestRecorder(every=32)
-        run_simulation(_config(), digest=recorder, resume_from=ck, **RUN)
+        run_simulation(_config(), probes=[recorder], resume_from=ck, **RUN)
 
         by_cycle = {r["cycle"]: r for r in ref.records}
         resumed = [r for r in recorder.records if r["cycle"] > ck_cycle]
@@ -263,7 +263,7 @@ class TestFirstDivergence:
         if broken:
             break_allocators(net)
         return SimulationRun(net, injector, warmup=20, measure=40, drain=20,
-                             digest=digest)
+                             probes=[] if digest is None else [digest])
 
     def test_injected_off_by_one_is_pinpointed(self, tmp_path):
         streams = []

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import SimulationKilled, load_checkpoint
+from repro.checkpoint import Checkpointer, SimulationKilled, load_checkpoint
 from repro.faults import (
     FaultController,
     FaultPlan,
@@ -40,7 +40,7 @@ from repro.network.router import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import MemorySink, TraceBus
-from repro.sim.runner import run_simulation
+from repro.sim.runner import KillAt, run_simulation
 from repro.topology import build_topology
 from repro.traffic import BimodalLength, FixedLength
 from repro.traffic.injection import BernoulliInjector
@@ -143,8 +143,7 @@ def test_checkpoint_round_trips_across_backends(tmp_path, first, second):
     flitmod.set_next_packet_id(0)
     with on_core(first), pytest.raises(SimulationKilled):
         run_simulation(
-            config, checkpoint_path=ck, checkpoint_every=100, kill_at=250,
-            **RUN,
+            config, probes=[Checkpointer(ck, 100), KillAt(250)], **RUN,
         )
     payload = load_checkpoint(ck)
 

@@ -38,13 +38,14 @@ from repro.traffic.patterns import build_pattern
 
 
 def run_traffic(net, rate=0.1, warmup=200, measure=600, drain=6000,
-                length=4, seed=99):
+                length=4, seed=99, probes=()):
     """Drive `net` with uniform random traffic; returns the SimResult."""
     rng = random.Random(seed)
     pat = build_pattern("uniform", net.num_terminals, rng)
     inj = BernoulliInjector(net.num_terminals, pat, rate,
                             FixedLength(length), rng)
-    return SimulationRun(net, inj, warmup, measure, drain).execute()
+    return SimulationRun(net, inj, warmup, measure, drain,
+                         probes=list(probes)).execute()
 
 
 def flit_balance(net):
@@ -257,14 +258,13 @@ class TestWatchdog:
     def test_seeded_deadlock_detected_with_dump(self, tmp_path):
         dump = tmp_path / "hang.json"
         net = Network(mesh_config(mesh_k=4))
-        net.attach_watchdog(
-            HangWatchdog(window=200, check_period=50, dump_path=str(dump))
-        )
+        watchdog = HangWatchdog(window=200, check_period=50,
+                                dump_path=str(dump))
         wedge_router(net, 0)
         net.inject(Packet(0, 15, 4, net.cycle))
         with pytest.raises(WatchdogError) as exc:
-            for _ in range(2000):
-                net.step()
+            run_traffic(net, rate=0.0, warmup=0, measure=2000, drain=0,
+                        probes=[watchdog])
         bundle = exc.value.bundle
         assert bundle["kind"] == "deadlock"
         assert bundle["in_flight"] > 0
@@ -276,20 +276,18 @@ class TestWatchdog:
 
     def test_report_mode_records_and_disarms(self):
         net = Network(mesh_config(mesh_k=4))
-        watchdog = net.attach_watchdog(
-            HangWatchdog(window=200, check_period=50, mode="report")
-        )
+        watchdog = HangWatchdog(window=200, check_period=50, mode="report")
         wedge_router(net, 0)
         net.inject(Packet(0, 15, 4, net.cycle))
-        for _ in range(2000):
-            net.step()
+        run_traffic(net, rate=0.0, warmup=0, measure=2000, drain=0,
+                    probes=[watchdog])
         assert len(watchdog.hangs) == 1  # disarmed after the first report
         assert watchdog.summary()["hangs"] == 1
 
     def test_quiet_on_healthy_run(self):
         net = Network(mesh_config(mesh_k=4))
-        watchdog = net.attach_watchdog(HangWatchdog(window=100))
-        result = run_traffic(net, rate=0.1)
+        watchdog = HangWatchdog(window=100)
+        result = run_traffic(net, rate=0.1, probes=[watchdog])
         assert result.drained
         assert watchdog.hangs == []
 
@@ -458,7 +456,7 @@ class TestRunnerIntegration:
             faults=plan,  # a bare plan is accepted and wrapped
             transport=ReliableTransport(timeout=200),
             invariants=InvariantChecker(period=32),
-            watchdog=HangWatchdog(window=500),
+            probes=[HangWatchdog(window=500)],
         )
         assert result.drained
         parts = result.faults
@@ -507,9 +505,9 @@ class TestAcceptanceScenario:
         controller = net.attach_faults(FaultController(plan))
         transport = net.attach_transport(ReliableTransport(timeout=600))
         checker = net.attach_invariants(InvariantChecker(period=64))
-        net.attach_watchdog(HangWatchdog(window=1500))
         result = run_traffic(net, rate=0.2, warmup=300, measure=900,
-                             drain=8000, length=4, seed=11)
+                             drain=8000, length=4, seed=11,
+                             probes=[HangWatchdog(window=1500)])
         assert result.drained
         assert controller.failed_links == 3
         assert controller.repaired_links == 1

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.faults import HangWatchdog
 from repro.network.config import mesh_config
 from repro.serve import job_records, read_events, spec_for
 from repro.serve.backoff import RetryPolicy
@@ -199,8 +200,10 @@ class TestPointFaultTolerance:
         seen = str(tmp_path / "seen")
 
         def before(kwargs):
+            window, = [p.window for p in kwargs["probes"]
+                       if isinstance(p, HangWatchdog)]
             with open(seen, "a") as fh:
-                fh.write(f"{kwargs['watchdog'].window}\n")
+                fh.write(f"{window}\n")
 
         patch_workers(monkeypatch, before)
         results = parallel_sweep(mesh_config(mesh_k=4), rates=[0.05],

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.network.config import mesh_config
-from repro.network.network import Network
 from repro.obs.profiler import (
     PHASES,
     PhaseProfiler,
@@ -70,42 +69,6 @@ class TestPartialEpochs:
         prof = PhaseProfiler(epoch_cycles=90)
         run_simulation(mesh_config(mesh_k=4), profiler=prof, **RUN)
         assert [e["cycles"] for e in prof.epochs] == [90, 90]
-
-
-class TestDetachReattach:
-    def test_detach_stops_accumulation(self):
-        config = mesh_config(mesh_k=4)
-        net = Network(config)
-        prof = net.attach_profiler(PhaseProfiler(epoch_cycles=10))
-        net.run(30)
-        prof.finish()
-        cycles_attached = prof.cycles
-        assert cycles_attached == 30
-        detached = net.detach_profiler()
-        assert detached is prof
-        assert net.profiler is None
-        assert all(r.profiler is None for r in net.routers)
-        net.run(25)
-        assert prof.cycles == cycles_attached  # nothing counted detached
-
-    def test_reattach_continues_accumulating(self):
-        config = mesh_config(mesh_k=4)
-        net = Network(config)
-        prof = PhaseProfiler(epoch_cycles=10)
-        net.attach_profiler(prof)
-        net.run(30)
-        net.detach_profiler()
-        net.run(100)
-        net.attach_profiler(prof)
-        net.run(20)
-        prof.finish()
-        # 30 attached + 20 re-attached; the 100 detached cycles invisible.
-        assert prof.cycles == 50
-        assert sum(e["cycles"] for e in prof.epochs) == 50
-
-    def test_detach_without_attach_returns_none(self):
-        net = Network(mesh_config(mesh_k=4))
-        assert net.detach_profiler() is None
 
 
 class TestSerializationStability:

@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.checkpoint import SimulationKilled, load_checkpoint
+from repro.checkpoint import Checkpointer, SimulationKilled, load_checkpoint
+from repro.faults import InvariantChecker
 from repro.network import flit as flitmod
 from repro.network.config import mesh_config
+from repro.obs import NetworkSampler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
 from repro.obs.trace import MemorySink, TraceBus
@@ -26,7 +28,9 @@ from repro.serve import JobStore, fold_events, job_records
 from repro.serve.cache import ResultCache
 from repro.sim import runner
 from repro.sim.parallel import parallel_sweep
-from repro.sim.runner import run_simulation
+from repro.sim.runner import KillAt, Probe, run_simulation
+
+from tests.test_telemetry import FakeRun, drive
 
 
 RUN = dict(pattern="uniform", rate=0.3, warmup=200, measure=400, drain=300)
@@ -63,8 +67,8 @@ def test_killed_and_resumed_run_matches_uninterrupted(
     ck = str(tmp_path / "ck.json.gz")
     flitmod.set_next_packet_id(0)
     with pytest.raises(SimulationKilled):
-        run_simulation(config, checkpoint_path=ck, checkpoint_every=100,
-                       kill_at=kill_at, **RUN)
+        run_simulation(config, probes=[Checkpointer(ck, 100), KillAt(kill_at)],
+                       **RUN)
     ck_cycle = load_checkpoint(ck)["cycle"]
     assert 0 < ck_cycle <= kill_at
 
@@ -97,8 +101,8 @@ def test_mid_warmup_restore_keeps_same_seed_runs_identical(tmp_path):
     flitmod.set_next_packet_id(0)
     with pytest.raises(SimulationKilled):
         # Kill inside the warmup (warmup=200), checkpoint right at 100.
-        run_simulation(config, checkpoint_path=ck, checkpoint_every=100,
-                       kill_at=120, **RUN)
+        run_simulation(config, probes=[Checkpointer(ck, 100), KillAt(120)],
+                       **RUN)
     assert load_checkpoint(ck)["cycle"] == 100
 
     flitmod.set_next_packet_id(0)
@@ -116,16 +120,71 @@ def test_resumed_checkpoint_of_checkpoint_still_matches(tmp_path):
     ck = str(tmp_path / "ck.json")
     flitmod.set_next_packet_id(0)
     with pytest.raises(SimulationKilled):
-        run_simulation(config, checkpoint_path=ck, checkpoint_every=100,
-                       kill_at=250, **RUN)
+        run_simulation(config, probes=[Checkpointer(ck, 100), KillAt(250)],
+                       **RUN)
     flitmod.set_next_packet_id(0)
     with pytest.raises(SimulationKilled):
-        run_simulation(config, checkpoint_path=ck, checkpoint_every=100,
-                       kill_at=600, resume_from=ck, **RUN)
+        run_simulation(config, probes=[Checkpointer(ck, 100), KillAt(600)],
+                       resume_from=ck, **RUN)
     flitmod.set_next_packet_id(0)
     result = run_simulation(config, resume_from=ck, **RUN)
     assert json.dumps(result.to_dict(), sort_keys=True) == \
         json.dumps(ref_result.to_dict(), sort_keys=True)
+
+
+#: The resumed-run observer checks: kill at 450 with a checkpoint
+#: there, then resume.
+OBSERVED = dict(pattern="uniform", rate=0.3, warmup=200, measure=600,
+                drain=0)
+
+
+def _killed_at_450(tmp_path):
+    config = mesh_config(mesh_k=4, seed=3, chaining="any_input")
+    ck = str(tmp_path / "ck.json.gz")
+    flitmod.set_next_packet_id(0)
+    with pytest.raises(SimulationKilled):
+        run_simulation(config, probes=[Checkpointer(ck, 150), KillAt(450)],
+                       **OBSERVED)
+    assert load_checkpoint(ck)["cycle"] == 450
+    return config, ck
+
+
+def test_resumed_run_checks_invariants_on_the_restored_state(tmp_path):
+    """Strict invariant checks on a resumed run find no credit leak:
+    the checker binds the credit lists the restore put in place, not
+    the ones it replaced."""
+    config, ck = _killed_at_450(tmp_path)
+    checker = InvariantChecker(mode="strict")
+    result = run_simulation(config, invariants=checker, resume_from=ck,
+                            **OBSERVED)
+    assert result.faults["invariants"]["violations"] == 0
+    assert checker.checks_run > 0
+
+
+def test_resumed_run_samples_deltas_since_the_restore(tmp_path):
+    """A sampler on a resumed run starts at the restore cycle: summed
+    over its samples, the ``port_flits`` deltas equal the routers'
+    ``port_flits`` growth since the restore, not since cycle 0."""
+    config, ck = _killed_at_450(tmp_path)
+
+    class AtStart(Probe):
+        def start(self, run):
+            self.port_flits = [list(r.port_flits)
+                               for r in run.network.routers]
+
+    at_start = AtStart()
+    sampler = NetworkSampler(period=1)
+    run_simulation(config, resume_from=ck, probes=[at_start, sampler],
+                   **OBSERVED)
+    assert sampler.samples[0]["cycle"] == 450
+    assert sampler.samples[-1]["cycle"] == 799  # the last cycle stepped
+    routers = sampler.network.routers
+    growth = [[now - then for now, then in zip(r.port_flits, before)]
+              for r, before in zip(routers, at_start.port_flits)]
+    summed = [[sum(s["port_flits"][i][p] for s in sampler.samples)
+               for p in range(r.radix)] for i, r in enumerate(routers)]
+    assert summed == growth
+    assert any(any(row) for row in growth)  # not vacuous
 
 
 def test_wavefront_same_seed_instances_are_deterministic():
@@ -423,10 +482,11 @@ def test_run_heartbeats_torn_anywhere_keep_the_acknowledged_records(runs,
     def run(path, every, cycles, status, start, acked):
         tele = _Recording(acked, path=path, every=every, rate=0.25,
                           clock=_Clock(), walltime=_Clock())
-        tele.begin(total_cycles=start + cycles, start_cycle=start)
-        for cycle in range(start + 1, start + cycles + 1):
-            tele.on_cycle(cycle, "main")
-        tele.finish(status, cycle=start + cycles)
+        sim = FakeRun(total_cycles=start + cycles, start_cycle=start,
+                      phase="main")
+        tele.start(sim)
+        drive(tele, sim, start + cycles)
+        tele.finish(sim, status, None)
         return start + cycles
 
     with tempfile.TemporaryDirectory() as root:

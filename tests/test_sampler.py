@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import random
 
 import pytest
 
@@ -9,7 +10,9 @@ from repro.network.config import fbfly_config, mesh_config
 from repro.network.network import Network
 from repro.obs import SAMPLE_FIELDS, NetworkSampler
 from repro.obs.sampler import shade
-from repro.sim.runner import run_simulation
+from repro.sim.runner import SimulationRun, run_simulation
+from repro.traffic.injection import BernoulliInjector, FixedLength
+from repro.traffic.patterns import build_pattern
 
 
 def _sampled_run(period=50, capacity=1024, cycles=300, rate=0.4,
@@ -18,9 +21,19 @@ def _sampled_run(period=50, capacity=1024, cycles=300, rate=0.4,
     cfg = mesh_config(mesh_k=mesh_k, chaining=chaining)
     result = run_simulation(
         cfg, rate=rate, warmup=0, measure=cycles, drain=0, seed=3,
-        sampler=sampler,
+        probes=[sampler],
     )
     return result, sampler
+
+
+def _bare_run(measure):
+    """A SimulationRun on an idle 4x4 mesh (no traffic offered)."""
+    net = Network(mesh_config(mesh_k=4))
+    rng = random.Random(1)
+    pattern = build_pattern("uniform", net.num_terminals, rng)
+    injector = BernoulliInjector(net.num_terminals, pattern, 0.0,
+                                 FixedLength(1), rng)
+    return SimulationRun(net, injector, warmup=0, measure=measure, drain=0)
 
 
 class TestSampling:
@@ -59,16 +72,18 @@ class TestSampling:
         assert max(per_sample) < net_total
 
     def test_unattached_network_has_no_sampler(self):
+        """Samplers are run probes; the network carries no hook."""
         net = Network(mesh_config(mesh_k=4))
-        assert net.sampler is None
+        assert not hasattr(net, "sampler")
+        assert _bare_run(10).probes == []
 
-    def test_bind_mid_run_starts_at_current_cycle(self):
-        net = Network(mesh_config(mesh_k=4))
+    def test_start_mid_run_starts_at_current_cycle(self):
+        run = _bare_run(40)
         for _ in range(30):
-            net.step()
-        sampler = net.attach_sampler(NetworkSampler(period=100))
-        for _ in range(10):
-            net.step()
+            run.step_cycle()
+        sampler = NetworkSampler(period=100)
+        run.probes.append(sampler)
+        run.execute()  # starts the sampler at cycle 30, runs to 40
         assert [s["cycle"] for s in sampler.samples] == [30]
 
     def test_validation(self):
@@ -137,7 +152,7 @@ class TestHeatmap:
 
     def test_heatmap_no_samples(self):
         sampler = NetworkSampler()
-        sampler.bind(Network(mesh_config(mesh_k=4)))
+        sampler.start(_bare_run(10))
         assert sampler.heatmap() == "(no samples)"
 
     def test_heatmap_bad_reduce(self):
@@ -149,7 +164,7 @@ class TestHeatmap:
         sampler = NetworkSampler(period=100)
         cfg = fbfly_config(fbfly_rows=2, fbfly_cols=2)
         run_simulation(
-            cfg, rate=0.1, warmup=0, measure=100, drain=0, sampler=sampler,
+            cfg, rate=0.1, warmup=0, measure=100, drain=0, probes=[sampler],
         )
         with pytest.raises(TypeError):
             sampler.heatmap()

@@ -78,14 +78,14 @@ class TestRetryPolicy:
 class TestJobSpec:
     def test_hash_matches_checkpoint_config_hash(self, tmp_path):
         """The cache key IS the checkpoint machinery's content address."""
-        from repro.checkpoint import load_checkpoint
+        from repro.checkpoint import Checkpointer, load_checkpoint
         from repro.sim.runner import run_simulation
 
         cfg = mesh_config(mesh_k=2)
         spec = spec_for(cfg, rate=0.1, **SMALL)
         ck = str(tmp_path / "ck.json")
-        run_simulation(cfg, rate=0.1, **SMALL, checkpoint_path=ck,
-                       checkpoint_every=50)
+        run_simulation(cfg, rate=0.1, **SMALL,
+                       probes=[Checkpointer(ck, 50)])
         assert load_checkpoint(ck)["config_hash"] == spec.spec_hash()
 
     def test_execution_knobs_do_not_change_hash(self):

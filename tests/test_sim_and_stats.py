@@ -3,11 +3,16 @@
 import pytest
 
 from repro import ChainingScheme, mesh_config, run_simulation
+from repro.checkpoint import Checkpointer
+from repro.faults import HangWatchdog
+from repro.network.flit import Packet, set_next_packet_id
+from repro.obs import NetworkSampler, RunTelemetry
+from repro.obs.digest import DigestRecorder
+from repro.obs.trace import read_jsonl
 from repro.sim.parallel import parallel_sweep
 from repro.sim.sweep import find_saturation
 from repro.stats.collector import StatsCollector
 from repro.stats.summary import LatencySummary
-from repro.network.flit import Packet
 
 
 class TestStatsCollector:
@@ -144,6 +149,63 @@ class TestRunSimulation:
             cfg, rate=0.2, lengths=BimodalLength(1, 5), warmup=200, measure=400
         )
         assert r.avg_throughput == pytest.approx(0.2, abs=0.04)
+
+
+def _record_firings(probe):
+    """Wrap ``probe.on_cycle``; returns the post-step cycles it fires at."""
+    cycles = []
+    on_cycle = probe.on_cycle
+
+    def recorded(run):
+        cycles.append(run.network.cycle)
+        on_cycle(run)
+
+    probe.on_cycle = recorded
+    return cycles
+
+
+class TestProbes:
+    def test_probes_do_not_change_results_and_fire_on_cadence(self,
+                                                              tmp_path):
+        """Sampler, report-mode watchdog, telemetry to a file, digest
+        and checkpointer on one run: the SimResult equals a bare run's
+        apart from the watchdog's summary, and each probe fires exactly
+        on its own cadence."""
+        config = mesh_config(mesh_k=4, seed=5,
+                             chaining=ChainingScheme.ANY_INPUT)
+        run = dict(rate=0.3, warmup=100, measure=300, drain=200)
+        set_next_packet_id(0)
+        bare = run_simulation(config, **run).to_dict()
+
+        sampler = NetworkSampler(period=7)
+        watchdog = HangWatchdog(check_period=5, mode="report")
+        telemetry = RunTelemetry(path=str(tmp_path / "hb.jsonl"), every=13)
+        digest = DigestRecorder(every=11)
+        checkpointer = Checkpointer(str(tmp_path / "ck.json"), every=17)
+        probes = [sampler, watchdog, telemetry, digest, checkpointer]
+        fired = [_record_firings(p) for p in probes]
+        set_next_packet_id(0)
+        probed = run_simulation(config, probes=probes, **run).to_dict()
+
+        assert probed.pop("faults") == {"watchdog": watchdog.summary()}
+        assert bare.pop("faults") is None
+        assert probed == bare
+        end = probed["cycles_run"]
+        assert fired == [
+            list(range(1, end + 1, 7)),
+            list(range(1, end + 1, 5)),
+            list(range(13, end + 1, 13)),
+            list(range(11, end + 1, 11)),
+            list(range(17, end + 1, 17)),
+        ]
+        # Each probe's own output follows the cycles it fired at.
+        assert [s["cycle"] + 1 for s in sampler.samples] == fired[0]
+        beats = [r["cycle"] for r in read_jsonl(str(tmp_path / "hb.jsonl"))
+                 if r["ev"] == "heartbeat"]
+        assert beats == fired[2]
+        assert [r["cycle"] for r in digest.records] == fired[3] + [end]
+        assert checkpointer.last_cycle == fired[4][-1]
+        assert checkpointer.saves == len(fired[4])
 
 
 class TestSweeps:

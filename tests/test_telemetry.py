@@ -2,6 +2,7 @@
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,9 +10,27 @@ from repro.checkpoint import SimulationKilled
 from repro.network.config import mesh_config
 from repro.obs.telemetry import RunTelemetry, rss_kb
 from repro.obs.trace import read_jsonl
-from repro.sim.runner import run_simulation
+from repro.sim.runner import KillAt, run_simulation
 
 RUN = dict(rate=0.1, warmup=100, measure=200, drain=0, seed=3)
+
+
+class FakeRun:
+    """Just enough SimulationRun for a probe: cycle, phase, schedule."""
+
+    def __init__(self, total_cycles, start_cycle=0, phase="measure",
+                 profiler=None):
+        self.network = SimpleNamespace(cycle=start_cycle, profiler=profiler)
+        self.phase = phase
+        self.warmup, self.measure, self.drain = total_cycles, 0, 0
+
+
+def drive(probe, run, to_cycle):
+    """Step ``run`` to ``to_cycle``, firing ``probe`` when it is due."""
+    for cycle in range(run.network.cycle + 1, to_cycle + 1):
+        run.network.cycle = cycle
+        if cycle >= probe.due:
+            probe.on_cycle(run)
 
 
 class FakeClock:
@@ -35,10 +54,10 @@ class TestRunTelemetry:
         path = tmp_path / "run.hb.jsonl"
         tele = RunTelemetry(path=str(path), every=10, rate=0.25,
                             clock=FakeClock())
-        tele.begin(total_cycles=40)
-        for cycle in range(1, 41):
-            tele.on_cycle(cycle, "measure")
-        tele.finish("done", cycle=40)
+        run = FakeRun(total_cycles=40)
+        tele.start(run)
+        drive(tele, run, 40)
+        tele.finish(run, "done", None)
 
         records = read_jsonl(str(path))
         events = [r["ev"] for r in records]
@@ -59,10 +78,10 @@ class TestRunTelemetry:
     def test_no_heartbeat_before_period(self, tmp_path):
         path = tmp_path / "run.hb.jsonl"
         tele = RunTelemetry(path=str(path), every=1000, clock=FakeClock())
-        tele.begin(total_cycles=100)
-        for cycle in range(1, 101):
-            tele.on_cycle(cycle, "measure")
-        tele.finish("done", cycle=100)
+        run = FakeRun(total_cycles=100)
+        tele.start(run)
+        drive(tele, run, 100)
+        tele.finish(run, "done", None)
         events = [r["ev"] for r in read_jsonl(str(path))]
         assert events == ["start", "finish"]
 
@@ -70,8 +89,10 @@ class TestRunTelemetry:
         path = tmp_path / "run.hb.jsonl"
         result = run_simulation(mesh_config(mesh_k=4), **RUN)
         tele = RunTelemetry(path=str(path), every=50, clock=FakeClock())
-        tele.begin(total_cycles=300)
-        tele.finish("done", cycle=300, result=result)
+        run = FakeRun(total_cycles=300)
+        tele.start(run)
+        run.network.cycle = 300
+        tele.finish(run, "done", result)
         finish = read_jsonl(str(path))[-1]
         assert finish["status"] == "done"
         assert finish["result"]["cycles_run"] == result.cycles_run
@@ -80,19 +101,21 @@ class TestRunTelemetry:
     def test_finish_twice_is_safe(self, tmp_path):
         path = tmp_path / "run.hb.jsonl"
         tele = RunTelemetry(path=str(path), every=10, clock=FakeClock())
-        tele.begin(total_cycles=10)
-        tele.finish("done", cycle=10)
-        tele.finish("done", cycle=10)  # must not raise or duplicate
+        run = FakeRun(total_cycles=10)
+        tele.start(run)
+        run.network.cycle = 10
+        tele.finish(run, "done", None)
+        tele.finish(run, "done", None)  # must not raise or duplicate
         events = [r["ev"] for r in read_jsonl(str(path))]
         assert events.count("finish") == 1
 
     def test_console_progress_line(self):
         console = io.StringIO()
         tele = RunTelemetry(console=console, every=10, clock=FakeClock())
-        tele.begin(total_cycles=20)
-        for cycle in range(1, 21):
-            tele.on_cycle(cycle, "measure")
-        tele.finish("done", cycle=20)
+        run = FakeRun(total_cycles=20)
+        tele.start(run)
+        drive(tele, run, 20)
+        tele.finish(run, "done", None)
         text = console.getvalue()
         assert "\rcycle 10/20" in text
         assert "cycles/sec" in text
@@ -101,10 +124,10 @@ class TestRunTelemetry:
     def test_console_untouched_when_no_heartbeat_fired(self):
         console = io.StringIO()
         tele = RunTelemetry(console=console, every=1000, clock=FakeClock())
-        tele.begin(total_cycles=5)
-        for cycle in range(1, 6):
-            tele.on_cycle(cycle, "measure")
-        tele.finish("done", cycle=5)
+        run = FakeRun(total_cycles=5)
+        tele.start(run)
+        drive(tele, run, 5)
+        tele.finish(run, "done", None)
         assert console.getvalue() == ""
 
     def test_profiler_phase_split_embedded(self, tmp_path):
@@ -114,9 +137,11 @@ class TestRunTelemetry:
 
         path = tmp_path / "run.hb.jsonl"
         tele = RunTelemetry(path=str(path), every=10, clock=FakeClock())
-        tele.begin(total_cycles=10, profiler=FakeProfiler())
-        tele.on_cycle(10, "warmup")
-        tele.finish()
+        run = FakeRun(total_cycles=10, phase="warmup",
+                      profiler=FakeProfiler())
+        tele.start(run)
+        drive(tele, run, 10)
+        tele.finish(run, "done", None)
         beat = [r for r in read_jsonl(str(path))
                 if r["ev"] == "heartbeat"][0]
         assert beat["phase_seconds"] == {"sa": 1.5, "stream": 0.5}
@@ -126,7 +151,7 @@ class TestRunnerIntegration:
     def test_run_simulation_emits_heartbeats(self, tmp_path):
         path = tmp_path / "run.hb.jsonl"
         tele = RunTelemetry(path=str(path), every=100)
-        result = run_simulation(mesh_config(mesh_k=4), telemetry=tele,
+        result = run_simulation(mesh_config(mesh_k=4), probes=[tele],
                                 **RUN)
         records = read_jsonl(str(path))
         assert records[0]["ev"] == "start"
@@ -141,8 +166,8 @@ class TestRunnerIntegration:
         path = tmp_path / "run.hb.jsonl"
         tele = RunTelemetry(path=str(path), every=50)
         with pytest.raises(SimulationKilled):
-            run_simulation(mesh_config(mesh_k=4), telemetry=tele,
-                           kill_at=150, **RUN)
+            run_simulation(mesh_config(mesh_k=4),
+                           probes=[tele, KillAt(150)], **RUN)
         finish = read_jsonl(str(path))[-1]
         assert finish["ev"] == "finish"
         assert finish["status"] == "killed"
@@ -151,7 +176,7 @@ class TestRunnerIntegration:
     def test_telemetry_does_not_change_results(self, tmp_path):
         plain = run_simulation(mesh_config(mesh_k=4), **RUN)
         tele = RunTelemetry(path=str(tmp_path / "t.hb.jsonl"), every=50)
-        traced = run_simulation(mesh_config(mesh_k=4), telemetry=tele,
+        traced = run_simulation(mesh_config(mesh_k=4), probes=[tele],
                                 **RUN)
         assert plain.to_dict() == traced.to_dict()
 
