@@ -18,8 +18,8 @@ The resilience layer for the simulation core:
   end-to-end sequence numbers, acks, and bounded exponential-backoff
   retransmission so applications survive a lossy network.
 
-All of it is opt-in: a network without a controller/checker/watchdog
-attached pays one ``is None`` branch per cycle per instrument.
+All of it is opt-in: a network without a controller or checker pays
+one ``is None`` branch per cycle each; the watchdog is a run probe.
 """
 
 from repro.faults.controller import FaultController, RouterFaultView

@@ -189,8 +189,6 @@ class DigestRecorder:
         self.digests_taken = 0
         self._closed = False
 
-    # --- run probe ----------------------------------------------------
-
     def start(self, run):
         """Stream the header record (config identity for later replay)."""
         header = {"kind": "header", "schema": DIGEST_SCHEMA,

@@ -60,8 +60,6 @@ class NetworkSampler:
         self.network = None
         self._last_port_flits = None
 
-    # --- run probe ----------------------------------------------------------
-
     def start(self, run):
         """Samples start with the run's first cycle (after any restore)."""
         self.network = net = run.network
