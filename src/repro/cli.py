@@ -810,7 +810,7 @@ def build_parser():
     p.add_argument("--shards", type=int, default=2, metavar="N",
                    help="worker processes / row bands (<= mesh-k)")
     p.add_argument("--out-dir", default=None, metavar="DIR",
-                   help="run-state directory (exchange files, checkpoints, "
+                   help="run-state directory (exchange files, finals, "
                         "journal); rerun on it to resume a killed run")
     p.add_argument("--check-single", action="store_true",
                    help="also run single-process and verify bit-identical "

@@ -171,7 +171,8 @@ class DigestRecorder:
     """Periodic digest taker + JSONL stream + rolling run fingerprint.
 
     A run probe (see :class:`repro.sim.runner.Probe`): :meth:`start`
-    writes the header, :meth:`on_cycle` takes a digest after every
+    opens ``path`` and writes the header (a run refused before it
+    starts leaves no file), :meth:`on_cycle` takes a digest after every
     cycle that is a multiple of ``every``, and :meth:`finish` of a
     completed run takes a final digest even off the stride, so the
     fingerprint always covers the end state.
@@ -182,7 +183,7 @@ class DigestRecorder:
             raise ValueError(f"digest interval must be >= 1, got {every}")
         self.every = int(every)
         self.path = path
-        self._fh = open_text_write(path) if path is not None else None
+        self._fh = None
         #: Digest records taken, newest last (bounded if ``keep`` set).
         self.records = deque(maxlen=keep)
         self._rolling = hashlib.sha256()
@@ -191,6 +192,8 @@ class DigestRecorder:
 
     def start(self, run):
         """Stream the header record (config identity for later replay)."""
+        if self.path is not None:
+            self._fh = open_text_write(self.path)
         header = {"kind": "header", "schema": DIGEST_SCHEMA,
                   "every": self.every, "observers": "final-only",
                   "config": run.network.config.to_dict()}

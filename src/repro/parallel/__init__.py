@@ -4,8 +4,8 @@ One process per shard steps a row-band of a mesh/torus independently
 for a conservative-lookahead window (bounded by the minimum boundary
 channel latency), then exchanges boundary flits/credits through
 fsynced, window-stamped exchange files. Workers are supervised
-(heartbeat leases, PDEATHSIG, confirmed kill), checkpoint on a window
-cadence, and restart mid-run bit-identically; the merged end state is
+(heartbeat leases, PDEATHSIG, confirmed kill) and a restarted one
+replays from cycle 0 bit-identically; the merged end state is
 provably equivalent to a single-process run (same SimResult, metrics
 export, and digest Merkle root).
 

@@ -5,15 +5,15 @@
 same SimResult out — but the network is partitioned into row-band
 shards, each stepped by a supervised worker process (repro.parallel.
 worker). The coordinator never touches simulation state; all protocol
-state lives in the run directory, so a killed coordinator (or a worker
-SIGKILLed mid-window) resumes by re-invoking ``shard_run`` with the
-same ``out_dir``.
+state lives in the run directory, so a killed coordinator resumes by
+re-invoking ``shard_run`` with the same ``out_dir``: shards with a
+valid final are done, and every other shard replays from cycle 0.
 
 Each shard attempt is one supervised attempt of :mod:`repro.proc`, the
 primitive repro.serve's jobs use too: one spawn, one heartbeat lease,
 one reap verdict. A worker that dies, fails, or stops beating for
 ``lease_timeout`` is confirmed-killed; the coordinator's own policy is
-to restart it from its newest checkpoint, up to ``max_restarts`` times,
+to restart it, replaying from cycle 0, up to ``max_restarts`` times,
 and to accept an ``ok`` outcome only with a valid final payload. A
 worker blocked on a peer's exchange file keeps beating while it waits,
 so only the peer's lease runs out. There is no graceful stop: SIGTERM or Ctrl-C
@@ -31,27 +31,24 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.checkpoint import (
-    canonical_json,
-    canonical_run_spec,
-    config_hash,
-)
+from repro.checkpoint import canonical_json, config_hash
+from repro.network.flit import set_next_packet_id
 from repro.obs.artifacts import atomic_write
+from repro.obs.digest import digest_network
 from repro.obs.trace import append_jsonl
 from repro.parallel.exchange import EXCH_DIR
 from repro.parallel.merge import assemble_result
 from repro.parallel.partition import ShardPlan
 from repro.parallel.worker import (
-    CKPT_DIR,
-    CKPT_SCHEMA,
     FINAL_DIR,
+    FINAL_SCHEMA,
     _FINAL_MAGIC,
     final_path,
     load_payload_gz,
     run_shard_worker,
 )
 from repro.proc import confirmed_kill, spawn_attempt, wait_for_exit
-from repro.traffic.injection import FixedLength
+from repro.sim.runner import build_run, config_and_spec
 
 _RUN_MAGIC = "repro-shard-run"
 
@@ -91,7 +88,7 @@ def _load_final(out_dir, shard, expected_hash):
     except (OSError, EOFError, json.JSONDecodeError):
         return None
     if (payload.get("magic") != _FINAL_MAGIC
-            or payload.get("schema") != CKPT_SCHEMA
+            or payload.get("schema") != FINAL_SCHEMA
             or payload.get("config_hash") != expected_hash
             or payload.get("shard") != shard):
         return None
@@ -105,45 +102,30 @@ def single_process_run(config, pattern="uniform", rate=0.2, packet_length=1,
     ``(SimResult, digest_root)`` — the equivalence oracle for
     :func:`shard_run`. Resets the global packet-id counter first, as a
     fresh worker process would."""
-    import random as _random
-
-    from repro.network.flit import set_next_packet_id
-    from repro.network.network import build_network
-    from repro.obs.digest import digest_network
-    from repro.sim.runner import SimulationRun
-    from repro.traffic.injection import BernoulliInjector
-    from repro.traffic.patterns import build_pattern
-
-    if seed is not None:
-        from dataclasses import replace
-
-        config = replace(config, seed=seed)
-    dist = lengths if lengths is not None else FixedLength(packet_length)
+    config, run_spec = config_and_spec(config, seed, pattern, rate,
+                                       packet_length, lengths, warmup,
+                                       measure, drain)
     set_next_packet_id(0)
-    net = build_network(config)
-    traffic_rng = _random.Random(config.seed + 0x5EED)
-    pattern_obj = build_pattern(pattern, net.num_terminals, traffic_rng)
-    injector = BernoulliInjector(net.num_terminals, pattern_obj, rate, dist,
-                                 traffic_rng)
-    run = SimulationRun(net, injector, warmup, measure, drain)
+    run = build_run(config, run_spec)
     result = run.execute()
-    return result, digest_network(net, injector, observers=True)["root"]
+    root = digest_network(run.network, run.injector, observers=True)["root"]
+    return result, root
 
 
 def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
               lengths=None, warmup=1000, measure=3000, drain=2000,
               seed=None, shards=2, out_dir=None, window=None,
-              checkpoint_windows=None, max_restarts=3, lease_timeout=15.0,
-              poll=0.02, grace=2.0, chaos=None, metrics=None):
+              max_restarts=3, lease_timeout=15.0, poll=0.02, grace=2.0,
+              chaos=None, metrics=None):
     """Run one experiment sharded across supervised worker processes.
 
     Returns a :class:`ShardRunResult` whose SimResult, metrics export,
     and digest root are bit-identical to the single-process
     ``run_simulation`` of the same parameters. ``out_dir`` holds all
-    protocol state (exchange files, checkpoints, finals, journal); a
-    fresh temporary directory is created when omitted. Re-invoking with
-    an existing ``out_dir`` resumes: shards with valid finals are
-    skipped, the rest restart from their newest checkpoints.
+    protocol state (exchange files, finals, journal); a fresh temporary
+    directory is created when omitted. Re-invoking with an existing
+    ``out_dir`` resumes: shards with valid finals are skipped, the rest
+    replay from cycle 0 against the exchange files already published.
 
     ``lease_timeout`` must exceed a worker's longest beat-free section
     (DESIGN.md §11 has the measured ones).
@@ -152,14 +134,11 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
     repro.parallel.worker) applied on that shard's first attempt only —
     test/CI plumbing for the restart path.
     """
-    if seed is not None:
-        from dataclasses import replace
-
-        config = replace(config, seed=seed)
-    dist = lengths if lengths is not None else FixedLength(packet_length)
+    config, run_spec = config_and_spec(config, seed, pattern, rate,
+                                       packet_length, lengths, warmup,
+                                       measure, drain)
     plan = ShardPlan(config, shards)
     win = plan.window_for(window)
-    run_spec = canonical_run_spec(pattern, rate, dist, warmup, measure, drain)
     expected_hash = config_hash(config, run_spec)
     chaos = {int(k): dict(v) for k, v in (chaos or {}).items()}
 
@@ -167,8 +146,7 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
         import tempfile
 
         out_dir = tempfile.mkdtemp(prefix="repro-shard-")
-    for sub in (CKPT_DIR, FINAL_DIR):
-        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+    os.makedirs(os.path.join(out_dir, FINAL_DIR), exist_ok=True)
     for i in range(shards):
         os.makedirs(os.path.join(out_dir, EXCH_DIR, f"s{i}"), exist_ok=True)
 
@@ -225,7 +203,6 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
         options = {
             "shards": shards,
             "window": win,
-            "checkpoint_windows": checkpoint_windows,
             "chaos": chaos.get(i) if attempts[i] == 1 else None,
             "wake_fd": wake[i][0],
             "peer_wake_fds": [w for j, (_r, w) in enumerate(wake) if j != i],
@@ -299,22 +276,22 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
         if payload is None:
             raise ShardRunError(f"shard {i} completed without a valid final")
         payloads.append(payload)
-    result, digest_root, net, _injector = assemble_result(
-        config, run_spec, plan, payloads, metrics=metrics
-    )
+    result, digest_root = assemble_result(config, run_spec, plan, payloads,
+                                          metrics=metrics)
 
     timers = {}
     for payload in payloads:
         for key, value in (payload.get("timers") or {}).items():
             timers[key] = timers.get(key, 0.0) + value
     append_jsonl(journal, {"t": time.time(), "event": "assembled",
-                           "cycle": net.cycle, "digest_root": digest_root,
+                           "cycle": result.cycles_run,
+                           "digest_root": digest_root,
                            "restarts": restarts_total})
     summary_path = os.path.join(out_dir, "result.json")
     with atomic_write(summary_path) as fh:
         fh.write(canonical_json({
             "digest_root": digest_root,
-            "cycles": net.cycle,
+            "cycles": result.cycles_run,
             "drained": result.drained,
             "drain_cycles": result.drain_cycles,
             "avg_throughput": result.avg_throughput,
@@ -326,6 +303,6 @@ def shard_run(config, pattern="uniform", rate=0.2, packet_length=1,
         fh.write("\n")
     return ShardRunResult(
         status="done", shards=shards, window=win, out_dir=out_dir,
-        result=result, digest_root=digest_root, cycles=net.cycle,
+        result=result, digest_root=digest_root, cycles=result.cycles_run,
         restarts=restarts_total, timers=timers,
     )

@@ -19,10 +19,10 @@ stale one costs one ``stat``.
 
 Packet identity across imports: flits of one packet may cross a
 boundary in different windows (wormhole packets span windows), and a
-restarted worker rebuilds earlier flits from a checkpoint. Both paths
-must yield the *same* Packet object per pid inside one worker — the
-router's streaming desync check compares object identity. The
-:class:`PacketArena` is that per-worker identity map; checkpoint
+drain replay rebuilds earlier flits from the window-start snapshot.
+Both paths must yield the *same* Packet object per pid inside one
+worker — the router's streaming desync check compares object identity.
+The :class:`PacketArena` is that per-worker identity map; snapshot
 restores and exchange imports both materialize packets through an
 :class:`ArenaContext` bound to it.
 """
@@ -133,7 +133,7 @@ def wait_for_exchange(root, shard, window, heartbeat=None, poll=0.01,
 
 
 # ---------------------------------------------------------------------------
-# packet identity across checkpoint restores and window imports
+# packet identity across snapshot restores and window imports
 
 
 class PacketArena:
@@ -141,7 +141,7 @@ class PacketArena:
 
     One arena spans one worker's lifetime of restores and imports, so a
     flit imported in window ``k+1`` references the same Packet object
-    as its siblings restored from a checkpoint or imported in window
+    as its siblings restored from a snapshot or imported in window
     ``k``. A drain replay rewinds into a *fresh* arena (the restored
     snapshot replaces every live reference wholesale).
     """

@@ -22,21 +22,17 @@ payload — routers, sources, and sinks in their owner shard — except:
   ``blocked_cycles`` each time it hands flits of it downstream, so the
   merged count is the sum over every copy.
 
-The merged state restores into a fresh ``build_network(config)``, from
-which the SimResult, the metrics export, and the digest Merkle root
-are computed exactly as a single-process run computes them.
+The merged state restores into a fresh run from
+:func:`~repro.sim.runner.build_run`, which the single-process run is
+built by too; its SimResult and metrics export come from the runner's
+own :meth:`~repro.sim.runner.SimulationRun.summary`, and its digest
+Merkle root from the same ``digest_network`` call.
 """
-
-import random
 
 from repro.checkpoint import RestoreContext
 from repro.network.flit import set_next_packet_id
-from repro.network.network import build_network
 from repro.obs.digest import digest_network
-from repro.parallel.partition import ShardPlan
-from repro.stats.summary import summarize
-from repro.traffic.injection import BernoulliInjector
-from repro.traffic.patterns import build_pattern
+from repro.sim.runner import build_run
 
 
 class MergeError(RuntimeError):
@@ -198,12 +194,12 @@ def assemble_network_state(plan, payloads):
 
 
 def assemble_result(config, run_spec, plan, payloads, metrics=None):
-    """Merged (SimResult, digest root, Network, injector) for a run.
+    """Merged ``(SimResult, digest root)`` of a sharded run.
 
     ``payloads`` is the per-shard final payload list, indexed by shard.
-    The network and injector are rebuilt exactly as the reference
-    runner would leave them, so metrics publication and state digests
-    use the stock single-process code paths.
+    The merged state and the (shard-identical) injector end state are
+    restored into the run the single-process runner builds, so metrics
+    publication and state digests use the stock code paths.
     """
     if len(payloads) != plan.num_shards:
         raise MergeError(
@@ -225,29 +221,13 @@ def assemble_result(config, run_spec, plan, payloads, metrics=None):
     state = assemble_network_state(plan, payloads)
     merged_packets = merge_packet_tables(payloads)
 
-    net = build_network(config)
-    net.restore(state, RestoreContext(merged_packets))
+    run = build_run(config, run_spec)
+    run.network.restore(state, RestoreContext(merged_packets))
     set_next_packet_id(next_pid)
-
-    # The injector rebuilt as the runner builds it, then set to its
-    # (shard-identical) end state — digests cover it.
-    traffic_rng = random.Random(config.seed + 0x5EED)
-    pattern = build_pattern(run_spec["pattern"], net.num_terminals,
-                            traffic_rng)
-    from repro.checkpoint import lengths_from_spec
-
-    injector = BernoulliInjector(
-        net.num_terminals, pattern, run_spec["rate"],
-        lengths_from_spec(run_spec["lengths"]), traffic_rng,
-    )
-    injector.load_state(injector_state)
-
-    if metrics is not None:
-        net.publish_metrics(metrics)
-    result = summarize(
-        net.stats, run_spec["rate"], net.chain_stats(), net.cycle,
-        drained=drained, drain_cycles=drain_cycles,
-        warnings=["drain_aborted"] if drained is False else None,
-    )
-    digest_root = digest_network(net, injector, observers=True)["root"]
-    return result, digest_root, net, injector
+    run.injector.load_state(injector_state)
+    run.drain_cycles_done = drain_cycles
+    run.metrics = metrics
+    result = run.summary(drained)
+    digest_root = digest_network(run.network, run.injector,
+                                 observers=True)["root"]
+    return result, digest_root

@@ -145,7 +145,7 @@ class ShardPlan:
 
         ``None`` selects the maximum safe window (the lookahead bound);
         an explicit request is validated against it. A single shard has
-        no bound — the window then only sets the checkpoint/heartbeat
+        no bound — the window then only sets the exchange-file/heartbeat
         granularity.
         """
         if requested is None:

@@ -1,13 +1,11 @@
-"""Shard worker process: windowed stepping, checkpoints, drain consensus.
+"""Shard worker process: windowed stepping and drain consensus.
 
 One worker owns one shard of the partition and advances it window by
 window (window = conservative lookahead, bounded by the minimum
 boundary channel latency):
 
-1. *(cadence / drain region)* snapshot the window-start state — the
-   file checkpoint a restart resumes from, and the in-memory state a
-   drain replay rewinds to. Always taken **before** imports, so the
-   restart path re-imports exactly once.
+1. *(drain region)* snapshot the window-start state in memory, before
+   the imports — the state a drain replay rewinds to.
 2. Import every neighbor's exchange file for the previous window
    (gather all files first, then absorb; a drain replay re-absorbs
    the same records).
@@ -26,20 +24,21 @@ boundary channel latency):
 6. Either finalize (publish the shard's end-state payload) or clear
    the exported boundary channels and continue.
 
-There is no graceful stop: SIGTERM/SIGINT kill a worker like any
-other crash, and a later run on the same directory resumes from the
-shard's newest checkpoint bit-identically.
+A worker keeps no checkpoint: every attempt starts at cycle 0. A
+restarted attempt replays its shard from the peers' immutable exchange
+files, and its own publishes are skipped because the files already
+exist and it would regenerate them byte for byte. There is no graceful
+stop either: SIGTERM/SIGINT kill a worker like any other crash, and a
+later run on the same directory replays every shard without a final.
 
 Each attempt of a shard is one supervised attempt of :mod:`repro.proc`
 named ``s<shard>``: :func:`run_shard_worker` enters through
 :func:`~repro.proc.run_attempt` and beats a :class:`~repro.proc.Heartbeat`.
-Everything a resume reads (exchange files, checkpoints, finals,
-outcomes) is fsynced before it becomes visible; the heartbeat, a lease
-whose only meaning is its mtime, is not. The lease must outlast the
-longest beat-free section — building the network, loading and
-restoring a checkpoint, capturing the window-start state, encoding and
-gzipping a checkpoint or the final payload — so the worker beats
-between them.
+Everything a rerun reads (exchange files, finals, outcomes) is fsynced
+before it becomes visible; the heartbeat, a lease whose only meaning is
+its mtime, is not. The lease must outlast the longest beat-free section
+— building the network, capturing the window-start state, encoding and
+gzipping the final payload — so the worker beats between them.
 """
 
 import gzip
@@ -48,14 +47,8 @@ import os
 import signal
 import time
 
-from repro.checkpoint import (
-    SnapshotContext,
-    canonical_json,
-    config_hash,
-    lengths_from_spec,
-)
+from repro.checkpoint import SnapshotContext, canonical_json, config_hash
 from repro.network.flit import peek_next_packet_id, set_next_packet_id
-from repro.network.network import build_network
 from repro.obs.artifacts import atomic_write
 from repro.parallel.exchange import (
     EXCH_DIR,
@@ -68,27 +61,16 @@ from repro.parallel.exchange import (
 )
 from repro.parallel.partition import ShardPlan
 from repro.proc import Heartbeat, attempt_paths, run_attempt, write_outcome
+from repro.sim.runner import build_run
 from repro.stats import StatsCollector
-from repro.traffic.injection import BernoulliInjector
-from repro.traffic.patterns import build_pattern
 
-CKPT_DIR = "ckpt"
 FINAL_DIR = "final"
 
-CKPT_SCHEMA = 1
-_CKPT_MAGIC = "repro-shard-checkpoint"
+FINAL_SCHEMA = 1
 _FINAL_MAGIC = "repro-shard-final"
 
 EXIT_OK = 0
 EXIT_FAILED = 1
-
-#: File checkpoint cadence fallback: roughly every 64 cycles' worth of
-#: windows (lookahead windows are short — per-window files would thrash).
-CKPT_TARGET_CYCLES = 64
-
-
-def checkpoint_path(root, shard, window_index):
-    return os.path.join(root, CKPT_DIR, f"s{shard}.w{window_index:08d}.json.gz")
 
 
 def final_path(root, shard):
@@ -181,10 +163,6 @@ class _ShardWorker:
         self.M = run_spec["warmup"] + run_spec["measure"]
         self.drain = run_spec["drain"]
         self.schedule = window_schedule(self.M, self.drain, self.window)
-        self.ckpt_every = int(
-            options.get("checkpoint_windows")
-            or max(1, CKPT_TARGET_CYCLES // self.window)
-        )
         # Chaos only ever fires on a shard's first attempt: restarts
         # must replay the lost windows cleanly.
         self.chaos = dict(options.get("chaos") or {}) if attempt == 1 else {}
@@ -193,33 +171,23 @@ class _ShardWorker:
             attempt_paths(root, f"s{shard}", attempt)[0], f"s{shard}",
             attempt)
         self.timers = {"step_seconds": 0.0, "wait_seconds": 0.0,
-                       "publish_seconds": 0.0, "checkpoint_seconds": 0.0}
+                       "publish_seconds": 0.0}
         # Wake pipes inherited from the coordinator through fork; absent
         # (in-process runs) the exchange wait just polls.
         self.wake_fd = options.get("wake_fd")
         self.peer_wake_fds = options.get("peer_wake_fds", ())
 
-        # The full network, masked to the shard (the exchange carries
-        # channel state).
+        # The full network and the full traffic, built as the
+        # single-process run builds them, so every shard draws the
+        # identical packet stream (and pid sequence); the network is
+        # masked to the shard (the exchange carries channel state).
         self.stats = ShardStatsCollector(self.plan.topology.num_terminals)
-        self.net = build_network(config, stats=self.stats)
+        run = build_run(config, run_spec, stats=self.stats)
+        self.net, self.inj = run.network, run.injector
         self.net.apply_shard_mask(self.plan.routers_of(shard),
                                   self.plan.terminals_of(shard))
         self.local_terminals = frozenset(self.plan.terminals_of(shard))
         self.exports = self.plan.exports_of(shard)
-
-        # Traffic built exactly as the reference runner builds it: one
-        # rng drives pattern construction then injection, so every
-        # shard draws the identical packet stream (and pid sequence).
-        import random as _random
-
-        traffic_rng = _random.Random(config.seed + 0x5EED)
-        pattern = build_pattern(run_spec["pattern"],
-                                self.net.num_terminals, traffic_rng)
-        self.inj = BernoulliInjector(
-            self.net.num_terminals, pattern, run_spec["rate"],
-            lengths_from_spec(run_spec["lengths"]), traffic_rng,
-        )
         self.stats.set_window(run_spec["warmup"], self.M)
         set_next_packet_id(0)
         self.arena = PacketArena()
@@ -251,83 +219,15 @@ class _ShardWorker:
             "next_pid": peek_next_packet_id(),
         }
 
-    def _checkpoint_payload(self, magic, window_index, state):
-        return {
-            "magic": magic,
-            "schema": CKPT_SCHEMA,
-            "config_hash": self.hash,
-            "shard": self.shard,
-            "num_shards": self.plan.num_shards,
-            "window_index": window_index,
-            "cycle": state["network"]["cycle"],
-            "next_pid": state["next_pid"],
-            "packets": state["packets"],
-            "network": state["network"],
-            "injector": state["injector"],
-        }
-
-    def _save_checkpoint(self, window_index, state):
-        t0 = time.perf_counter()
-        # Between the caller's capture and the encode (DESIGN.md §11).
-        self.hb.beat(state="checkpointing", window=window_index)
-        payload = self._checkpoint_payload(_CKPT_MAGIC, window_index, state)
-        save_payload_gz(checkpoint_path(self.root, self.shard, window_index),
-                        payload, self.hb.beat)
-        self._prune_checkpoints(window_index)
-        self.timers["checkpoint_seconds"] += time.perf_counter() - t0
-
-    def _prune_checkpoints(self, newest_index, keep=2):
-        ckpt_dir = os.path.join(self.root, CKPT_DIR)
-        prefix = f"s{self.shard}.w"
-        try:
-            names = sorted(
-                n for n in os.listdir(ckpt_dir)
-                if n.startswith(prefix) and n.endswith(".json.gz")
-            )
-        except OSError:
-            return
-        for name in names[:-keep]:
-            try:
-                os.unlink(os.path.join(ckpt_dir, name))
-            except OSError:
-                pass
 
     def _restore_state(self, payload):
-        """Load a checkpoint/final payload into the live network (fresh
+        """Load a window-start snapshot into the live network (fresh
         arena: a wholesale restore replaces every live reference)."""
         self.arena = PacketArena()
         ctx = ArenaContext(payload["packets"], self.arena)
         self.net.restore(payload["network"], ctx)
         self.inj.load_state(payload["injector"])
         set_next_packet_id(payload["next_pid"])
-
-    def _resume_window(self):
-        """Newest valid checkpoint's window index (0 = fresh start)."""
-        ckpt_dir = os.path.join(self.root, CKPT_DIR)
-        prefix = f"s{self.shard}.w"
-        try:
-            names = sorted(
-                (n for n in os.listdir(ckpt_dir)
-                 if n.startswith(prefix) and n.endswith(".json.gz")),
-                reverse=True,
-            )
-        except OSError:
-            return 0
-        for name in names:
-            self.hb.beat(state="restoring")
-            try:
-                payload = load_payload_gz(os.path.join(ckpt_dir, name))
-            except (OSError, EOFError, json.JSONDecodeError):
-                continue
-            if (payload.get("magic") != _CKPT_MAGIC
-                    or payload.get("schema") != CKPT_SCHEMA
-                    or payload.get("config_hash") != self.hash
-                    or payload.get("shard") != self.shard):
-                continue
-            self.hb.beat()  # between the load and the restore
-            self._restore_state(payload)
-            return payload["window_index"]
-        return 0
 
     # ------------------------------------------------------------------
 
@@ -481,15 +381,27 @@ class _ShardWorker:
         self.inj.enabled = False  # the runner's main→drain transition
         assert self.net.cycle == position, (self.net.cycle, position)
         state = self._capture()
-        # Between capture and encode, as in _save_checkpoint.
+        # Between the capture and the encode (DESIGN.md §11).
         self.hb.beat(state="finalizing", cycle=position)
-        payload = self._checkpoint_payload(_FINAL_MAGIC, None, state)
-        payload["finalize"] = {
-            "position": position,
-            "drain_cycles": position - self.M if self.drain > 0 else 0,
-            "drained": drained,
+        payload = {
+            "magic": _FINAL_MAGIC,
+            "schema": FINAL_SCHEMA,
+            "config_hash": self.hash,
+            "shard": self.shard,
+            "num_shards": self.plan.num_shards,
+            "window_index": None,
+            "cycle": state["network"]["cycle"],
+            "next_pid": state["next_pid"],
+            "packets": state["packets"],
+            "network": state["network"],
+            "injector": state["injector"],
+            "finalize": {
+                "position": position,
+                "drain_cycles": position - self.M if self.drain > 0 else 0,
+                "drained": drained,
+            },
+            "timers": self.timers,
         }
-        payload["timers"] = self.timers
         save_payload_gz(final_path(self.root, self.shard), payload,
                         self.hb.beat)
         write_outcome(
@@ -502,11 +414,9 @@ class _ShardWorker:
     # ------------------------------------------------------------------
 
     def run(self):
-        start_index = self._resume_window()
         if not self.schedule:
             return self._finalize(0, None)  # zero-cycle run
-        for index in range(start_index, len(self.schedule)):
-            a, b = self.schedule[index]
+        for index, (a, b) in enumerate(self.schedule):
             in_drain = self.drain > 0 and a >= self.M
             self.hb.beat(state="running", window=index, cycle=a,
                          phase="drain" if in_drain else "main")
@@ -516,10 +426,7 @@ class _ShardWorker:
                 while True:
                     signal.pause()
             # Window-start snapshot, before imports (see module docs).
-            need_ckpt = index > 0 and index % self.ckpt_every == 0
-            snapshot = self._capture() if (in_drain or need_ckpt) else None
-            if need_ckpt:
-                self._save_checkpoint(index, snapshot)
+            snapshot = self._capture() if in_drain else None
             records = self._gather_imports(index)
             self._absorb_imports(records)
             hist = self._step_window(a, b)

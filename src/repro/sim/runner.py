@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.checkpoint import (
-    CheckpointError,
     SimulationKilled,
     canonical_run_spec,
-    lengths_spec,
+    lengths_from_spec,
     load_checkpoint,
     refuse_unsnapshotable,
     restore_run,
@@ -84,7 +83,7 @@ class SimulationRun:
     #: Probes fired between cycles (see :class:`Probe`), in firing order.
     probes: list = field(default_factory=list)
     #: The run spec (pattern, rate, lengths, phases) checkpoints and
-    #: digest headers record; set by ``run_simulation``.
+    #: digest headers record; set by :func:`build_run`.
     spec: Optional[dict] = None
     #: Resumable progress: the current phase and drain cycles executed.
     #: Restored from checkpoints; do not touch mid-run.
@@ -172,15 +171,22 @@ class SimulationRun:
         self._next_due = min(p.due for p in self.probes)
 
     def _execute(self):
-        net, inj = self.network, self.injector
         self.prepare()
-        stats = net.stats
         while self.step_cycle():
             pass
         # Report whether the drain actually completed: a False here on a
         # drain-requested run means the drain budget expired with flits
         # still in flight (expect censored latency samples).
-        drained = self._quiescent(net) if self.drain > 0 else None
+        drained = self._quiescent(self.network) if self.drain > 0 else None
+        return self.summary(drained)
+
+    def summary(self, drained):
+        """The SimResult of the network as it stands, publishing metrics
+        into :attr:`metrics` first. ``drained`` False adds the
+        ``drain_aborted`` warning. :meth:`execute` ends here, and the
+        shard merge summarises its reassembled network the same way.
+        """
+        net = self.network
         warnings = None
         if drained is False:
             # Structured warning instead of silently returning partial
@@ -205,7 +211,7 @@ class SimulationRun:
         if self.metrics is not None:
             net.publish_metrics(self.metrics)
         return summarize(
-            stats, inj.rate, net.chain_stats(), net.cycle,
+            net.stats, self.injector.rate, net.chain_stats(), net.cycle,
             drained=drained, drain_cycles=self.drain_cycles_done,
             timing=timing, faults=self._fault_summary(),
             warnings=warnings,
@@ -263,8 +269,9 @@ def run_simulation(
 ):
     """Build and execute one simulation; returns a :class:`SimResult`.
 
-    ``lengths`` may be any PacketLengthDistribution; ``packet_length``
-    is a convenience for fixed lengths. ``rate`` is in flits per
+    ``lengths`` is a FixedLength or BimodalLength (a distribution the
+    run spec can name); ``packet_length`` is a convenience for fixed
+    lengths. ``rate`` is in flits per
     terminal per cycle (the paper's unit). ``config`` is never mutated:
     a ``seed`` override is applied to a copy.
 
@@ -297,18 +304,14 @@ def run_simulation(
     ``faults`` or ``transport`` are attached (their state is not
     snapshotable).
     """
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
-    dist = lengths if lengths is not None else FixedLength(packet_length)
     if resume_from is not None:
         refuse_unsnapshotable(faults, transport)
-    try:
-        spec_lengths = lengths_spec(dist)
-    except CheckpointError:  # no JSON spec: a Checkpointer refuses it
-        spec_lengths = None
-    spec = canonical_run_spec(pattern, rate, spec_lengths, warmup, measure,
-                              drain)
-    net = build_network(config, trace=trace)
+    config, spec = config_and_spec(config, seed, pattern, rate, packet_length,
+                                   lengths, warmup, measure, drain)
+    run = build_run(config, spec, trace=trace)
+    run.metrics = metrics
+    run.probes = list(probes)
+    net = run.network
     if profiler is not None:
         net.attach_profiler(profiler)
     if faults is not None:
@@ -319,11 +322,6 @@ def run_simulation(
         net.attach_faults(faults)
     if transport is not None:
         net.attach_transport(transport)
-    traffic_rng = random.Random(config.seed + 0x5EED)
-    pat = build_pattern(pattern, net.num_terminals, traffic_rng)
-    injector = BernoulliInjector(net.num_terminals, pat, rate, dist, traffic_rng)
-    run = SimulationRun(net, injector, warmup, measure, drain,
-                        metrics=metrics, probes=list(probes), spec=spec)
     if resume_from is not None:
         payload = (
             resume_from
@@ -337,3 +335,33 @@ def run_simulation(
         # load_state replaces.
         net.attach_invariants(invariants)
     return run.execute()
+
+
+def config_and_spec(config, seed, pattern, rate, packet_length, lengths,
+                    warmup, measure, drain):
+    """``(config, run spec)`` of :func:`run_simulation`'s run arguments,
+    with a ``seed`` override applied to a copy of ``config``."""
+    if seed is not None:
+        config = dataclasses.replace(config, seed=seed)
+    dist = lengths if lengths is not None else FixedLength(packet_length)
+    return config, canonical_run_spec(pattern, rate, dist, warmup, measure,
+                                      drain)
+
+
+def build_run(config, spec, trace=None, stats=None):
+    """A fresh :class:`SimulationRun` of ``spec`` (a
+    :func:`~repro.checkpoint.canonical_run_spec` dict) on
+    ``build_network(config, stats=stats, trace=trace)``.
+
+    The one traffic build: a single rng seeded from ``config.seed``
+    drives pattern construction, then injection, so every run of the
+    same config and spec draws the identical packet stream (the shard
+    workers, the shard merge and their single-process oracle included).
+    """
+    net = build_network(config, stats=stats, trace=trace)
+    rng = random.Random(config.seed + 0x5EED)
+    pattern = build_pattern(spec["pattern"], net.num_terminals, rng)
+    injector = BernoulliInjector(net.num_terminals, pattern, spec["rate"],
+                                 lengths_from_spec(spec["lengths"]), rng)
+    return SimulationRun(net, injector, spec["warmup"], spec["measure"],
+                         spec["drain"], spec=spec)

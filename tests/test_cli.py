@@ -265,6 +265,19 @@ class TestCheckpointCLI:
         assert code == 2
         assert "refusing to resume" in text
 
+    def test_refused_resume_leaves_no_digest_file(self, tmp_path):
+        """The refusal comes before the run starts, so the digest
+        stream is never opened: no empty file, no open handle."""
+        ck = self._killed(tmp_path)
+        digest = tmp_path / "d.jsonl"
+        code, text = run_cli("run", "--mesh-k", "4", "--rate", "0.2",
+                             "--warmup", "100", "--measure", "100",
+                             "--drain", "0", "--resume", ck,
+                             "--digest", str(digest))
+        assert code == 2
+        assert "refusing to resume" in text
+        assert not digest.exists()
+
 
 class TestTelemetryCLI:
     def test_run_progress_keeps_json_stdout_clean(self, capsys):

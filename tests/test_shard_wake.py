@@ -163,23 +163,21 @@ class TestWaitForExchange:
 # one worker, in this process
 
 
-def run_worker_here(root, monkeypatch, measure=180, window=2,
-                    checkpoint_windows=8, **options):
+def run_worker_here(root, monkeypatch, measure=180, window=2, **options):
     """``run_shard_worker`` for a 1-shard run inside the test process.
 
     Returns ``(exit_code, windows_published)``. PDEATHSIG is not armed
     on the test runner and its signal handlers are put back.
     """
-    for sub in (worker_mod.CKPT_DIR, worker_mod.FINAL_DIR, proc.HB_DIR,
+    for sub in (worker_mod.FINAL_DIR, proc.HB_DIR,
                 os.path.join(EXCH_DIR, "s0")):
         os.makedirs(os.path.join(root, sub))
     monkeypatch.setattr(proc, "die_with_parent", lambda: None)
     config = config_for()
     run_spec = canonical_run_spec("uniform", 0.25, FixedLength(1), 20,
                                   measure, 400)
-    options = dict({"shards": 1, "window": window,
-                    "checkpoint_windows": checkpoint_windows,
-                    "chaos": None}, **options)
+    options = dict({"shards": 1, "window": window, "chaos": None},
+                   **options)
     saved = {sig: signal.getsignal(sig)
              for sig in (signal.SIGTERM, signal.SIGINT)}
     try:
@@ -217,8 +215,7 @@ class TestFsyncBudget:
 
         assert code == worker_mod.EXIT_OK
         assert windows >= 100  # 200 main cycles / 2, plus drain windows
-        checkpoints = len([i for i in range(1, windows) if i % 8 == 0])
-        assert len(fsyncs) == windows + checkpoints + 2  # + final + outcome
+        assert len(fsyncs) == windows + 2  # + final + outcome
         # Throttle (0.2 s) + the forced "constructing" and final beats —
         # nowhere near `windows`.
         assert len(hb_writes) <= elapsed / 0.2 + 3
