@@ -43,7 +43,6 @@ from repro.serve import (
 )
 from repro.sim.runner import run_simulation
 from repro.parallel import ShardRunError, ShardRunResult, shard_run
-from repro.sim.sweep import find_saturation
 from repro.stats.summary import SimResult
 
 __version__ = "1.0.0"
@@ -60,7 +59,6 @@ __all__ = [
     "fbfly_config",
     "Network",
     "run_simulation",
-    "find_saturation",
     "SimResult",
     "CheckpointError",
     "SimulationKilled",

@@ -11,20 +11,13 @@ Examples::
     python -m repro spans out.jsonl.gz --perfetto spans.json
     python -m repro diff runs/baseline runs/pc --threshold 5
     python -m repro report out.jsonl
-    python -m repro saturation --pattern tornado
-    python -m repro cmp --workload blackscholes --chaining same_input \\
-        --starvation-threshold 8
-    python -m repro cost --radix 10
     python -m repro run --rate 0.2 --faults examples/faultplan.json \\
         --reliable --invariants strict --watchdog 2000
     python -m repro run --rate 0.4 --checkpoint ck.json.gz \\
         --checkpoint-every 500 --kill-at 1200
     python -m repro run --rate 0.4 --resume ck.json.gz --json
     python -m repro run --rate 0.4 --progress --json > result.json
-    python -m repro run --rate 0.4 --metrics m.json
-    python -m repro report m.json
-    python -m repro run --rate 0.4 --profile prof.json
-    python -m repro report prof.json --collapsed stacks.txt
+    python -m repro run --rate 0.4 --metrics m.json --profile prof.json
     python -m repro run --rate 0.3 --digest digests.jsonl.gz --digest-every 1
     python -m repro serve /tmp/svc --workers 4 &
     python -m repro serve /tmp/svc --submit-sweep 0.1 0.2 0.3 --mesh-k 4
@@ -37,7 +30,6 @@ import json
 import sys
 
 from repro.checkpoint import CheckpointError, Checkpointer, SimulationKilled
-from repro.core.cost_model import AllocatorCostModel
 from repro.faults import (
     FaultController,
     FaultPlan,
@@ -56,13 +48,10 @@ from repro.obs import (
     TraceBus,
     TraceFilter,
     build_spans,
-    collapsed_from_dict,
     compare_artifacts,
     format_diff,
-    format_profile_report,
     format_report,
     format_spans_report,
-    is_profile_dict,
     read_jsonl,
     summarize_trace,
     write_run_artifacts,
@@ -70,7 +59,6 @@ from repro.obs import (
 )
 from repro.obs.artifacts import rate_subdir
 from repro.sim.runner import KillAt, run_simulation
-from repro.sim.sweep import find_saturation
 from repro.traffic import BimodalLength, FixedLength
 
 
@@ -129,13 +117,11 @@ def _add_obs_args(parser):
                         help="filter trace events, e.g. "
                              "'router=3|12,event=sa_grant|pc_chain'")
     parser.add_argument("--metrics", default=None, metavar="FILE",
-                        help="export run metrics (.prom/.txt: Prometheus "
-                             "text format, otherwise JSON)")
+                        help="export run metrics as JSON")
     parser.add_argument("--profile", default=None, metavar="FILE",
                         help="profile router pipeline phases to a JSON file "
-                             "(see 'repro report')")
-    parser.add_argument("--profile-epoch", type=int, default=1000,
-                        help="profiling epoch length in cycles")
+                             "(per-phase and per-allocator seconds in "
+                             "1000-cycle epochs)")
     parser.add_argument("--progress", action="store_true",
                         help="single-line live heartbeat (cycle, cycles/sec, "
                              "ETA) on stderr; stdout stays clean for --json")
@@ -170,7 +156,7 @@ def _obs_from(args):
         filt = TraceFilter.parse(args.trace_filter) if args.trace_filter else None
         bus = TraceBus(filter=filt)
         bus.attach(JsonlSink(args.trace))
-    profiler = PhaseProfiler(args.profile_epoch) if args.profile else None
+    profiler = PhaseProfiler() if args.profile else None
     registry = (
         MetricsRegistry()
         if (args.metrics or args.json or args.artifacts)
@@ -222,8 +208,6 @@ def _add_fault_args(parser):
                         choices=["off", "strict", "report"],
                         help="runtime invariant checking (credit/flit "
                              "conservation, buffer bounds, connections)")
-    parser.add_argument("--invariant-period", type=int, default=64,
-                        metavar="N", help="cycles between invariant sweeps")
     parser.add_argument("--watchdog", type=int, default=0, metavar="CYCLES",
                         help="deadlock/livelock watchdog window (0 = off)")
     parser.add_argument("--watchdog-dump", default=None, metavar="FILE",
@@ -243,9 +227,7 @@ def _faults_from(args):
         )
     checker = None
     if args.invariants != "off":
-        checker = InvariantChecker(
-            period=args.invariant_period, mode=args.invariants
-        )
+        checker = InvariantChecker(mode=args.invariants)
     return controller, transport, checker
 
 
@@ -308,13 +290,6 @@ def _finish_obs(args, bus, profiler):
         bus.close()
     if profiler is not None:
         profiler.save(args.profile)
-
-
-def _save_metrics(registry, path):
-    if path.endswith((".prom", ".txt")):
-        registry.save_prometheus(path)
-    else:
-        registry.save_json(path)
 
 
 def _lengths_from(args):
@@ -407,7 +382,7 @@ def cmd_run(args, out):
             sampler=sampler, span_set=span_set,
         )
     if args.metrics:
-        _save_metrics(registry, args.metrics)
+        registry.save_json(args.metrics)
     if args.json:
         payload = result.to_dict()
         payload["metrics"] = registry.to_dict()
@@ -492,59 +467,7 @@ def cmd_sweep(args, out):
     return 0
 
 
-def _try_load_profile(path):
-    """Parsed profile dict if ``path`` is a PhaseProfiler JSON, else None."""
-    if path == "-":
-        return None
-    try:
-        with open(path, "rb") as fh:
-            if fh.read(1) not in (b"{", b""):
-                return None
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    return data if is_profile_dict(data) else None
-
-
-def _try_load_metrics(path):
-    """Parsed metrics dict if ``path`` is a run --metrics JSON, else None."""
-    if path == "-":
-        return None
-    try:
-        with open(path, "rb") as fh:
-            if fh.read(1) not in (b"{", b""):
-                return None
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if isinstance(data, dict) and "counters" in data and "gauges" in data:
-        return data
-    return None
-
-
 def cmd_report(args, out):
-    profile = _try_load_profile(args.tracefile)
-    if profile is not None:
-        out.write(format_profile_report(profile, top=args.top))
-        if args.collapsed:
-            with open(args.collapsed, "w") as fh:
-                for line in collapsed_from_dict(profile):
-                    fh.write(line + "\n")
-            out.write(f"collapsed stacks  : {args.collapsed}"
-                      " (flamegraph.pl / speedscope compatible)\n")
-        return 0
-    metrics = _try_load_metrics(args.tracefile)
-    if metrics is not None:
-        from repro.obs.report import format_metrics_report
-
-        out.write(format_metrics_report(metrics, top=args.top))
-        return 0
-    if args.collapsed:
-        out.write("repro report: --collapsed needs a profile JSON "
-                  "(written by run --profile)\n")
-        return 2
     events = read_jsonl(args.tracefile)
     out.write(format_report(summarize_trace(events), top=args.top))
     return 0
@@ -576,43 +499,6 @@ def cmd_diff(args, out):
     else:
         out.write(format_diff(diff))
     return 1 if diff.regressions else 0
-
-
-def cmd_saturation(args, out):
-    rate, tp = find_saturation(
-        lambda: _config_from(args), pattern=args.pattern,
-        lengths=_lengths_from(args), warmup=args.warmup,
-        measure=args.measure, drain=args.drain,
-    )
-    out.write(f"saturation rate   : {rate:.3f} flits/node/cycle\n")
-    out.write(f"accepted at sat   : {tp:.3f}\n")
-    return 0
-
-
-def cmd_cmp(args, out):
-    from repro.cmp import run_application
-
-    system = run_application(
-        args.workload, _config_from(args),
-        warmup=args.warmup, measure=args.measure, seed=args.seed,
-    )
-    out.write(f"workload          : {args.workload}\n")
-    out.write(f"IPC               : {system.aggregate_ipc():.4f}\n")
-    out.write(f"network load      : {system.stats.avg_throughput():.3f}"
-              f" flits/node/cycle\n")
-    out.write(f"single-flit msgs  : {100 * system.single_flit_fraction():.0f}%\n")
-    return 0
-
-
-def cmd_cost(args, out):
-    model = AllocatorCostModel(args.radix)
-    out.write(f"{'allocator':<16} {'area':>6} {'power':>6} {'delay':>6}\n")
-    for r in model.table():
-        out.write(f"{r.name:<16} {r.area:>6.2f} {r.power:>6.2f} {r.delay:>6.2f}\n")
-    rel = model.wavefront_vs_packet_chaining()
-    out.write(f"wavefront vs packet chaining: {rel.power:.2f}x power,"
-              f" {rel.area:.2f}x area, {rel.delay:.2f}x delay\n")
-    return 0
 
 
 def cmd_shard(args, out):
@@ -785,19 +671,11 @@ def build_parser():
     _add_recorder_args(p, sampling=False)
     p.set_defaults(func=cmd_sweep, drain=0)
 
-    p = sub.add_parser(
-        "report",
-        help="summarize a JSONL event trace or a --profile JSON",
-    )
+    p = sub.add_parser("report", help="summarize a JSONL event trace")
     p.add_argument("tracefile",
-                   help="trace written by run --trace (.gz ok, '-' = stdin) "
-                        "or a profile JSON written by run --profile")
+                   help="trace written by run --trace (.gz ok, '-' = stdin)")
     p.add_argument("--top", type=int, default=10,
-                   help="rows in the contention / blocked-packet / hot-spot "
-                        "tables")
-    p.add_argument("--collapsed", default=None, metavar="FILE",
-                   help="with a profile JSON: export collapsed stacks "
-                        "(flamegraph.pl / speedscope format)")
+                   help="rows in the contention / blocked-packet tables")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
@@ -848,22 +726,6 @@ def build_parser():
     p.add_argument("--json", action="store_true",
                    help="emit the diff as JSON")
     p.set_defaults(func=cmd_diff)
-
-    p = sub.add_parser("saturation", help="binary-search the saturation rate")
-    _add_network_args(p)
-    _add_traffic_args(p)
-    p.set_defaults(func=cmd_saturation, drain=0)
-
-    p = sub.add_parser("cmp", help="CMP application study (Table 1 setup)")
-    _add_network_args(p)
-    p.add_argument("--workload", default="blackscholes")
-    p.add_argument("--warmup", type=int, default=300)
-    p.add_argument("--measure", type=int, default=1200)
-    p.set_defaults(func=cmd_cmp)
-
-    p = sub.add_parser("cost", help="Section 4.9 allocator cost model")
-    p.add_argument("--radix", type=int, default=5)
-    p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser(
         "serve",

@@ -45,9 +45,6 @@ class RouterFaultView:
         self.dead_in = set()  # input ports whose feeding link is down
         self.dead_out = set()  # output ports whose outgoing link is down
 
-    def is_dead_out(self, port):
-        return port in self.dead_out
-
     def kill(self, packet, cycle, reason):
         self.controller.kill_packet(packet, cycle, reason)
 

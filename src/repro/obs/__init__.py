@@ -7,9 +7,10 @@ Instruments, all zero-overhead when unused:
   terminals, and injectors emit structured per-cycle events into, with
   JSONL (plain or gzip) and in-memory sinks and per-event filtering;
 - :mod:`repro.obs.metrics` — a registry of counters, gauges, and
-  fixed-bucket histograms with JSON and Prometheus-text export;
+  fixed-bucket histograms with JSON export;
 - :mod:`repro.obs.profiler` — per-epoch wall-clock timing of the router
-  pipeline phases, reporting cycles/sec;
+  pipeline phases and allocator calls, reporting cycles/sec
+  (``--profile``);
 - :mod:`repro.obs.spans` — per-packet lifecycle reconstruction from a
   trace: the latency decomposition (queueing vs allocation vs
   serialization) behind the paper's headline claim, with Chrome
@@ -50,18 +51,9 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profiler import (
-    PHASES,
-    PhaseProfiler,
-    collapsed_from_dict,
-    compute_hotspots,
-    format_profile_report,
-    hotspots_from_dict,
-    is_profile_dict,
-)
+from repro.obs.profiler import PHASES, PhaseProfiler
 from repro.obs.report import (
     TraceSummary,
-    format_metrics_report,
     format_report,
     summarize_trace,
 )
@@ -106,16 +98,10 @@ __all__ = [
     "CHAIN_LENGTH_EDGES",
     "PhaseProfiler",
     "PHASES",
-    "compute_hotspots",
-    "hotspots_from_dict",
-    "collapsed_from_dict",
-    "is_profile_dict",
-    "format_profile_report",
     "RunTelemetry",
     "TraceSummary",
     "summarize_trace",
     "format_report",
-    "format_metrics_report",
     "SpanSet",
     "PacketSpan",
     "SPAN_COMPONENTS",

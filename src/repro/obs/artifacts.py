@@ -10,7 +10,6 @@ machine, the branch, and the person who made them:
       manifest.json   # full config, seed, traffic, phases, versions
       summary.json    # SimResult.to_dict()
       metrics.json    # MetricsRegistry JSON export
-      metrics.prom    # same registry, Prometheus text format
       samples.jsonl   # optional: NetworkSampler snapshots
       spans.json      # optional: span latency decomposition
       rate_*/         # sweep artifacts: one run artifact per rate
@@ -34,7 +33,6 @@ from typing import List, Optional
 MANIFEST = "manifest.json"
 SUMMARY = "summary.json"
 METRICS_JSON = "metrics.json"
-METRICS_PROM = "metrics.prom"
 SAMPLES = "samples.jsonl"
 SPANS = "spans.json"
 
@@ -114,9 +112,7 @@ def write_run_artifacts(
     _dump(os.path.join(directory, SUMMARY), result.to_dict())
     if registry is not None:
         _dump(os.path.join(directory, METRICS_JSON), registry.to_dict())
-        with atomic_write(os.path.join(directory, METRICS_PROM)) as fh:
-            fh.write(registry.to_prometheus())
-        written += [METRICS_JSON, METRICS_PROM]
+        written.append(METRICS_JSON)
     if sampler is not None:
         sampler.save_jsonl(os.path.join(directory, SAMPLES))
         written.append(SAMPLES)

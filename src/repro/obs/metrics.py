@@ -2,14 +2,9 @@
 
 Components publish into a :class:`MetricsRegistry` (gem5-stats style:
 the producer owns the numbers, the registry owns naming and export).
-Two export formats:
-
-- ``to_dict()`` / ``save_json()`` — nested JSON for tooling and the
-  CLI's ``--json`` output;
-- ``to_prometheus()`` — the flat Prometheus text exposition format
-  (``# TYPE`` headers, cumulative ``_bucket{le="..."}`` histogram
-  series), so a run's metrics can be diffed or scraped with standard
-  tools.
+``to_dict()`` / ``save_json()`` export nested JSON: the CLI's
+``--metrics`` and ``--json`` output and an artifact's ``metrics.json``,
+which ``repro diff`` reads.
 
 Histogram bucket edges are fixed at construction; values land in the
 first bucket whose upper edge is >= the value, with an implicit +Inf
@@ -64,7 +59,7 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram with sum/count, Prometheus-compatible."""
+    """Fixed-bucket histogram with sum/count."""
 
     __slots__ = ("name", "help", "edges", "counts", "sum", "count")
     kind = "histogram"
@@ -93,21 +88,11 @@ class Histogram:
             "count": self.count,
         }
 
-    def cumulative(self):
-        """[(upper_edge_label, cumulative_count)] including +Inf."""
-        out, running = [], 0
-        for edge, n in zip(self.edges, self.counts):
-            running += n
-            out.append((str(edge), running))
-        out.append(("+Inf", running + self.counts[-1]))
-        return out
-
 
 class MetricsRegistry:
     """Named metric instruments with get-or-create semantics."""
 
-    def __init__(self, prefix="repro"):
-        self.prefix = prefix
+    def __init__(self):
         self._metrics = {}
 
     def _get(self, cls, name, *args, **kwargs):
@@ -148,35 +133,7 @@ class MetricsRegistry:
             out[metric.kind + "s"][metric.name] = metric.to_value()
         return out
 
-    def to_prometheus(self):
-        """Flat text exposition format, one family per metric."""
-        lines = []
-        for metric in sorted(self._metrics.values(), key=lambda m: m.name):
-            full = f"{self.prefix}_{metric.name}"
-            if metric.help:
-                lines.append(f"# HELP {full} {metric.help}")
-            lines.append(f"# TYPE {full} {metric.kind}")
-            if metric.kind == "histogram":
-                for le, cumulative in metric.cumulative():
-                    lines.append(f'{full}_bucket{{le="{le}"}} {cumulative}')
-                lines.append(f"{full}_sum {_fmt(metric.sum)}")
-                lines.append(f"{full}_count {metric.count}")
-            else:
-                lines.append(f"{full} {_fmt(metric.value)}")
-        return "\n".join(lines) + "\n"
-
     def save_json(self, path):
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    def save_prometheus(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_prometheus())
-
-
-def _fmt(value):
-    """Render ints without a trailing .0, floats with full precision."""
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)

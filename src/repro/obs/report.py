@@ -166,43 +166,3 @@ def format_report(summary, top=10):
     else:
         lines.append("  (no tail ejection events in trace)")
     return "\n".join(lines) + "\n"
-
-
-def format_metrics_report(metrics, top=10):
-    """Human summary of a metrics JSON export (``run --metrics``).
-
-    Leads with per-allocator grant efficiency — grants issued over
-    requests presented, the paper's allocation-quality quantity — then
-    the largest counters and the gauges.
-    """
-    counters = metrics.get("counters", {})
-    gauges = metrics.get("gauges", {})
-    lines = ["metrics export"]
-    rows = []
-    for role, label in (("sa", "switch alloc"), ("pc", "chain alloc"),
-                        ("vc", "VC alloc")):
-        requests = counters.get(f"{role}_alloc_requests")
-        if not requests:
-            continue
-        grants = counters.get(f"{role}_alloc_grants", 0)
-        eff = gauges.get(f"{role}_grant_efficiency",
-                         grants / requests if requests else 0.0)
-        rows.append(f"  {label:<14} {eff:6.3f}"
-                    f"  ({grants}/{requests} grants/requests)")
-    if rows:
-        lines.append("")
-        lines.append("grant efficiency")
-        lines.extend(rows)
-    if counters:
-        lines.append("")
-        lines.append(f"top {top} counters")
-        for name, value in sorted(
-            counters.items(), key=lambda kv: (-kv[1], kv[0])
-        )[:top]:
-            lines.append(f"  {name:<28} {value}")
-    if gauges:
-        lines.append("")
-        lines.append("gauges")
-        for name in sorted(gauges)[:top]:
-            lines.append(f"  {name:<28} {gauges[name]}")
-    return "\n".join(lines) + "\n"

@@ -1,7 +1,6 @@
-"""Simulation harness: runs, sweeps and saturation search."""
+"""Simulation harness: runs and sweeps."""
 
 from repro.sim.runner import SimulationRun, run_simulation
-from repro.sim.sweep import find_saturation
 from repro.sim.parallel import (
     MatrixResults,
     PointError,
@@ -13,7 +12,6 @@ from repro.sim.parallel import (
 __all__ = [
     "SimulationRun",
     "run_simulation",
-    "find_saturation",
     "parallel_sweep",
     "parallel_matrix",
     "SweepResults",

@@ -345,7 +345,7 @@ class ReferenceRouter(Router):
                         continue
                 else:  # pragma: no cover - body flit without state
                     raise AssertionError("body flit at VC front without state")
-                if fv is not None and (flit.packet.killed or fv.is_dead_out(o)):
+                if fv is not None and (flit.packet.killed or o in fv.dead_out):
                     # Belt-and-braces: the fault pre-pass already purged
                     # or re-routed these, but a fault applied mid-cycle
                     # must never win allocation toward a dead port.

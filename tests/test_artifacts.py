@@ -41,8 +41,8 @@ class TestWriteArtifacts:
         _record_run(art, with_sampler=True)
         names = sorted(os.listdir(art))
         assert names == [
-            "manifest.json", "metrics.json", "metrics.prom",
-            "samples.jsonl", "summary.json",
+            "manifest.json", "metrics.json", "samples.jsonl",
+            "summary.json",
         ]
 
     def test_manifest_self_describes(self, tmp_path):
@@ -64,13 +64,6 @@ class TestWriteArtifacts:
         result = _record_run(art)
         summary = json.loads((art / "summary.json").read_text())
         assert summary == result.to_dict()
-
-    def test_prometheus_export_present(self, tmp_path):
-        art = tmp_path / "art"
-        _record_run(art)
-        assert "# TYPE repro_flits_ejected counter" in (
-            (art / "metrics.prom").read_text()
-        )
 
 
 class TestCompare:
@@ -208,7 +201,7 @@ class TestCLIDiff:
         assert code == 0
         names = set(os.listdir(art))
         assert {"manifest.json", "summary.json", "metrics.json",
-                "metrics.prom", "samples.jsonl"} <= names
+                "samples.jsonl"} <= names
 
     def test_run_artifacts_with_trace_adds_spans(self, tmp_path):
         art = tmp_path / "art"

@@ -23,6 +23,7 @@ class TestCLI:
         assert code == 0
         assert "accepted (mean)" in text
         assert "0.1" in text
+        assert "grant efficiency  : SA" in text
 
     def test_run_with_chaining_reports_chains(self):
         code, text = run_cli(
@@ -69,42 +70,6 @@ class TestCLI:
         # reached it.
         assert rows[None] == rows["0"]
         assert rows["800"]["drain_cycles"] > 0
-
-    def test_saturation_passes_drain(self, monkeypatch):
-        import repro.cli as cli
-
-        seen = []
-
-        def fake_find_saturation(config_factory, **kwargs):
-            seen.append(kwargs["drain"])
-            return 0.5, 0.49
-
-        monkeypatch.setattr(cli, "find_saturation", fake_find_saturation)
-        assert run_cli("saturation", "--mesh-k", "4")[0] == 0
-        assert run_cli("saturation", "--mesh-k", "4", "--drain", "300")[0] == 0
-        assert seen == [0, 300]
-
-    def test_saturation(self):
-        code, text = run_cli(
-            "saturation", "--mesh-k", "4",
-            "--warmup", "100", "--measure", "200",
-        )
-        assert code == 0
-        assert "saturation rate" in text
-
-    def test_cost(self):
-        code, text = run_cli("cost", "--radix", "5")
-        assert code == 0
-        assert "wavefront vs packet chaining" in text
-        assert "1.25x area" in text
-
-    def test_cmp(self):
-        code, text = run_cli(
-            "cmp", "--workload", "canneal",
-            "--warmup", "50", "--measure", "150",
-        )
-        assert code == 0
-        assert "IPC" in text
 
     def test_bimodal_flag(self):
         code, text = run_cli(
@@ -312,45 +277,3 @@ class TestTelemetryCLI:
         assert records[-1]["ev"] == "finish"
         assert any(r["ev"] == "heartbeat" for r in records)
 
-    def test_report_on_profile_with_collapsed_export(self, tmp_path):
-        profile = tmp_path / "prof.json"
-        stacks = tmp_path / "stacks.txt"
-        code, _ = run_cli(
-            "run", "--mesh-k", "4", "--rate", "0.2",
-            "--warmup", "100", "--measure", "400", "--drain", "0",
-            "--profile", str(profile),
-        )
-        assert code == 0
-        code, text = run_cli(
-            "report", str(profile), "--collapsed", str(stacks)
-        )
-        assert code == 0
-        assert "wall-clock hot spots" in text
-        lines = stacks.read_text().splitlines()
-        assert lines
-        assert all(line.startswith("sim;") for line in lines)
-
-    def test_report_on_metrics_export(self, tmp_path):
-        metrics = tmp_path / "m.json"
-        code, _ = run_cli(
-            "run", "--mesh-k", "4", "--rate", "0.3",
-            "--warmup", "50", "--measure", "100", "--drain", "100",
-            "--metrics", str(metrics),
-        )
-        assert code == 0
-        code, text = run_cli("report", str(metrics), "--top", "3")
-        assert code == 0
-        assert text.startswith("metrics export\n")
-        assert "grant efficiency" in text
-        assert "switch alloc" in text
-        counters = text.split("top 3 counters\n")[1].split("\n\n")[0]
-        assert len(counters.splitlines()) == 3
-
-    def test_report_collapsed_requires_profile(self, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        trace.write_text('["ev", 0, {}]\n')
-        code, text = run_cli(
-            "report", str(trace), "--collapsed", str(tmp_path / "s.txt")
-        )
-        assert code == 2
-        assert "--collapsed needs a profile JSON" in text

@@ -10,7 +10,6 @@ from repro.obs import NetworkSampler, RunTelemetry
 from repro.obs.digest import DigestRecorder
 from repro.obs.trace import read_jsonl
 from repro.sim.parallel import parallel_sweep
-from repro.sim.sweep import find_saturation
 from repro.stats.collector import StatsCollector
 from repro.stats.summary import LatencySummary
 
@@ -217,12 +216,3 @@ class TestSweeps:
         (r1, res1), (r2, res2) = results
         assert res1.avg_throughput == pytest.approx(0.1, abs=0.03)
         assert res2.avg_throughput > res1.avg_throughput
-
-    def test_find_saturation_brackets(self):
-        rate, tp = find_saturation(
-            lambda: mesh_config(mesh_k=4),
-            lo=0.05, hi=1.0, tol=0.1,
-            warmup=150, measure=300, drain=0,
-        )
-        assert 0.05 <= rate <= 1.0
-        assert tp > 0
