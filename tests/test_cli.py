@@ -23,7 +23,6 @@ class TestCLI:
         assert code == 0
         assert "accepted (mean)" in text
         assert "0.1" in text
-        assert "grant efficiency  : SA" in text
 
     def test_run_with_chaining_reports_chains(self):
         code, text = run_cli(

@@ -431,12 +431,13 @@ class TestCLIObservability:
         mjson = tmp_path / "m.json"
         mprom = tmp_path / "m.prom"
         for path in (mjson, mprom):
-            code, _ = self.run_cli(
+            code, text = self.run_cli(
                 "run", "--mesh-k", "4", "--rate", "0.2",
                 "--warmup", "50", "--measure", "100", "--drain", "100",
                 "--metrics", str(path),
             )
             assert code == 0
+            assert "grant efficiency  : SA" in text
         # Every --metrics path gets JSON, whatever its suffix.
         counters = json.loads(mjson.read_text())["counters"]
         assert counters["flits_ejected"] > 0
