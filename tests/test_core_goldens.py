@@ -16,8 +16,10 @@ packets and threshold 8; the Section 4.7 ablation, same-input without PC
 priorities; the radix-10 FBFly 2x2 c=8 with a PIM PC allocator), one
 k=4 any-input run per router mode the oracle inherits from production
 (AGE starvation control with bimodal 1/5-flit packets at rate 0.8;
-pseudo-circuit release; split and speculative VC allocation) and the
-faulted 8x8 CLI run of the CI job. Regenerate — only for an intentional
+pseudo-circuit release; split and speculative VC allocation), the k=4
+any-input run at rate 0.4 drained for 1,000 cycles (which a 5 % artifact
+diff against a checked-in baseline used to gate) and the faulted 8x8 CLI
+run of the CI job. Regenerate — only for an intentional
 behaviour change, and say so in the change description — with::
 
     PYTHONPATH=src python -m tests.test_core_goldens
@@ -104,6 +106,9 @@ def cases():
         out[f"k4-any_input-{mode}_va-s1"] = (
             mesh_config(mesh_k=4, seed=1, chaining="any_input",
                         vc_allocation=mode), RUN)
+    out["k4-any_input-rate0.4-drain1000-s1"] = (
+        mesh_config(mesh_k=4, seed=1, chaining="any_input"),
+        dict(RUN, rate=0.4, warmup=200, measure=500, drain=1000))
     return out
 
 
