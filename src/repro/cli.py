@@ -9,7 +9,6 @@ Examples::
     python -m repro sweep --rates 0.1 0.2 0.3 0.4 --chaining any_input --json
     python -m repro run --rate 0.45 --trace out.jsonl.gz --artifacts runs/pc
     python -m repro spans out.jsonl.gz --perfetto spans.json
-    python -m repro diff runs/baseline runs/pc --threshold 5
     python -m repro report out.jsonl
     python -m repro run --rate 0.2 --faults examples/faultplan.json \\
         --reliable --invariants strict --watchdog 2000
@@ -48,16 +47,12 @@ from repro.obs import (
     TraceBus,
     TraceFilter,
     build_spans,
-    compare_artifacts,
-    format_diff,
     format_report,
     format_spans_report,
     read_jsonl,
     summarize_trace,
     write_run_artifacts,
-    write_sweep_manifest,
 )
-from repro.obs.artifacts import rate_subdir
 from repro.sim.runner import KillAt, run_simulation
 from repro.traffic import BimodalLength, FixedLength
 
@@ -133,20 +128,15 @@ def _add_obs_args(parser):
                         "(with --progress/--heartbeat)")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON instead of text")
-    _add_recorder_args(parser)
-
-
-def _add_recorder_args(parser, sampling=True):
     parser.add_argument("--artifacts", default=None, metavar="DIR",
                         help="write a self-describing run-artifact directory "
-                             "(manifest, summary, metrics; see 'repro diff')")
-    if sampling:
-        parser.add_argument("--samples", default=None, metavar="FILE",
-                            help="record periodic network-state samples to "
-                                 "JSONL (.gz compresses)")
-        parser.add_argument("--sample-period", type=int, default=100,
-                            metavar="N", help="cycles between network-state "
-                            "samples (with --samples/--artifacts)")
+                             "(manifest, summary, metrics, samples)")
+    parser.add_argument("--samples", default=None, metavar="FILE",
+                        help="record periodic network-state samples to "
+                             "JSONL (.gz compresses)")
+    parser.add_argument("--sample-period", type=int, default=100,
+                        metavar="N", help="cycles between network-state "
+                        "samples (with --samples/--artifacts)")
 
 
 def _obs_from(args):
@@ -264,24 +254,20 @@ def _print_fault_summary(result, out):
         )
 
 
-def _run_info_from(args, command):
+def _run_info_from(args):
     """The reproduction block of an artifact manifest."""
     info = {
-        "command": command,
+        "command": "run",
         "pattern": args.pattern,
+        "rate": args.rate,
         "warmup": args.warmup,
         "measure": args.measure,
+        "drain": args.drain,
     }
-    if hasattr(args, "drain"):
-        info["drain"] = args.drain
-    if getattr(args, "bimodal", False):
+    if args.bimodal:
         info["lengths"] = "bimodal(1,5)"
     else:
         info["packet_length"] = args.packet_length
-    if hasattr(args, "rate"):
-        info["rate"] = args.rate
-    if hasattr(args, "rates"):
-        info["rates"] = list(args.rates)
     return info
 
 
@@ -378,7 +364,7 @@ def cmd_run(args, out):
             span_set.publish_metrics(registry)
         write_run_artifacts(
             args.artifacts, config, result, registry=registry,
-            run_info=_run_info_from(args, "run"),
+            run_info=_run_info_from(args),
             sampler=sampler, span_set=span_set,
         )
     if args.metrics:
@@ -421,32 +407,17 @@ def cmd_run(args, out):
 
 
 def cmd_sweep(args, out):
-    import os
-
-    want_metrics = args.json or args.artifacts
     results = []
     for rate in args.rates:
         # Registries hold end-of-run snapshots: one per rate, or the
         # counters would sum across rates.
-        registry = MetricsRegistry() if want_metrics else None
+        registry = MetricsRegistry() if args.json else None
         result = run_simulation(
             _config_from(args), pattern=args.pattern, rate=rate,
             lengths=_lengths_from(args), warmup=args.warmup,
             measure=args.measure, drain=args.drain, metrics=registry,
         )
         results.append((rate, result, registry))
-    if args.artifacts:
-        config = _config_from(args)
-        write_sweep_manifest(
-            args.artifacts, config, args.rates,
-            run_info=_run_info_from(args, "sweep"),
-        )
-        for rate, result, registry in results:
-            write_run_artifacts(
-                os.path.join(args.artifacts, rate_subdir(rate)),
-                config, result, registry=registry,
-                run_info=dict(_run_info_from(args, "sweep"), rate=rate),
-            )
     if args.json:
         rows = []
         for rate, result, registry in results:
@@ -467,14 +438,29 @@ def cmd_sweep(args, out):
     return 0
 
 
-def cmd_report(args, out):
+def _read_trace(args, out):
+    """The events of ``args.tracefile``, or None after one error line
+    when it holds no record, or a record with no ``ev`` (not a trace)."""
     events = read_jsonl(args.tracefile)
+    if events and all("ev" in event for event in events):
+        return events
+    out.write(f"repro {args.command}: {args.tracefile} is not an event trace\n")
+    return None
+
+
+def cmd_report(args, out):
+    events = _read_trace(args, out)
+    if events is None:
+        return 2
     out.write(format_report(summarize_trace(events), top=args.top))
     return 0
 
 
 def cmd_spans(args, out):
-    span_set = build_spans(read_jsonl(args.tracefile))
+    events = _read_trace(args, out)
+    if events is None:
+        return 2
+    span_set = build_spans(events)
     if args.perfetto:
         span_set.save_chrome_trace(args.perfetto, limit=args.limit)
     if args.json:
@@ -485,20 +471,6 @@ def cmd_spans(args, out):
         if args.perfetto:
             out.write(f"perfetto trace    : {args.perfetto}\n")
     return 0
-
-
-def cmd_diff(args, out):
-    try:
-        diff = compare_artifacts(args.base, args.new, args.threshold)
-    except (ValueError, OSError) as exc:
-        out.write(f"repro diff: {exc}\n")
-        return 2
-    if args.json:
-        json.dump(diff.to_dict(), out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        out.write(format_diff(diff))
-    return 1 if diff.regressions else 0
 
 
 def cmd_shard(args, out):
@@ -668,7 +640,6 @@ def build_parser():
                    default=[0.1, 0.2, 0.3, 0.4, 0.5])
     p.add_argument("--json", action="store_true",
                    help="emit one JSON array of per-rate results")
-    _add_recorder_args(p, sampling=False)
     p.set_defaults(func=cmd_sweep, drain=0)
 
     p = sub.add_parser("report", help="summarize a JSONL event trace")
@@ -715,17 +686,6 @@ def build_parser():
     p.add_argument("--json", action="store_true",
                    help="emit the decomposition as JSON")
     p.set_defaults(func=cmd_spans)
-
-    p = sub.add_parser(
-        "diff", help="compare two artifact dirs; exit 1 on regression"
-    )
-    p.add_argument("base", help="baseline artifact directory")
-    p.add_argument("new", help="candidate artifact directory")
-    p.add_argument("--threshold", type=float, default=5.0, metavar="PCT",
-                   help="percent change that counts as a regression")
-    p.add_argument("--json", action="store_true",
-                   help="emit the diff as JSON")
-    p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser(
         "serve",

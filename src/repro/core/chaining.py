@@ -100,23 +100,16 @@ class ChainStats:
     def publish_metrics(self, registry):
         """Register the Figure 11 counters into a MetricsRegistry."""
         counters = (
-            ("chains_total", self.total_chains,
-             "PC grants that survived conflict detection"),
-            ("chains_same_vc", self.same_input_same_vc,
-             "Chains from the holder's own input VC"),
-            ("chains_same_input", self.same_input_other_vc,
-             "Chains from another VC of the holder's input"),
-            ("chains_other_input", self.other_input,
-             "Chains from a different input port"),
-            ("chain_conflicts", self.conflicts,
-             "PC grants dropped on SA conflict"),
-            ("chain_speculation_failures", self.speculation_failures,
-             "Speculative PC grants whose event did not occur"),
-            ("chain_cycles", self.cycles,
-             "Cycles simulated with chaining enabled"),
+            ("chains_total", self.total_chains),
+            ("chains_same_vc", self.same_input_same_vc),
+            ("chains_same_input", self.same_input_other_vc),
+            ("chains_other_input", self.other_input),
+            ("chain_conflicts", self.conflicts),
+            ("chain_speculation_failures", self.speculation_failures),
+            ("chain_cycles", self.cycles),
         )
-        for name, value, help_text in counters:
-            registry.counter(name, help=help_text).inc(value)
+        for name, value in counters:
+            registry.counter(name).inc(value)
         return registry
 
 

@@ -328,25 +328,11 @@ class FaultController:
         return [key for key, count in self._down_count.items() if count > 0]
 
     def publish_metrics(self, registry):
-        registry.counter(
-            "failed_links", help="Link faults activated"
-        ).inc(self.failed_links)
-        registry.counter(
-            "repaired_links", help="Transient link faults repaired"
-        ).inc(self.repaired_links)
-        registry.counter(
-            "failed_routers", help="Router faults activated"
-        ).inc(self.failed_routers)
-        registry.counter(
-            "dropped_flits", help="Flits lost to faults (credits returned)"
-        ).inc(self.dropped_flits)
-        registry.counter(
-            "corrupted_flits", help="Flits corrupted in flight"
-        ).inc(self.corrupted_flits)
-        registry.counter(
-            "killed_packets", help="Packets killed by fault injection"
-        ).inc(self.killed_packets)
-        registry.counter(
-            "detours", help="Routing decisions diverted around dead links"
-        ).inc(self.detours)
+        registry.counter("failed_links").inc(self.failed_links)
+        registry.counter("repaired_links").inc(self.repaired_links)
+        registry.counter("failed_routers").inc(self.failed_routers)
+        registry.counter("dropped_flits").inc(self.dropped_flits)
+        registry.counter("corrupted_flits").inc(self.corrupted_flits)
+        registry.counter("killed_packets").inc(self.killed_packets)
+        registry.counter("detours").inc(self.detours)
         return registry

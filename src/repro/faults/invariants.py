@@ -222,11 +222,6 @@ class InvariantChecker:
         }
 
     def publish_metrics(self, registry):
-        registry.counter(
-            "invariant_checks", help="Invariant sweeps executed"
-        ).inc(self.checks_run)
-        registry.counter(
-            "invariant_violations",
-            help="Invariant violations recorded (report mode)",
-        ).inc(len(self.violations))
+        registry.counter("invariant_checks").inc(self.checks_run)
+        registry.counter("invariant_violations").inc(len(self.violations))
         return registry

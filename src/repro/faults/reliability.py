@@ -169,22 +169,9 @@ class ReliableTransport:
         }
 
     def publish_metrics(self, registry):
-        registry.counter(
-            "reliable_tracked", help="Packets tracked by the transport"
-        ).inc(self.tracked)
-        registry.counter(
-            "reliable_delivered",
-            help="Unique packets delivered end to end",
-        ).inc(self.delivered)
-        registry.counter(
-            "retransmissions", help="Timeout-driven retransmissions"
-        ).inc(self.retransmissions)
-        registry.counter(
-            "duplicate_deliveries",
-            help="Deliveries suppressed as duplicates",
-        ).inc(self.duplicates)
-        registry.counter(
-            "delivery_failures",
-            help="Packets abandoned after the retry budget",
-        ).inc(len(self.failed))
+        registry.counter("reliable_tracked").inc(self.tracked)
+        registry.counter("reliable_delivered").inc(self.delivered)
+        registry.counter("retransmissions").inc(self.retransmissions)
+        registry.counter("duplicate_deliveries").inc(self.duplicates)
+        registry.counter("delivery_failures").inc(len(self.failed))
         return registry

@@ -358,20 +358,12 @@ class Network:
         """Publish collector, chaining, and router-level metrics."""
         self.stats.publish_metrics(registry)
         self.chain_stats().publish_metrics(registry)
-        registry.counter(
-            "cycles", help="Simulated cycles executed"
-        ).inc(self.cycle)
-        registry.counter(
-            "router_flits_sent",
-            help="Flits sent across all router output ports",
-        ).inc(sum(sum(r.port_flits) for r in self.routers))
-        registry.counter(
-            "wasted_speculations",
-            help="SA grants wasted on failed VC speculation",
-        ).inc(sum(r.wasted_speculations for r in self.routers))
-        registry.gauge(
-            "in_flight_flits", help="Flits buffered in routers or on channels"
-        ).set(self.in_flight_flits())
+        registry.counter("cycles").inc(self.cycle)
+        registry.counter("router_flits_sent").inc(
+            sum(sum(r.port_flits) for r in self.routers))
+        registry.counter("wasted_speculations").inc(
+            sum(r.wasted_speculations for r in self.routers))
+        registry.gauge("in_flight_flits").set(self.in_flight_flits())
         self._publish_alloc_metrics(registry)
         if self.faults is not None:
             self.faults.publish_metrics(registry)
@@ -391,23 +383,10 @@ class Network:
         for router in self.routers:
             for key, value in router.alloc_counters.items():
                 totals[key] += value
-        names = {
-            "sa": ("Switch allocation", self.config.allocator),
-            "pc": ("Packet-chaining allocation", self.config.pc_allocator),
-            "vc": ("Split VC allocation", self.config.allocator),
-        }
-        for role, (stage, alloc_name) in names.items():
+        for role in ("sa", "pc", "vc"):
             requests = totals[f"{role}_requests"]
             grants = totals[f"{role}_grants"]
-            registry.counter(
-                f"{role}_alloc_requests",
-                help=f"{stage} requests presented ({alloc_name})",
-            ).inc(requests)
-            registry.counter(
-                f"{role}_alloc_grants",
-                help=f"{stage} grants issued ({alloc_name})",
-            ).inc(grants)
-            registry.gauge(
-                f"{role}_grant_efficiency",
-                help=f"{stage} grants / requests ({alloc_name})",
-            ).set(grants / requests if requests else 0.0)
+            registry.counter(f"{role}_alloc_requests").inc(requests)
+            registry.counter(f"{role}_alloc_grants").inc(grants)
+            registry.gauge(f"{role}_grant_efficiency").set(
+                grants / requests if requests else 0.0)

@@ -20,7 +20,7 @@ Instruments, all zero-overhead when unused:
   bounded ring buffer, with JSONL export, the hottest links and ASCII
   heatmaps;
 - :mod:`repro.obs.artifacts` — the run-artifact flight recorder
-  (``--artifacts DIR``) and regression differ (``repro diff``);
+  (``--artifacts DIR``);
 - :mod:`repro.obs.telemetry` — host-performance heartbeats
   (cycles/sec, ETA, RSS) for one run, on stderr or in an fsynced JSONL
   file (``--progress``/``--heartbeat``);
@@ -35,14 +35,7 @@ distribution, port contention, top-blocked packets) for ``repro
 report``.
 """
 
-from repro.obs.artifacts import (
-    ArtifactDiff,
-    DiffRow,
-    compare_artifacts,
-    format_diff,
-    write_run_artifacts,
-    write_sweep_manifest,
-)
+from repro.obs.artifacts import write_run_artifacts
 from repro.obs.metrics import (
     CHAIN_LENGTH_EDGES,
     LATENCY_EDGES,
@@ -110,11 +103,6 @@ __all__ = [
     "NetworkSampler",
     "SAMPLE_FIELDS",
     "write_run_artifacts",
-    "write_sweep_manifest",
-    "compare_artifacts",
-    "format_diff",
-    "ArtifactDiff",
-    "DiffRow",
     "DIGEST_SCHEMA",
     "DigestRecorder",
     "DigestStream",

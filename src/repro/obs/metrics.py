@@ -3,8 +3,7 @@
 Components publish into a :class:`MetricsRegistry` (gem5-stats style:
 the producer owns the numbers, the registry owns naming and export).
 ``to_dict()`` / ``save_json()`` export nested JSON: the CLI's
-``--metrics`` and ``--json`` output and an artifact's ``metrics.json``,
-which ``repro diff`` reads.
+``--metrics`` and ``--json`` output and an artifact's ``metrics.json``.
 
 Histogram bucket edges are fixed at construction; values land in the
 first bucket whose upper edge is >= the value, with an implicit +Inf
@@ -23,12 +22,11 @@ CHAIN_LENGTH_EDGES = (1, 2, 3, 4, 6, 8, 12, 16, 32)
 class Counter:
     """Monotonically increasing count."""
 
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
     kind = "counter"
 
-    def __init__(self, name, help=""):
+    def __init__(self, name):
         self.name = name
-        self.help = help
         self.value = 0
 
     def inc(self, amount=1):
@@ -43,12 +41,11 @@ class Counter:
 class Gauge:
     """A value that can go up and down."""
 
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
     kind = "gauge"
 
-    def __init__(self, name, help=""):
+    def __init__(self, name):
         self.name = name
-        self.help = help
         self.value = 0.0
 
     def set(self, value):
@@ -61,15 +58,14 @@ class Gauge:
 class Histogram:
     """Fixed-bucket histogram with sum/count."""
 
-    __slots__ = ("name", "help", "edges", "counts", "sum", "count")
+    __slots__ = ("name", "edges", "counts", "sum", "count")
     kind = "histogram"
 
-    def __init__(self, name, edges, help=""):
+    def __init__(self, name, edges):
         edges = tuple(sorted(edges))
         if not edges:
             raise ValueError("histogram needs at least one bucket edge")
         self.name = name
-        self.help = help
         self.edges = edges
         self.counts = [0] * (len(edges) + 1)  # last = +Inf overflow
         self.sum = 0.0
@@ -95,7 +91,7 @@ class MetricsRegistry:
     def __init__(self):
         self._metrics = {}
 
-    def _get(self, cls, name, *args, **kwargs):
+    def _get(self, cls, name, *args):
         existing = self._metrics.get(name)
         if existing is not None:
             if not isinstance(existing, cls):
@@ -103,27 +99,18 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as {existing.kind}"
                 )
             return existing
-        metric = cls(name, *args, **kwargs)
+        metric = cls(name, *args)
         self._metrics[name] = metric
         return metric
 
-    def counter(self, name, help=""):
-        return self._get(Counter, name, help=help)
+    def counter(self, name):
+        return self._get(Counter, name)
 
-    def gauge(self, name, help=""):
-        return self._get(Gauge, name, help=help)
+    def gauge(self, name):
+        return self._get(Gauge, name)
 
-    def histogram(self, name, edges, help=""):
-        return self._get(Histogram, name, edges, help=help)
-
-    def __iter__(self):
-        return iter(self._metrics.values())
-
-    def __contains__(self, name):
-        return name in self._metrics
-
-    def get(self, name):
-        return self._metrics.get(name)
+    def histogram(self, name, edges):
+        return self._get(Histogram, name, edges)
 
     # --- export -----------------------------------------------------------
 

@@ -230,26 +230,14 @@ class SpanSet:
     def publish_metrics(self, registry):
         """Register per-packet component histograms (and hop counters)."""
         for name in SPAN_COMPONENTS:
-            hist = registry.histogram(
-                f"span_{name}_cycles", LATENCY_EDGES,
-                help=f"Per-packet {name} cycles from span reconstruction",
-            )
+            hist = registry.histogram(f"span_{name}_cycles", LATENCY_EDGES)
             for span in self.spans:
                 hist.observe(span.components()[name])
         decomp = self.decomposition()
-        registry.counter(
-            "span_packets", help="Packets with a complete span"
-        ).inc(decomp["packets"])
-        registry.counter(
-            "span_packets_incomplete",
-            help="Packets dropped from span reconstruction (partial trace)",
-        ).inc(decomp["incomplete"])
-        registry.counter(
-            "span_hops_chained", help="Hops allocated by packet chaining"
-        ).inc(decomp["hops"]["chained"])
-        registry.counter(
-            "span_hops", help="Router hops across all complete spans"
-        ).inc(decomp["hops"]["count"])
+        registry.counter("span_packets").inc(decomp["packets"])
+        registry.counter("span_packets_incomplete").inc(decomp["incomplete"])
+        registry.counter("span_hops_chained").inc(decomp["hops"]["chained"])
+        registry.counter("span_hops").inc(decomp["hops"]["count"])
         return registry
 
     # --- Chrome trace-event / Perfetto export -----------------------------

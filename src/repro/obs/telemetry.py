@@ -15,14 +15,14 @@ Two independent outputs, both optional:
   another process can trust what it reads even if this process is
   later SIGKILLed; :func:`repro.obs.trace.read_jsonl` reads it back
   and discards a torn final line.
+- ``console`` — a text stream (normally ``sys.stderr``) that gets a
+  single carriage-return-rewritten progress line per heartbeat, so
+  ``repro run --progress --json`` keeps machine-readable stdout clean.
 
 This is a user-facing progress stream (``repro run --progress`` /
 ``--heartbeat``), not a lease: supervised attempts (``repro serve``
 jobs, shard workers) beat a :class:`repro.proc.Heartbeat`, throttled
 on wall time, instead.
-- ``console`` — a text stream (normally ``sys.stderr``) that gets a
-  single carriage-return-rewritten progress line per heartbeat, so
-  ``repro run --progress --json`` keeps machine-readable stdout clean.
 
 Overhead: the run calls it only on heartbeat cycles, so a cycle between
 heartbeats costs the run's one due-cycle compare;

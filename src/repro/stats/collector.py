@@ -191,41 +191,19 @@ class StatsCollector:
         """
         from repro.obs.metrics import LATENCY_EDGES
 
-        registry.counter(
-            "flits_ejected", help="Flits ejected inside the measurement window"
-        ).inc(self.flits_ejected)
-        registry.counter(
-            "packets_ejected",
-            help="Packets whose tail ejected inside the window",
-        ).inc(self.packets_ejected)
-        registry.counter(
-            "packets_created",
-            help="Packets created inside the window",
-        ).inc(sum(self.packets_created_per_source))
-        registry.counter(
-            "flits_injected", help="Flits injected inside the window"
-        ).inc(sum(self.flits_injected_per_source))
-        registry.gauge(
-            "throughput_avg",
-            help="Mean accepted flits/cycle/terminal",
-        ).set(self.avg_throughput())
-        registry.gauge(
-            "throughput_min",
-            help="Worst-case accepted flits/cycle over active sources",
-        ).set(self.min_throughput())
-        registry.gauge(
-            "window_cycles", help="Measurement window length in cycles"
-        ).set(self.window_cycles)
-        lat = registry.histogram(
-            "packet_latency_cycles", LATENCY_EDGES,
-            help="Packet latency (creation to tail ejection)",
-        )
+        registry.counter("flits_ejected").inc(self.flits_ejected)
+        registry.counter("packets_ejected").inc(self.packets_ejected)
+        registry.counter("packets_created").inc(
+            sum(self.packets_created_per_source))
+        registry.counter("flits_injected").inc(
+            sum(self.flits_injected_per_source))
+        registry.gauge("throughput_avg").set(self.avg_throughput())
+        registry.gauge("throughput_min").set(self.min_throughput())
+        registry.gauge("window_cycles").set(self.window_cycles)
+        lat = registry.histogram("packet_latency_cycles", LATENCY_EDGES)
         for sample in self.packet_latencies:
             lat.observe(sample)
-        blk = registry.histogram(
-            "packet_blocked_cycles", LATENCY_EDGES,
-            help="Cycles each packet spent blocked at a VC front",
-        )
+        blk = registry.histogram("packet_blocked_cycles", LATENCY_EDGES)
         for sample in self.blocked_cycles:
             blk.observe(sample)
         return registry

@@ -416,6 +416,23 @@ class TestCLIObservability:
         assert code == 0
         assert "complete packets" in spans
 
+    @pytest.mark.parametrize("cmd", ["report", "spans"])
+    @pytest.mark.parametrize("name", ["d.jsonl", "art/summary.json"])
+    def test_report_and_spans_refuse_a_non_trace(self, tmp_path, cmd, name):
+        # A digest stream holds records without "ev"; a JSON document
+        # yields no record at all. Neither is a trace.
+        code, _ = self.run_cli(
+            "run", "--mesh-k", "4", "--rate", "0.3",
+            "--warmup", "20", "--measure", "60", "--drain", "0",
+            "--digest", str(tmp_path / "d.jsonl"),
+            "--artifacts", str(tmp_path / "art"),
+        )
+        assert code == 0
+        path = tmp_path / name
+        code, text = self.run_cli(cmd, str(path))
+        assert code == 2
+        assert text == f"repro {cmd}: {path} is not an event trace\n"
+
     def test_trace_filter_limits_events(self, tmp_path):
         trace = tmp_path / "t.jsonl"
         code, _ = self.run_cli(
