@@ -288,7 +288,8 @@ def lengths_from_spec(spec):
     raise CheckpointError(f"unknown length distribution kind {kind!r}")
 
 
-def canonical_run_spec(pattern, rate, lengths, warmup, measure, drain):
+def canonical_run_spec(pattern, rate, lengths, warmup, measure, drain,
+                       faults=None, transport=None):
     """The canonical run-spec dict covered by :func:`config_hash`.
 
     One layout shared by every consumer of the hash: checkpoint files,
@@ -297,10 +298,13 @@ def canonical_run_spec(pattern, rate, lengths, warmup, measure, drain):
     service is keyed identically to a checkpoint of the same
     experiment. ``lengths`` may be a distribution object, an
     already-serialized spec dict, or None (a distribution with no spec).
+    ``faults`` (``FaultPlan.to_dict()``) and ``transport`` (the
+    ``ReliableTransport`` timeout and retries) are keys only when set,
+    so an unfaulted run hashes as it always has.
     """
     if lengths is not None and not isinstance(lengths, dict):
         lengths = lengths_spec(lengths)
-    return {
+    spec = {
         "pattern": pattern,
         "rate": rate,
         "lengths": lengths,
@@ -308,6 +312,10 @@ def canonical_run_spec(pattern, rate, lengths, warmup, measure, drain):
         "measure": measure,
         "drain": drain,
     }
+    for key, value in (("faults", faults), ("transport", transport)):
+        if value is not None:
+            spec[key] = value
+    return spec
 
 
 def config_hash(config, run_spec):

@@ -29,14 +29,7 @@ import json
 import sys
 
 from repro.checkpoint import CheckpointError, Checkpointer, SimulationKilled
-from repro.faults import (
-    FaultController,
-    FaultPlan,
-    HangWatchdog,
-    InvariantChecker,
-    ReliableTransport,
-    WatchdogError,
-)
+from repro.faults import FaultPlan, WatchdogError
 from repro.network.config import NetworkConfig
 from repro.obs import (
     JsonlSink,
@@ -53,7 +46,7 @@ from repro.obs import (
     summarize_trace,
     write_run_artifacts,
 )
-from repro.sim.runner import KillAt, run_simulation
+from repro.sim.runner import KillAt
 from repro.traffic import BimodalLength, FixedLength
 
 
@@ -102,6 +95,31 @@ def _config_from(args):
         num_vcs=args.num_vcs,
         vc_buf_depth=args.vc_buf_depth,
         seed=args.seed,
+    )
+
+
+def _spec_from(args, rate=None):
+    """The JobSpec the run flags describe (``rate`` overrides ``--rate``):
+    ``run``, ``sweep``, ``shard`` and ``serve --submit-sweep`` all run
+    what this builds. Only ``run`` has the fault flags."""
+    from repro.serve.spec import spec_for
+
+    faults = transport = None
+    if getattr(args, "faults", None):
+        faults = FaultPlan.load(args.faults).to_dict()
+    if getattr(args, "reliable", False):
+        transport = {"timeout": args.reliable_timeout,
+                     "max_retries": args.reliable_retries}
+    invariants = getattr(args, "invariants", "off")
+    return spec_for(
+        _config_from(args), pattern=args.pattern,
+        rate=args.rate if rate is None else rate,
+        lengths=BimodalLength(1, 5) if args.bimodal
+        else FixedLength(args.packet_length),
+        warmup=args.warmup, measure=args.measure, drain=args.drain,
+        faults=faults, transport=transport,
+        invariants=None if invariants == "off" else invariants,
+        watchdog_window=getattr(args, "watchdog", 0) or None,
     )
 
 
@@ -157,14 +175,11 @@ def _obs_from(args):
 
 def _probes_from(args):
     """Build (probes in firing order, sampler, digest recorder) from
-    the run flags; the output reads the sampler and the recorder."""
-    sampler = watchdog = telemetry = digester = None
+    the run flags; the output reads the sampler and the recorder. The
+    spec's hang watchdog fires first (``JobSpec.simulate``)."""
+    sampler = telemetry = digester = None
     if args.samples or args.artifacts:
         sampler = NetworkSampler(period=args.sample_period)
-    if args.watchdog:
-        watchdog = HangWatchdog(
-            window=args.watchdog, dump_path=args.watchdog_dump
-        )
     if args.progress or args.heartbeat:
         telemetry = RunTelemetry(
             path=args.heartbeat, every=args.heartbeat_every,
@@ -175,7 +190,7 @@ def _probes_from(args):
         from repro.obs.digest import DigestRecorder
 
         digester = DigestRecorder(every=args.digest_every, path=args.digest)
-    probes = [p for p in (sampler, watchdog, telemetry, digester)
+    probes = [p for p in (sampler, telemetry, digester)
               if p is not None]
     if args.checkpoint:
         probes.append(Checkpointer(args.checkpoint, args.checkpoint_every))
@@ -203,22 +218,6 @@ def _add_fault_args(parser):
     parser.add_argument("--watchdog-dump", default=None, metavar="FILE",
                         help="write the watchdog's diagnostic bundle here "
                              "on a hang")
-
-
-def _faults_from(args):
-    """Build (controller, transport, invariants) from flags."""
-    controller = None
-    if args.faults:
-        controller = FaultController(FaultPlan.load(args.faults))
-    transport = None
-    if args.reliable:
-        transport = ReliableTransport(
-            timeout=args.reliable_timeout, max_retries=args.reliable_retries
-        )
-    checker = None
-    if args.invariants != "off":
-        checker = InvariantChecker(mode=args.invariants)
-    return controller, transport, checker
 
 
 def _print_fault_summary(result, out):
@@ -254,32 +253,11 @@ def _print_fault_summary(result, out):
         )
 
 
-def _run_info_from(args):
-    """The reproduction block of an artifact manifest."""
-    info = {
-        "command": "run",
-        "pattern": args.pattern,
-        "rate": args.rate,
-        "warmup": args.warmup,
-        "measure": args.measure,
-        "drain": args.drain,
-    }
-    if args.bimodal:
-        info["lengths"] = "bimodal(1,5)"
-    else:
-        info["packet_length"] = args.packet_length
-    return info
-
-
 def _finish_obs(args, bus, profiler):
     if bus is not None:
         bus.close()
     if profiler is not None:
         profiler.save(args.profile)
-
-
-def _lengths_from(args):
-    return BimodalLength(1, 5) if args.bimodal else FixedLength(args.packet_length)
 
 
 def _print_result(result, out):
@@ -324,17 +302,12 @@ def _print_alloc_efficiency(registry, out):
 
 def cmd_run(args, out):
     bus, profiler, registry = _obs_from(args)
-    config = _config_from(args)
-    controller, transport, checker = _faults_from(args)
+    spec = _spec_from(args)
     probes, sampler, digester = _probes_from(args)
     try:
-        result = run_simulation(
-            config, pattern=args.pattern, rate=args.rate,
-            lengths=_lengths_from(args), warmup=args.warmup,
-            measure=args.measure, drain=args.drain,
-            trace=bus, profiler=profiler, metrics=registry,
-            faults=controller, transport=transport, invariants=checker,
-            resume_from=args.resume, probes=probes,
+        result = spec.simulate(
+            probes=probes, watchdog_dump=args.watchdog_dump, trace=bus,
+            profiler=profiler, metrics=registry, resume_from=args.resume,
         )
     except SimulationKilled as exc:
         _finish_obs(args, bus, profiler)
@@ -362,11 +335,8 @@ def cmd_run(args, out):
             # the artifact carries the latency decomposition.
             span_set = build_spans(read_jsonl(args.trace))
             span_set.publish_metrics(registry)
-        write_run_artifacts(
-            args.artifacts, config, result, registry=registry,
-            run_info=_run_info_from(args),
-            sampler=sampler, span_set=span_set,
-        )
+        write_run_artifacts(args.artifacts, spec, result, registry=registry,
+                            sampler=sampler, span_set=span_set)
     if args.metrics:
         registry.save_json(args.metrics)
     if args.json:
@@ -412,11 +382,7 @@ def cmd_sweep(args, out):
         # Registries hold end-of-run snapshots: one per rate, or the
         # counters would sum across rates.
         registry = MetricsRegistry() if args.json else None
-        result = run_simulation(
-            _config_from(args), pattern=args.pattern, rate=rate,
-            lengths=_lengths_from(args), warmup=args.warmup,
-            measure=args.measure, drain=args.drain, metrics=registry,
-        )
+        result = _spec_from(args, rate).simulate(metrics=registry)
         results.append((rate, result, registry))
     if args.json:
         rows = []
@@ -478,11 +444,7 @@ def cmd_shard(args, out):
     from repro.parallel.coordinator import ShardRunError
     from repro.parallel.partition import ShardPlanError
 
-    config = _config_from(args)
-    kwargs = dict(
-        pattern=args.pattern, rate=args.rate, lengths=_lengths_from(args),
-        warmup=args.warmup, measure=args.measure, drain=args.drain,
-    )
+    config, kwargs = _spec_from(args).run_args()
     chaos = None
     if args.chaos_kill_cycle is not None:  # CI's restart-path smoke
         chaos = {args.chaos_shard: {"sigkill_at_cycle": args.chaos_kill_cycle}}
@@ -517,7 +479,6 @@ def cmd_serve(args, out):
         JobSpec,
         ServiceLockError,
         scan_service,
-        spec_for,
         submit_spec,
     )
     if args.status:
@@ -558,14 +519,9 @@ def cmd_serve(args, out):
         return 0
 
     if args.submit_sweep is not None:
-        config = _config_from(args)
-        lengths = _lengths_from(args)
         for rate in args.submit_sweep:
-            spec = spec_for(
-                config, pattern=args.pattern, rate=rate, lengths=lengths,
-                warmup=args.warmup, measure=args.measure, drain=args.drain,
-                label=args.label or config.topology,
-            )
+            spec = _spec_from(args, rate)
+            spec.label = args.label or spec.config["topology"]
             job_id = submit_spec(args.root, spec)
             out.write(f"{job_id}\n")
         return 0

@@ -1,18 +1,21 @@
 """Run-artifact flight recorder.
 
 ``repro run --artifacts DIR`` (and every ``repro serve`` cache entry)
-writes a self-describing directory, so a run's result carries the
-config, seed and versions that produced it:
+writes a self-describing directory whose manifest is the
+:class:`~repro.serve.spec.JobSpec` that ran, so a run's result carries
+the experiment that produced it:
 
 .. code-block:: text
 
     DIR/
-      manifest.json   # full config, seed, traffic, phases, versions
+      manifest.json   # kind, schema 2, spec, spec_hash, versions, files
       summary.json    # SimResult.to_dict()
       metrics.json    # MetricsRegistry JSON export
       samples.jsonl   # optional: NetworkSampler snapshots
       spans.json      # optional: span latency decomposition
 
+``repro serve ROOT --submit DIR/manifest.json`` re-runs the directory,
+fault plan and transport included, to the same ``summary.json``.
 Whether a change moved a result is answered exactly, not by comparing
 these directories: by the checked-in core goldens and by the digest
 fingerprint of ``repro run --json --digest FILE``.
@@ -66,29 +69,14 @@ def _dump(path, payload):
         fh.write("\n")
 
 
-def build_manifest(config, run_info=None):
-    """The self-description block: enough to re-run the experiment."""
+def write_run_artifacts(
+    directory, spec, result, registry=None, sampler=None, span_set=None,
+    spec_hash=None,
+):
+    """Write the artifact directory of one run of ``spec`` (a JobSpec;
+    ``spec_hash`` when the caller has it); returns the file list."""
     from repro import __version__
 
-    return {
-        "kind": "run",
-        "schema": 1,
-        "config": config.to_dict(),
-        "seed": config.seed,
-        "run": dict(run_info or {}),
-        "versions": {
-            "repro": __version__,
-            "python": platform.python_version(),
-        },
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-
-
-def write_run_artifacts(
-    directory, config, result, registry=None, run_info=None,
-    sampler=None, span_set=None,
-):
-    """Write one run's artifact directory; returns the file list."""
     os.makedirs(directory, exist_ok=True)
     written = [MANIFEST, SUMMARY]
     _dump(os.path.join(directory, SUMMARY), result.to_dict())
@@ -101,7 +89,17 @@ def write_run_artifacts(
     if span_set is not None:
         _dump(os.path.join(directory, SPANS), span_set.decomposition())
         written.append(SPANS)
-    manifest = build_manifest(config, run_info=run_info)
-    manifest["files"] = sorted(written)
+    manifest = {
+        "kind": "run",
+        "schema": 2,
+        "spec": spec.to_dict(),
+        "spec_hash": spec_hash or spec.spec_hash(),
+        "versions": {
+            "repro": __version__,
+            "python": platform.python_version(),
+        },
+        "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "files": sorted(written),
+    }
     _dump(os.path.join(directory, MANIFEST), manifest)
     return manifest["files"]

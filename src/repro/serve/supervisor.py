@@ -77,13 +77,11 @@ def run_job_worker(root, job_id, attempt, spec_dict, hard_exit=False):
 
 
 def _run_attempt(root, attempt, spec_dict, heartbeat, out_path):
-    from repro.checkpoint import lengths_from_spec
-    from repro.network.config import NetworkConfig
     from repro.obs.artifacts import write_run_artifacts
     from repro.obs.metrics import MetricsRegistry
     from repro.serve.cache import ResultCache
     from repro.serve.spec import JobSpec
-    from repro.sim.runner import KillAt, run_simulation
+    from repro.sim.runner import KillAt
 
     started = time.monotonic()
     spec = JobSpec.from_dict(spec_dict)
@@ -96,34 +94,15 @@ def _run_attempt(root, attempt, spec_dict, heartbeat, out_path):
                       artifact=cache.relative_entry(spec_hash),
                       wall_time=time.monotonic() - started)
         return
-    config = NetworkConfig.from_dict(spec.config)
-    probes = []
-    if spec.watchdog_window is not None:
-        from repro.faults.watchdog import HangWatchdog
-
-        probes.append(HangWatchdog(window=spec.watchdog_window))
-    probes.append(_LeaseBeats(heartbeat))
+    probes = [_LeaseBeats(heartbeat)]
     if kill_at is not None:
         probes.append(KillAt(kill_at))
     registry = MetricsRegistry()
-    result = run_simulation(
-        config,
-        pattern=spec.pattern,
-        rate=spec.rate,
-        lengths=lengths_from_spec(spec.lengths),
-        warmup=spec.warmup,
-        measure=spec.measure,
-        drain=spec.drain,
-        metrics=registry,
-        probes=probes,
-    )
+    result = spec.simulate(probes=probes, metrics=registry)
 
     def build(staging):
-        write_run_artifacts(
-            staging, config, result, registry=registry,
-            run_info={"kind": "serve", "hash": spec_hash,
-                      **spec.run_spec()},
-        )
+        write_run_artifacts(staging, spec, result, registry=registry,
+                            spec_hash=spec_hash)
 
     _, fresh = cache.publish(spec_hash, build)
     write_outcome(out_path, ok=True, hash=spec_hash, cached=not fresh,

@@ -3,25 +3,26 @@
 import io
 import json
 import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.network.config import mesh_config
 from repro.obs import MetricsRegistry, NetworkSampler, write_run_artifacts
-from repro.sim.runner import run_simulation
+from repro.serve import spec_for
 
 
 def _record_run(directory, rate=0.3, seed=7, with_sampler=False, **cfg_kw):
     cfg = mesh_config(mesh_k=4, chaining="any_input", seed=seed, **cfg_kw)
+    spec = spec_for(cfg, rate=rate, warmup=50, measure=200, drain=500)
     registry = MetricsRegistry()
     sampler = NetworkSampler(period=100) if with_sampler else None
-    result = run_simulation(
-        cfg, rate=rate, warmup=50, measure=200, drain=500,
-        metrics=registry, probes=[sampler] if with_sampler else (),
-    )
-    write_run_artifacts(
-        str(directory), cfg, result, registry=registry,
-        run_info={"rate": rate}, sampler=sampler,
-    )
+    result = spec.simulate(metrics=registry,
+                           probes=[sampler] if with_sampler else ())
+    write_run_artifacts(str(directory), spec, result, registry=registry,
+                        sampler=sampler)
     return result
 
 
@@ -40,9 +41,15 @@ class TestWriteArtifacts:
         _record_run(art, seed=11)
         manifest = json.loads((art / "manifest.json").read_text())
         assert manifest["kind"] == "run"
-        assert manifest["seed"] == 11
-        assert manifest["config"]["chaining"] == "any_input"
-        assert manifest["run"]["rate"] == 0.3
+        assert manifest["schema"] == 2
+        spec = manifest["spec"]
+        assert spec["config"]["seed"] == 11
+        assert spec["config"]["chaining"] == "any_input"
+        assert spec["rate"] == 0.3
+        assert manifest["spec_hash"] == spec_for(
+            mesh_config(mesh_k=4, chaining="any_input", seed=11), rate=0.3,
+            warmup=50, measure=200, drain=500).spec_hash()
+        assert not {"config", "seed", "run"} & set(manifest)
         assert manifest["versions"]["repro"]
         assert manifest["versions"]["python"]
         assert sorted(manifest["files"]) == manifest["files"]
@@ -87,3 +94,49 @@ class TestCLIDiff:
         assert spans["incomplete"] == 0
         metrics = json.loads((art / "metrics.json").read_text())
         assert metrics["counters"]["span_packets"] == spans["packets"]
+
+
+FAULT_PLAN_K4 = os.path.join(os.path.dirname(__file__), "..", "examples",
+                             "faultplan_k4.json")
+
+
+@st.composite
+def run_flags(draw):
+    """``repro run`` flags on k=4: pattern, rate, fixed or bimodal
+    lengths, the k=4 fault plan and the reliable transport on or off."""
+    flags = ["--mesh-k", "4", "--chaining", "any_input",
+             "--warmup", "100", "--measure", "300", "--drain", "3000",
+             "--pattern", draw(st.sampled_from(
+                 ["uniform", "transpose", "bitcomp", "neighbor"])),
+             "--rate", str(draw(st.sampled_from([0.05, 0.15, 0.3])))]
+    flags += draw(st.sampled_from(
+        [["--packet-length", "1"], ["--packet-length", "3"], ["--bimodal"]]))
+    if draw(st.booleans()):
+        flags += ["--faults", FAULT_PLAN_K4]
+    if draw(st.booleans()):
+        flags += ["--reliable", "--reliable-timeout", "256"]
+    return flags
+
+
+@settings(max_examples=8, derandomize=True)
+@given(run_flags())
+def test_run_directory_reruns_from_its_manifest(flags):
+    """``run --artifacts D`` then ``serve R --submit D/manifest.json``
+    and ``serve R --once``: the cache entry's summary.json is
+    byte-identical to D's, faulted and reliable runs included."""
+    with tempfile.TemporaryDirectory(prefix="art-rerun-") as tmp:
+        art, root = os.path.join(tmp, "D"), os.path.join(tmp, "R")
+        code = cli_main(["run", *flags, "--artifacts", art], out=io.StringIO())
+        assert code in (0, 1)  # 1: the transport gave up on a packet
+        out = io.StringIO()
+        assert cli_main(["serve", root, "--submit",
+                         os.path.join(art, "manifest.json")], out) == 0
+        assert cli_main(["serve", root, "--once", "--workers", "1"],
+                        io.StringIO()) == 0
+        with open(os.path.join(art, "manifest.json")) as fh:
+            spec_hash = json.load(fh)["spec_hash"]
+        entry = os.path.join(root, "cache", "objects", spec_hash)
+        with open(os.path.join(art, "summary.json"), "rb") as fh:
+            expected = fh.read()
+        with open(os.path.join(entry, "summary.json"), "rb") as fh:
+            assert fh.read() == expected
