@@ -15,7 +15,8 @@ Examples::
     python -m repro run --rate 0.4 --checkpoint ck.json.gz \\
         --checkpoint-every 500 --kill-at 1200
     python -m repro run --rate 0.4 --resume ck.json.gz --json
-    python -m repro run --rate 0.4 --progress --json > result.json
+    python -m repro run --rate 0.4 --progress --heartbeat run.hb.json \\
+        --json > result.json
     python -m repro run --rate 0.4 --metrics m.json --profile prof.json
     python -m repro run --rate 0.3 --digest digests.jsonl.gz --digest-every 1
     python -m repro serve /tmp/svc --workers 4 &
@@ -36,7 +37,6 @@ from repro.obs import (
     MetricsRegistry,
     NetworkSampler,
     PhaseProfiler,
-    RunTelemetry,
     TraceBus,
     TraceFilter,
     build_spans,
@@ -46,6 +46,7 @@ from repro.obs import (
     summarize_trace,
     write_run_artifacts,
 )
+from repro.proc import BeatProbe, Heartbeat
 from repro.sim.runner import KillAt
 from repro.traffic import BimodalLength, FixedLength
 
@@ -136,14 +137,11 @@ def _add_obs_args(parser):
                              "(per-phase and per-allocator seconds in "
                              "1000-cycle epochs)")
     parser.add_argument("--progress", action="store_true",
-                        help="single-line live heartbeat (cycle, cycles/sec, "
+                        help="single-line live status (cycle, cycles/sec, "
                              "ETA) on stderr; stdout stays clean for --json")
     parser.add_argument("--heartbeat", default=None, metavar="FILE",
-                        help="append fsynced telemetry heartbeat records to "
-                             "a JSONL file (obs.telemetry)")
-    parser.add_argument("--heartbeat-every", type=int, default=1000,
-                        metavar="N", help="cycles between heartbeats "
-                        "(with --progress/--heartbeat)")
+                        help="beat the run's state and cycle into a JSON "
+                             "file, as a serve attempt does (repro.proc)")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON instead of text")
     parser.add_argument("--artifacts", default=None, metavar="DIR",
@@ -177,21 +175,17 @@ def _probes_from(args):
     """Build (probes in firing order, sampler, digest recorder) from
     the run flags; the output reads the sampler and the recorder. The
     spec's hang watchdog fires first (``JobSpec.simulate``)."""
-    sampler = telemetry = digester = None
+    sampler = beats = digester = None
     if args.samples or args.artifacts:
         sampler = NetworkSampler(period=args.sample_period)
     if args.progress or args.heartbeat:
-        telemetry = RunTelemetry(
-            path=args.heartbeat, every=args.heartbeat_every,
-            console=sys.stderr if args.progress else None,
-            rate=args.rate,
-        )
+        beats = BeatProbe(Heartbeat(args.heartbeat, "run", 1),
+                          console=sys.stderr if args.progress else None)
     if args.digest:
         from repro.obs.digest import DigestRecorder
 
         digester = DigestRecorder(every=args.digest_every, path=args.digest)
-    probes = [p for p in (sampler, telemetry, digester)
-              if p is not None]
+    probes = [p for p in (sampler, beats, digester) if p is not None]
     if args.checkpoint:
         probes.append(Checkpointer(args.checkpoint, args.checkpoint_every))
     if args.kill_at is not None:

@@ -21,9 +21,6 @@ Instruments, all zero-overhead when unused:
   heatmaps;
 - :mod:`repro.obs.artifacts` — the run-artifact flight recorder
   (``--artifacts DIR``);
-- :mod:`repro.obs.telemetry` — host-performance heartbeats
-  (cycles/sec, ETA, RSS) for one run, on stderr or in an fsynced JSONL
-  file (``--progress``/``--heartbeat``);
 - :mod:`repro.obs.digest` — per-cycle hierarchical SHA-256 state
   digests over ``state_dict()`` state, streamed as JSONL with a
   whole-run fingerprint (``--digest``/``--digest-every``); two streams
@@ -51,7 +48,6 @@ from repro.obs.report import (
     summarize_trace,
 )
 from repro.obs.sampler import SAMPLE_FIELDS, NetworkSampler
-from repro.obs.telemetry import RunTelemetry
 from repro.obs.spans import (
     SPAN_COMPONENTS,
     PacketSpan,
@@ -91,7 +87,6 @@ __all__ = [
     "CHAIN_LENGTH_EDGES",
     "PhaseProfiler",
     "PHASES",
-    "RunTelemetry",
     "TraceSummary",
     "summarize_trace",
     "format_report",

@@ -32,7 +32,7 @@ unequal root, and diff :func:`network_states` of both sides at that
 cycle.
 
 :class:`DigestRecorder` streams records as JSONL alongside the
-existing telemetry/trace streams (``.gz`` paths compress) and is a run
+trace stream (``.gz`` paths compress) and is a run
 probe: ``run_simulation(probes=[DigestRecorder(...)])``.
 
 Periodic records hash *simulation* state only (routers, terminals,

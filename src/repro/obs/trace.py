@@ -18,9 +18,10 @@ Common keys: ``ev`` (event type), ``cycle``, and — where meaningful —
 id). Remaining keys are event-specific.
 
 The module also owns the JSONL format of every durable log (job store,
-cache index, sweep and shard journals, heartbeat files):
-:func:`append_jsonl` is their one fsynced writer and :func:`read_jsonl`
-the one reader, for those logs and for traces and digest streams alike.
+cache index, sweep and shard journals): :func:`append_jsonl` is their
+one fsynced writer and :func:`read_jsonl` the one reader, for those
+logs and for traces and digest streams alike. Heartbeats are not logs:
+each is one JSON object replaced in place (:class:`repro.proc.Heartbeat`).
 """
 
 import gzip

@@ -9,8 +9,10 @@ side is SIGKILLed:
 
 - ``<name>.a<N>.hb.json`` — the :class:`Heartbeat`. Its mtime is the
   lease; its small JSON body tells a person reading the directory where
-  the attempt is. A lease needs to be fresh, not durable (nothing reads
-  it after a host crash), so it is renamed into place without an fsync.
+  the attempt is; a simulation beats it through :class:`BeatProbe`
+  (``repro run --heartbeat`` writes the same file). A lease needs to be
+  fresh, not durable (nothing reads it after a host crash), so it is
+  renamed into place without an fsync.
 - ``<name>.a<N>.out.json`` — the outcome (:func:`write_outcome`), the
   child's last act, written with ``atomic_write``: present and ``ok``
   means success, present and not ``ok`` carries the diagnostic, absent
@@ -166,7 +168,9 @@ class Heartbeat:
     Published by rename without an fsync — nothing reads a lease after
     a host crash, and the rename alone keeps readers from seeing a
     partial file — and throttled to ``min_interval``, so a per-cycle
-    beat costs an in-memory field update, not a disk write.
+    beat costs an in-memory field update, not a disk write. A ``path``
+    of None keeps the throttle and writes nothing (``repro run
+    --progress`` without ``--heartbeat``).
     """
 
     def __init__(self, path, name, attempt, min_interval=0.2):
@@ -177,13 +181,71 @@ class Heartbeat:
                         "pid": os.getpid()}
 
     def beat(self, force=False, **fields):
+        """Record ``fields``; publish them unless the throttle holds
+        this beat back. Returns True when the beat was published."""
         self._fields.update(fields)
         now = time.monotonic()
         if not force and now - self._last < self.min_interval:
-            return
+            return False
         self._last = now
-        with atomic_write(self.path, fsync=False) as fh:
-            json.dump(dict(self._fields, t=time.time()), fh)
+        if self.path is not None:
+            with atomic_write(self.path, fsync=False) as fh:
+                json.dump(dict(self._fields, t=time.time()), fh)
+        return True
+
+
+class BeatProbe:
+    """The one beat probe: a run probe (``repro.sim.runner.Probe``) due
+    every cycle that offers each cycle to a :class:`Heartbeat`, whose
+    wall-time throttle decides which beats reach the disk. Every serve
+    attempt and ``repro run --progress/--heartbeat`` run one.
+
+    ``start`` beats ``state`` and ``total_cycles`` (the phase schedule;
+    the drain may end early), each cycle ``cycle`` and ``phase``, and
+    ``finish`` a forced beat naming how the run ended (``done``,
+    ``killed`` or ``failed``), so the artifact write and cache publish
+    that follow a serve attempt's run start on a fresh lease. With a
+    ``console`` each published beat also redraws one status line there
+    (cycle/total, cycles/sec and ETA since ``start``), ended by a
+    newline at ``finish``.
+    """
+
+    def __init__(self, heartbeat, console=None):
+        self.heartbeat = heartbeat
+        self.console = console
+        self._origin = None  # (monotonic time, cycle) at start
+
+    def start(self, run):
+        cycle = run.network.cycle
+        self.total_cycles = run.warmup + run.measure + run.drain
+        self._origin = (time.monotonic(), cycle)
+        self.heartbeat.beat(state="running", total_cycles=self.total_cycles)
+        self.due = cycle + 1
+
+    def on_cycle(self, run):
+        cycle = run.network.cycle
+        self.due = cycle + 1
+        if (self.heartbeat.beat(cycle=cycle, phase=run.phase)
+                and self.console is not None):
+            self._draw(cycle)
+
+    def finish(self, run, status, result):
+        cycle = run.network.cycle
+        self.heartbeat.beat(force=True, state=status, cycle=cycle)
+        # A probe listed before this one can fail in start, before ours.
+        if self.console is not None and self._origin is not None:
+            self._draw(cycle)
+            self.console.write("\n")
+            self.console.flush()
+
+    def _draw(self, cycle):
+        started, first = self._origin
+        elapsed = time.monotonic() - started
+        rate = (cycle - first) / elapsed if elapsed > 0 else 0.0
+        eta = f"{(self.total_cycles - cycle) / rate:.0f}s" if rate else "-"
+        self.console.write(f"\rcycle {cycle}/{self.total_cycles}"
+                           f"  {rate:.0f} cycles/sec  eta {eta}  ")
+        self.console.flush()
 
 
 class Attempt:

@@ -4,18 +4,19 @@ Each leased job runs as one supervised attempt of :mod:`repro.proc`
 (:func:`~repro.proc.spawn_attempt` in the service,
 :func:`~repro.proc.run_attempt` here), named by its job id: its
 heartbeat and outcome files are ``<root>/hb/<job>.a<N>.hb.json`` and
-``<job>.a<N>.out.json``. The simulation beats through a run probe due
-every cycle, throttled on wall time, so a job slower than any fixed
-number of cycles per lease still holds its lease. Present and ``ok``,
-the outcome means the result is in the content-addressed cache; even
-an orphaned worker can at worst publish a correct result there.
+``<job>.a<N>.out.json``. The simulation beats through
+:class:`~repro.proc.BeatProbe`, due every cycle and throttled on wall
+time, so a job slower than any fixed number of cycles per lease still
+holds its lease. Present and ``ok``, the outcome means the result is in
+the content-addressed cache; even an orphaned worker can at worst
+publish a correct result there.
 """
 
 import os
 import signal
 import time
 
-from repro.proc import run_attempt, write_outcome
+from repro.proc import BeatProbe, run_attempt, write_outcome
 
 
 def _apply_chaos(chaos, attempt):
@@ -34,30 +35,6 @@ def _apply_chaos(chaos, attempt):
     if attempt <= int(chaos.get("kill_attempts", 0)):
         return chaos.get("kill_at")
     return None
-
-
-class _LeaseBeats:
-    """A run probe (``repro.sim.runner.Probe``) due every cycle: each
-    cycle offers one lease beat, and the heartbeat's wall-time throttle
-    decides which reach the disk."""
-
-    def __init__(self, heartbeat):
-        self.heartbeat = heartbeat
-
-    def start(self, run):
-        self.heartbeat.beat(state="running")
-        self.due = run.network.cycle + 1
-
-    def on_cycle(self, run):
-        cycle = run.network.cycle
-        self.due = cycle + 1
-        self.heartbeat.beat(cycle=cycle, phase=run.phase)
-
-    def finish(self, run, status, result):
-        # Forced: the artifact write and cache publish that follow start
-        # on a fresh lease.
-        self.heartbeat.beat(force=True, state=status,
-                            cycle=run.network.cycle)
 
 
 def run_job_worker(root, job_id, attempt, spec_dict, hard_exit=False):
@@ -94,7 +71,7 @@ def _run_attempt(root, attempt, spec_dict, heartbeat, out_path):
                       artifact=cache.relative_entry(spec_hash),
                       wall_time=time.monotonic() - started)
         return
-    probes = [_LeaseBeats(heartbeat)]
+    probes = [BeatProbe(heartbeat)]
     if kill_at is not None:
         probes.append(KillAt(kill_at))
     registry = MetricsRegistry()

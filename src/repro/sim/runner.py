@@ -7,8 +7,8 @@ where the snapshot was taken. ``run_simulation(resume_from=...)``
 restores one (refused on config mismatch).
 
 Everything that watches the run between cycles is a *probe* (see
-:class:`Probe`): the network sampler, the hang watchdog, heartbeat
-telemetry, state digests, periodic checkpoints
+:class:`Probe`): the network sampler, the hang watchdog, the heartbeat
+(:class:`~repro.proc.BeatProbe`), state digests, periodic checkpoints
 (:class:`~repro.checkpoint.Checkpointer`) and the chaos kill switch
 (:class:`KillAt`). The run keeps the earliest cycle any probe is due
 at, so a cycle with no probe due pays one compare.
@@ -288,13 +288,16 @@ def run_simulation(
     ``transport`` a :class:`~repro.faults.reliability.ReliableTransport`
     for end-to-end delivery and ``invariants`` an
     :class:`~repro.faults.invariants.InvariantChecker`. Their summaries
-    land in ``SimResult.faults``.
+    land in ``SimResult.faults``; the fault plan and the transport's
+    ``timeout``/``max_retries`` join the run spec (``run.spec``, which a
+    digest header records).
 
     ``probes`` (see :class:`Probe`) fire in list order; the CLI's is a
     :class:`~repro.obs.sampler.NetworkSampler`, a
     :class:`~repro.faults.watchdog.HangWatchdog` (its summary lands in
-    ``SimResult.faults``), a :class:`~repro.obs.telemetry.RunTelemetry`,
-    a :class:`~repro.obs.digest.DigestRecorder`, a
+    ``SimResult.faults``), a :class:`~repro.proc.BeatProbe` (the
+    heartbeat and ``--progress`` line), a
+    :class:`~repro.obs.digest.DigestRecorder`, a
     :class:`~repro.checkpoint.Checkpointer` and a :class:`KillAt`.
 
     ``resume_from`` restores a checkpoint file (or an already-loaded
@@ -308,6 +311,16 @@ def run_simulation(
         refuse_unsnapshotable(faults, transport)
     config, spec = config_and_spec(config, seed, pattern, rate, packet_length,
                                    lengths, warmup, measure, drain)
+    if faults is not None:
+        from repro.faults import FaultController, FaultPlan
+
+        if isinstance(faults, FaultPlan):
+            faults = FaultController(faults)
+        spec = canonical_run_spec(**spec, faults=faults.plan.to_dict())
+    if transport is not None:
+        spec = canonical_run_spec(**spec, transport={
+            "timeout": transport.timeout,
+            "max_retries": transport.max_retries})
     run = build_run(config, spec, trace=trace)
     run.metrics = metrics
     run.probes = list(probes)
@@ -315,10 +328,6 @@ def run_simulation(
     if profiler is not None:
         net.attach_profiler(profiler)
     if faults is not None:
-        from repro.faults import FaultController, FaultPlan
-
-        if isinstance(faults, FaultPlan):
-            faults = FaultController(faults)
         net.attach_faults(faults)
     if transport is not None:
         net.attach_transport(transport)

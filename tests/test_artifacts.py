@@ -140,3 +140,24 @@ def test_run_directory_reruns_from_its_manifest(flags):
             expected = fh.read()
         with open(os.path.join(entry, "summary.json"), "rb") as fh:
             assert fh.read() == expected
+
+
+def test_faulted_digest_header_names_the_run_spec(tmp_path):
+    """A faulted, reliable run's digest header records the run spec its
+    manifest describes, fault plan and transport included."""
+    from repro.checkpoint import canonical_run_spec
+    from repro.obs.digest import read_digest_stream
+
+    art, digest = tmp_path / "D", tmp_path / "d.jsonl"
+    code = cli_main(["run", "--mesh-k", "4", "--rate", "0.15",
+                     "--warmup", "100", "--measure", "300", "--drain", "3000",
+                     "--faults", FAULT_PLAN_K4, "--reliable",
+                     "--digest", str(digest), "--artifacts", str(art)],
+                    out=io.StringIO())
+    assert code in (0, 1)  # 1: the transport gave up on a packet
+    spec = json.loads((art / "manifest.json").read_text())["spec"]
+    assert spec["faults"] is not None and spec["transport"] is not None
+    expected = canonical_run_spec(
+        spec["pattern"], spec["rate"], spec["lengths"], spec["warmup"],
+        spec["measure"], spec["drain"], spec["faults"], spec["transport"])
+    assert read_digest_stream(str(digest)).header["run_spec"] == expected

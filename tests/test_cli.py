@@ -262,17 +262,46 @@ class TestTelemetryCLI:
         assert "cycles/sec" in captured.err  # progress went to stderr
 
     def test_run_heartbeat_file(self, tmp_path):
-        from repro.obs.trace import read_jsonl
+        import json as json_mod
 
-        hb = tmp_path / "run.hb.jsonl"
-        code, _ = run_cli(
+        hb = tmp_path / "run.hb.json"
+        code, text = run_cli(
             "run", "--mesh-k", "4", "--rate", "0.1",
             "--warmup", "100", "--measure", "400", "--drain", "0",
-            "--heartbeat", str(hb), "--heartbeat-every", "100",
+            "--heartbeat", str(hb), "--json",
         )
         assert code == 0
-        records = read_jsonl(str(hb))
-        assert records[0]["ev"] == "start"
-        assert records[-1]["ev"] == "finish"
-        assert any(r["ev"] == "heartbeat" for r in records)
+        beat = json_mod.loads(hb.read_text())  # one object, not a stream
+        assert beat["state"] == "done"
+        assert beat["cycle"] == json_mod.loads(text)["cycles_run"]
 
+    def test_run_heartbeat_is_a_serve_attempts_heartbeat(self, tmp_path):
+        """``repro run --heartbeat F`` writes what a serve attempt
+        writes to ``hb/<job>.a1.hb.json``: one JSON object, same keys."""
+        import json as json_mod
+
+        from repro import mesh_config
+        from repro.serve import spec_for
+        from repro.serve.supervisor import run_job_worker
+
+        hb = tmp_path / "run.hb.json"
+        code, text = run_cli(
+            "run", "--mesh-k", "4", "--rate", "0.1",
+            "--warmup", "100", "--measure", "300", "--drain", "200",
+            "--heartbeat", str(hb), "--json",
+        )
+        assert code == 0
+        run_beat = json_mod.loads(hb.read_text())
+        spec = spec_for(mesh_config(mesh_k=4), rate=0.1, warmup=100,
+                        measure=300, drain=200)
+        root = tmp_path / "svc"
+        run_job_worker(str(root), "jschema", 1, spec.to_dict())
+        serve_beat = json_mod.loads(
+            (root / "hb" / "jschema.a1.hb.json").read_text())
+        for beat in (run_beat, serve_beat):
+            assert {"name", "attempt", "pid", "state", "cycle", "t"} <= \
+                set(beat)
+            assert beat["attempt"] == 1
+        assert set(run_beat) == set(serve_beat)
+        assert run_beat["state"] == serve_beat["state"] == "done"
+        assert run_beat["cycle"] == json_mod.loads(text)["cycles_run"]

@@ -587,6 +587,11 @@ class TestJsonlLogFormat:
         append_jsonl(path, {"n": 3})
         assert read_jsonl(path) == [{"n": 1}, {"n": 3}]
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('\n{"n": 1}\n\n{"n": 2}\n')
+        assert read_jsonl(str(path)) == [{"n": 1}, {"n": 2}]
+
     @given(records=JSON_RECORDS, data=st.data())
     def test_plain_log_cut_anywhere_loads_whole_lines(self, records, data):
         import tempfile

@@ -22,15 +22,12 @@ from repro.network import flit as flitmod
 from repro.network.config import mesh_config
 from repro.obs import NetworkSampler
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import RunTelemetry
 from repro.obs.trace import MemorySink, TraceBus
 from repro.serve import JobStore, fold_events, job_records
 from repro.serve.cache import ResultCache
 from repro.sim import runner
 from repro.sim.parallel import parallel_sweep
 from repro.sim.runner import KillAt, Probe, run_simulation
-
-from tests.test_telemetry import FakeRun, drive
 
 
 RUN = dict(pattern="uniform", rate=0.3, warmup=200, measure=400, drain=300)
@@ -432,69 +429,3 @@ def test_cache_index_torn_anywhere_keeps_the_acknowledged_entries(entries,
         cache.reconcile()
         hashes = [entry["hash"] for entry in cache.read_index()]
         assert sorted(hashes) == sorted(h for h, _job, _t in entries)
-
-
-class _Clock:
-    """Deterministic monotonic clock: each read is 1 ms later."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        self.now += 0.001
-        return self.now
-
-
-class _Recording(RunTelemetry):
-    """RunTelemetry that remembers every record it appended."""
-
-    def __init__(self, emitted, **kwargs):
-        super().__init__(**kwargs)
-        self.emitted = emitted
-
-    def _emit(self, record):
-        super()._emit(record)
-        self.emitted.append(record)
-
-
-#: A run's heartbeat stream: (heartbeat period, cycles, how it ended).
-TELEMETRY_RUN = st.tuples(st.integers(1, 4), st.integers(0, 12),
-                          st.sampled_from(["done", "killed", "failed"]))
-
-
-@given(runs=st.lists(TELEMETRY_RUN, min_size=2, max_size=3),
-       data=st.data())
-def test_run_heartbeats_torn_anywhere_keep_the_acknowledged_records(runs,
-                                                                    data):
-    """A ``repro run --heartbeat`` JSONL stream torn at any byte, then
-    appended to by the next run on the same path, once or twice.
-
-    Each run appends a start record, a heartbeat every ``every``
-    cycles and a finish record. The records whose newline made it to
-    disk were acknowledged; ``read_jsonl`` must return exactly those
-    after each tear and, after the next run appends, those plus every
-    record the next run wrote.
-    """
-    import tempfile
-
-    from repro.obs.trace import read_jsonl
-
-    def run(path, every, cycles, status, start, acked):
-        tele = _Recording(acked, path=path, every=every, rate=0.25,
-                          clock=_Clock(), walltime=_Clock())
-        sim = FakeRun(total_cycles=start + cycles, start_cycle=start,
-                      phase="main")
-        tele.start(sim)
-        drive(tele, sim, start + cycles)
-        tele.finish(sim, status, None)
-        return start + cycles
-
-    with tempfile.TemporaryDirectory() as root:
-        path = os.path.join(root, "run.hb.jsonl")
-        acked = []
-        cycle = run(path, *runs[0], 0, acked)
-        for every, cycles, status in runs[1:]:
-            del acked[tear(path, data):]
-            assert read_jsonl(path) == acked
-            cycle = run(path, every, cycles, status, cycle, acked)
-            assert read_jsonl(path) == acked

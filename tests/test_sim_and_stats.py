@@ -1,14 +1,16 @@
 """Tests for the simulation harness and statistics collection."""
 
+import json
+
 import pytest
 
 from repro import ChainingScheme, mesh_config, run_simulation
 from repro.checkpoint import Checkpointer
 from repro.faults import HangWatchdog
 from repro.network.flit import Packet, set_next_packet_id
-from repro.obs import NetworkSampler, RunTelemetry
+from repro.obs import NetworkSampler
 from repro.obs.digest import DigestRecorder
-from repro.obs.trace import read_jsonl
+from repro.proc import BeatProbe, Heartbeat
 from repro.sim.parallel import parallel_sweep
 from repro.stats.collector import StatsCollector
 from repro.stats.summary import LatencySummary
@@ -166,7 +168,7 @@ def _record_firings(probe):
 class TestProbes:
     def test_probes_do_not_change_results_and_fire_on_cadence(self,
                                                               tmp_path):
-        """Sampler, report-mode watchdog, telemetry to a file, digest
+        """Sampler, report-mode watchdog, heartbeat to a file, digest
         and checkpointer on one run: the SimResult equals a bare run's
         apart from the watchdog's summary, and each probe fires exactly
         on its own cadence."""
@@ -178,10 +180,10 @@ class TestProbes:
 
         sampler = NetworkSampler(period=7)
         watchdog = HangWatchdog(check_period=5, mode="report")
-        telemetry = RunTelemetry(path=str(tmp_path / "hb.jsonl"), every=13)
+        beats = BeatProbe(Heartbeat(str(tmp_path / "run.hb.json"), "run", 1))
         digest = DigestRecorder(every=11)
         checkpointer = Checkpointer(str(tmp_path / "ck.json"), every=17)
-        probes = [sampler, watchdog, telemetry, digest, checkpointer]
+        probes = [sampler, watchdog, beats, digest, checkpointer]
         fired = [_record_firings(p) for p in probes]
         set_next_packet_id(0)
         probed = run_simulation(config, probes=probes, **run).to_dict()
@@ -193,15 +195,15 @@ class TestProbes:
         assert fired == [
             list(range(1, end + 1, 7)),
             list(range(1, end + 1, 5)),
-            list(range(13, end + 1, 13)),
+            list(range(1, end + 1)),
             list(range(11, end + 1, 11)),
             list(range(17, end + 1, 17)),
         ]
         # Each probe's own output follows the cycles it fired at.
         assert [s["cycle"] + 1 for s in sampler.samples] == fired[0]
-        beats = [r["cycle"] for r in read_jsonl(str(tmp_path / "hb.jsonl"))
-                 if r["ev"] == "heartbeat"]
-        assert beats == fired[2]
+        with open(tmp_path / "run.hb.json") as fh:
+            final = json.load(fh)
+        assert (final["state"], final["cycle"]) == ("done", end)
         assert [r["cycle"] for r in digest.records] == fired[3] + [end]
         assert checkpointer.last_cycle == fired[4][-1]
         assert checkpointer.saves == len(fired[4])
